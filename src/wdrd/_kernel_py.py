@@ -2,8 +2,9 @@
 
 Reference implementation of the hot loop: depth-first enumeration of edge
 states (Forward / Backward / Digon) over a fixed underlying graph, with a
-full candidate check at every leaf.  The compiled extension `_kernel`
-implements the same contract; `wdrd.kernel` picks whichever is available.
+full candidate check at every leaf.  `_kernel.c` implements the same
+contract in C; `wdrd.kernel` compiles and loads it when a C compiler is
+available and otherwise selects this module.
 
 Leaf pipeline (cheapest first):
   1. all-digon candidates are symmetric, hence never weakly distance-regular;
@@ -21,6 +22,8 @@ never discards a candidate that would have survived the full check.
 """
 
 from __future__ import annotations
+
+from .digraph import _bfs_reach
 
 BACKEND = "pure"
 
@@ -129,7 +132,7 @@ def search_run(n, edges, prefix=(), prune_degree=False, use_reversal=False):
             stats["symmetric"] += 1
             return
         full = (1 << n) - 1
-        if _reach(out_m, 0) != full or _reach(in_m, 0) != full:
+        if _bfs_reach(out_m, 0) != full or _bfs_reach(in_m, 0) != full:
             stats["not_strongly_connected"] += 1
             return
         dist = _all_pairs(out_m, n)
@@ -256,20 +259,6 @@ def _result(stats, survivors, survivors_nc):
     out["survivors"] = survivors
     out["survivors_noncomm"] = survivors_nc
     return out
-
-
-def _reach(masks, src):
-    seen = frontier = 1 << src
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= masks[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
 
 
 def _all_pairs(out_m, n):

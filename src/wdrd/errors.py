@@ -93,6 +93,14 @@ class TooManyEdgesError(WdrdError, ValueError):
     """Edge count exceeds the configured enumeration cap."""
 
 
+class BadJobsError(WdrdError, ValueError):
+    """The requested worker count is below one."""
+
+
+class AccountingError(WdrdError, RuntimeError):
+    """Examined plus skipped leaves do not add up to the 3^|E| candidates."""
+
+
 class TooLargeError(WdrdError, ValueError):
     """Vertex count exceeds the exact-canonicalization cap."""
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _mask_bits
 from .errors import (
     BadParametersError,
     NotConnectedError,
@@ -104,7 +104,7 @@ class LabeledGraph:
         return self.graph.n
 
     def label_set(self, v: int) -> frozenset[int]:
-        return frozenset(_mask_elements(self.label_masks[v]))
+        return frozenset(_mask_bits(self.label_masks[v]))
 
     def labels(self) -> tuple[frozenset[int], ...]:
         return tuple(self.label_set(v) for v in range(self.graph.n))
@@ -115,20 +115,13 @@ class LabeledGraph:
         if hit is None and self.kind == "folded":
             hit = self._index.get(((1 << self.m) - 1) ^ mask)
         if hit is None:
-            raise KeyError(f"no vertex labelled {sorted(_mask_elements(mask))}")
+            raise KeyError(f"no vertex labelled {sorted(_mask_bits(mask))}")
         return hit
 
     def __repr__(self):
         name = ("J({},{})".format(self.m, self.e) if self.kind == "johnson"
                 else "folded-J({},{})".format(self.m, self.e))
         return f"LabeledGraph({name}, n={self.graph.n})"
-
-
-def _mask_elements(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _adjacency_from_masks(masks, want: frozenset[int]) -> np.ndarray:

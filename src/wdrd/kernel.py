@@ -1,33 +1,137 @@
 """Search-kernel backend selection.
 
-Imports the compiled extension when present, otherwise the pure-Python
-fallback.  Set WDRD_PURE=1 to force the fallback (used by the parity tests
-and the benchmark).
+The kernel exists twice: `_kernel_py.search_run`, the pure-Python reference,
+and `_kernel.c`, the same search in plain C.  On import this module
+compiles `_kernel.c` with the system C compiler, caches the shared library
+in the package's `__pycache__` under a name keyed by the SHA-256 of the
+source and the compile command, and loads it with ctypes.  Without a
+compiler, when the compile fails or when the cache directory is read-only
+it falls back to the pure kernel.  Set WDRD_PURE=1 to force the fallback.
+`BACKEND` names the selected kernel.
 """
 
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
 import os
+import subprocess
+import tempfile
+from pathlib import Path
 
-if os.environ.get("WDRD_PURE"):
-    from . import _kernel_py as _impl
-else:
+from . import _kernel_py
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+_MAX_N = 64
+_MAX_EDGES = 39
+# Counter keys of every search_run result, in the order of the C counters.
+STAT_KEYS = ("examined", "skipped_degree", "skipped_reversal", "symmetric",
+             "not_strongly_connected", "axiom", "noncommutative")
+_EMIT = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_ubyte), ctypes.c_int)
+
+
+def _library_path() -> Path:
+    key = hashlib.sha256(_SOURCE.read_bytes())
+    key.update(" ".join(_COMPILE).encode())
+    return _CACHE / f"_kernel-{key.hexdigest()[:16]}.so"
+
+
+def _build(target: Path) -> None:
+    """Compile the kernel into `target`, atomically."""
+    target.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem,
+                               suffix=".tmp")
+    os.close(fd)
     try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
+        subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)], check=True,
+                       capture_output=True)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
-BACKEND = _impl.BACKEND
-search_run = _impl.search_run
+
+def _load() -> ctypes.CDLL | None:
+    """The compiled kernel library, built on a cache miss; None when it
+    cannot be built or loaded."""
+    try:
+        target = _library_path()
+        if not target.exists():
+            _build(target)
+        lib = ctypes.CDLL(str(target))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    fn = lib.wdrd_search_run
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int),
+                   ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_int,
+                   ctypes.POINTER(ctypes.c_longlong), _EMIT]
+    fn.restype = ctypes.c_int
+    return lib
+
+
+@functools.cache
+def _compiled():
+    """search_run of the compiled kernel, or None when it is unavailable."""
+    lib = _load()
+    return None if lib is None else functools.partial(_run_compiled, lib)
+
+
+def _run_compiled(lib, n, edges, prefix=(), prune_degree=False,
+                  use_reversal=False):
+    """Compiled twin of `_kernel_py.search_run`; arguments are checked here
+    because the C code trusts them."""
+    edges = [(int(u), int(v)) for u, v in edges]
+    prefix = bytes(prefix)
+    ne = len(edges)
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"kernel supports 1..{_MAX_N} vertices, got {n}")
+    if ne > _MAX_EDGES:
+        raise ValueError(f"kernel supports at most {_MAX_EDGES} edges, got {ne}")
+    if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
+        raise ValueError(f"edge endpoint outside 0..{n - 1}")
+    if len(prefix) > ne:
+        raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
+    if any(s > 2 for s in prefix):
+        raise ValueError("prefix states must be 0, 1 or 2")
+
+    survivors: list[bytes] = []
+    survivors_nc: list[bytes] = []
+
+    def emit(word, commutative):
+        (survivors if commutative else survivors_nc).append(
+            ctypes.string_at(word, ne))
+
+    flat = (ctypes.c_int * (2 * ne + 1))(*(x for e in edges for x in e))
+    stats = (ctypes.c_longlong * len(STAT_KEYS))()
+    callback = _EMIT(emit)
+    if lib.wdrd_search_run(n, ne, flat, len(prefix), prefix,
+                           bool(prune_degree), bool(use_reversal), stats,
+                           callback):
+        raise MemoryError("kernel scratch allocation failed")
+    out = dict(zip(STAT_KEYS, stats))
+    out["survivors"] = survivors
+    out["survivors_noncomm"] = survivors_nc
+    return out
+
+
+def _select():
+    """(name, search_run) of the kernel this process uses."""
+    compiled = None if os.environ.get("WDRD_PURE") else _compiled()
+    if compiled is None:
+        return _kernel_py.BACKEND, _kernel_py.search_run
+    return "compiled", compiled
+
+
+BACKEND, search_run = _select()
 
 
 def backends():
-    """All importable kernel backends, name -> search_run."""
-    from . import _kernel_py
-
+    """All available kernel backends, name -> search_run."""
     found = {"pure": _kernel_py.search_run}
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-
-        found["compiled"] = _kernel.search_run
-    except ImportError:
-        pass
+    compiled = _compiled()
+    if compiled is not None:
+        found["compiled"] = compiled
     return found

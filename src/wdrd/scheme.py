@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _bfs_reach, _rows_to_masks
 from .errors import NotConnectedError, NotStronglyConnectedError, NotSymmetricError, UnknownClassError
 
 Label = tuple[int, int]
@@ -228,39 +228,13 @@ def is_symmetric_scheme(s: AssociationScheme) -> bool:
 def is_primitive(s: AssociationScheme) -> bool:
     """True iff every non-diagonal relation digraph is strongly connected."""
     co = s.partition.class_of
-    n = s.n
-    full = (1 << n) - 1
+    full = (1 << s.n) - 1
     for i in range(1, len(s.classes)):
         rows = co == i
-        masks = []
-        for x in range(n):
-            m = 0
-            for y in np.flatnonzero(rows[x]):
-                m |= 1 << int(y)
-            masks.append(m)
-        masks_t = []
-        for x in range(n):
-            m = 0
-            for y in np.flatnonzero(rows[:, x]):
-                m |= 1 << int(y)
-            masks_t.append(m)
-        if _reach(masks, n) != full or _reach(masks_t, n) != full:
+        if (_bfs_reach(_rows_to_masks(rows), 0) != full
+                or _bfs_reach(_rows_to_masks(rows.T), 0) != full):
             return False
     return True
-
-
-def _reach(masks, n):
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= masks[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ examined + skipped = 3^|E| exact.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,7 +25,13 @@ from . import kernel
 from .analysis import type_set, wdrd_report
 from .canon import canonical_digraph, canonical_form
 from .digraph import Digraph, format_dgf
-from .errors import NotSymmetricError, TooLargeError, TooManyEdgesError
+from .errors import (
+    AccountingError,
+    BadJobsError,
+    NotSymmetricError,
+    TooLargeError,
+    TooManyEdgesError,
+)
 from .generators import LabeledGraph
 from .scheme import attached_partition, verify_association_scheme
 
@@ -109,15 +116,18 @@ def enumerate_orientations(g, max_edges: int = 20):
         yield word_to_digraph(d.n, edges, bytes(word))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _branch(args):
     n, edges, prefix, prune_degree, use_reversal = args
     return kernel.search_run(n, edges, prefix=prefix,
                              prune_degree=prune_degree,
                              use_reversal=use_reversal)
-
-
-_STAT_KEYS = ("examined", "skipped_degree", "skipped_reversal", "symmetric",
-              "not_strongly_connected", "axiom", "noncommutative")
 
 
 def search_commutative_wdrd(g, *, graph_id: str | None = None,
@@ -136,6 +146,8 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
         raise NotSymmetricError("orientation search needs a graph")
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune must be one of {PRUNE_MODES}")
+    if jobs < 1:
+        raise BadJobsError(f"jobs must be at least 1, got {jobs}")
     edges = _underlying_edges(d)
     ne = len(edges)
     if ne > max_edges:
@@ -149,23 +161,26 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
         graph_id = f"graph(n={d.n}, edges={ne})"
     prune_degree = prune == "degree"
 
-    if jobs <= 1:
+    # More workers than usable CPUs only adds start-up cost; the report
+    # still records the requested `jobs`.
+    workers = min(jobs, _usable_cpus())
+    if workers == 1:
         results = [kernel.search_run(d.n, edges, prune_degree=prune_degree,
                                      use_reversal=use_reversal)]
     else:
         k = 0
-        while 3 ** k < 4 * jobs and k < ne:
+        while 3 ** k < 4 * workers and k < ne:
             k += 1
         prefixes = list(itertools.product((0, 1, 2), repeat=k))
         work = [(d.n, edges, p, prune_degree, use_reversal) for p in prefixes]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch, work, chunksize=1))
 
-    stats = {k: 0 for k in _STAT_KEYS}
+    stats = {k: 0 for k in kernel.STAT_KEYS}
     words: list[bytes] = []
     words_nc: list[bytes] = []
     for r in results:
-        for k in _STAT_KEYS:
+        for k in kernel.STAT_KEYS:
             stats[k] += r[k]
         words.extend(r["survivors"])
         words_nc.extend(r["survivors_noncomm"])
@@ -173,7 +188,9 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     total = 3 ** ne
     accounted = (stats["examined"] + stats["skipped_degree"]
                  + stats["skipped_reversal"])
-    assert accounted == total, "leaf accounting out of balance"
+    if accounted != total:
+        raise AccountingError(
+            f"examined + skipped leaves = {accounted}, expected 3^{ne} = {total}")
 
     survivors = [word_to_digraph(d.n, edges, w) for w in words]
     if use_reversal:

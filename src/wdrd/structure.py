@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .digraph import _mask_bits
 from .errors import (
     AlphaNotInXError,
     BetaIntersectsXError,
@@ -129,16 +130,8 @@ def _edge_lift(g: LabeledGraph, x: int, y: int) -> tuple[SubsetVertex, SubsetVer
         else:
             raise NotAdjacentError(
                 f"labels of ({x}, {y}) do not meet in e-1 points")
-    return (SubsetVertex(g.m, _mask_set(mx)), SubsetVertex(g.m, _mask_set(my)))
-
-
-def _mask_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return (SubsetVertex(g.m, frozenset(_mask_bits(mx))),
+            SubsetVertex(g.m, frozenset(_mask_bits(my))))
 
 
 def verify_neighbourhood_structure(g: LabeledGraph, x: int, y: int

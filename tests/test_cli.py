@@ -1,5 +1,6 @@
 import json
 
+from wdrd import kernel
 from wdrd.cli import run
 
 
@@ -179,6 +180,23 @@ class TestSearch:
         code, _, err = invoke(capsys, "search", "--graph", "johnson", "4", "2",
                               "--max-edges", "5")
         assert code == 2 and "exceed" in err
+
+    def test_jobs_below_one_is_usage_error(self, capsys):
+        code, _, err = invoke(capsys, "search", "--graph", "complete", "3",
+                              "--jobs", "0")
+        assert code == 2 and "jobs" in err
+
+    def test_unbalanced_accounting_exits_two(self, capsys, monkeypatch):
+        real = kernel.search_run
+
+        def unbalanced(*args, **kwargs):
+            stats = real(*args, **kwargs)
+            stats["skipped_degree"] += 1
+            return stats
+
+        monkeypatch.setattr(kernel, "search_run", unbalanced)
+        code, out, err = invoke(capsys, "search", "--graph", "complete", "3")
+        assert code == 2 and out == "" and "expected 3^3" in err
 
 
 class TestIso:

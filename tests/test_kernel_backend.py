@@ -1,0 +1,101 @@
+"""Kernel backend selection: compile on import, the library cache, the
+pure fallback and the argument checks in front of the C code."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from wdrd import _kernel_py, kernel
+
+SRC = Path(kernel.__file__).resolve().parents[1]
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler on PATH")
+
+
+def backend_in_subprocess(**env):
+    full = {k: v for k, v in os.environ.items() if k != "WDRD_PURE"}
+    full.update(PYTHONPATH=str(SRC), **env)
+    out = subprocess.run(
+        [sys.executable, "-c", "import wdrd.kernel as k; print(k.BACKEND)"],
+        env=full, capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch):
+    """Point the library cache at an empty directory and forget the
+    library this process loaded; restored afterwards."""
+    monkeypatch.setattr(kernel, "_CACHE", tmp_path / "cache")
+    kernel._compiled.cache_clear()
+    yield tmp_path / "cache"
+    kernel._compiled.cache_clear()
+
+
+def test_wdrd_pure_forces_pure_backend():
+    assert backend_in_subprocess(WDRD_PURE="1") == "pure"
+
+
+@needs_cc
+def test_compiled_backend_is_the_default():
+    assert backend_in_subprocess() == "compiled"
+
+
+def test_compile_failure_falls_back_to_pure(empty_cache, monkeypatch):
+    def failing_build(target):
+        raise subprocess.CalledProcessError(1, "cc")
+
+    monkeypatch.setattr(kernel, "_build", failing_build)
+    assert kernel._select() == ("pure", _kernel_py.search_run)
+    assert "compiled" not in kernel.backends()
+
+
+def test_unwritable_cache_falls_back_to_pure(tmp_path, empty_cache,
+                                            monkeypatch):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setattr(kernel, "_CACHE", blocker / "cache")
+    assert kernel._load() is None
+    assert kernel._select() == ("pure", _kernel_py.search_run)
+
+
+@needs_cc
+def test_second_load_reuses_the_cached_library(empty_cache, monkeypatch):
+    builds = []
+    real_build = kernel._build
+
+    def counting_build(target):
+        builds.append(target)
+        real_build(target)
+
+    monkeypatch.setattr(kernel, "_build", counting_build)
+    assert kernel._load() is not None
+    assert kernel._load() is not None
+    assert len(builds) == 1
+    assert [p.name for p in empty_cache.iterdir()] == [builds[0].name]
+
+
+BAD_ARGUMENTS = {
+    "no vertices": (0, []),
+    "65 vertices": (65, []),
+    "40 edges": (64, [(0, v) for v in range(1, 41)]),
+    "endpoint n": (3, [(0, 3)]),
+    "negative endpoint": (3, [(-1, 1)]),
+    "state 3": (2, [(0, 1)], (3,)),
+    "negative state": (2, [(0, 1)], (-1,)),
+    "prefix longer than edges": (2, [(0, 1)], (0, 0)),
+}
+
+
+class NoLibrary:
+    def wdrd_search_run(self, *args):
+        raise AssertionError("bad arguments reached the C code")
+
+
+@pytest.mark.parametrize("args", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_bad_arguments_are_rejected_before_the_c_call(args):
+    with pytest.raises(ValueError):
+        kernel._run_compiled(NoLibrary(), *args)

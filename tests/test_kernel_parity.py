@@ -8,8 +8,6 @@ import pytest
 from wdrd import _kernel_py
 from wdrd import kernel
 
-compiled = pytest.importorskip("wdrd._kernel")
-
 
 def edges_of(n, rnd, p=0.5):
     return [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -23,22 +21,23 @@ CASES = [
     (3, [(0, 1), (1, 2)]),
     (1, []),
     (6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (0, 5)]),
+    (64, [(0, 1), (0, 2), (1, 2)]),
 ]
 
 
 @pytest.mark.parametrize("n,edges", CASES)
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("reversal", [False, True])
-def test_full_runs_agree(n, edges, prune, reversal):
+def test_full_runs_agree(compiled, n, edges, prune, reversal):
     a = _kernel_py.search_run(n, edges, prune_degree=prune,
                               use_reversal=reversal)
-    b = compiled.search_run(n, edges, prune_degree=prune,
+    b = compiled(n, edges, prune_degree=prune,
                             use_reversal=reversal)
     assert a == b
 
 
 @pytest.mark.parametrize("n,edges", CASES[:4])
-def test_prefix_branches_agree_and_partition(n, edges):
+def test_prefix_branches_agree_and_partition(compiled, n, edges):
     k = min(2, len(edges))
     keys = [key for key in _kernel_py.search_run(n, edges) if key != "survivors"
             and key != "survivors_noncomm"]
@@ -46,7 +45,7 @@ def test_prefix_branches_agree_and_partition(n, edges):
     survivors = []
     for prefix in itertools.product((0, 1, 2), repeat=k):
         a = _kernel_py.search_run(n, edges, prefix=prefix)
-        b = compiled.search_run(n, edges, prefix=prefix)
+        b = compiled(n, edges, prefix=prefix)
         assert a == b
         for key in keys:
             total[key] += a[key]
@@ -56,7 +55,7 @@ def test_prefix_branches_agree_and_partition(n, edges):
     assert sorted(survivors) == sorted(full["survivors"])
 
 
-def test_random_graphs_agree():
+def test_random_graphs_agree(compiled):
     rnd = random.Random(99)
     for _ in range(25):
         n = rnd.randint(2, 7)
@@ -65,7 +64,7 @@ def test_random_graphs_agree():
             edges = edges[:9]
         for prune in (False, True):
             a = _kernel_py.search_run(n, edges, prune_degree=prune)
-            b = compiled.search_run(n, edges, prune_degree=prune)
+            b = compiled(n, edges, prune_degree=prune)
             assert a == b
 
 

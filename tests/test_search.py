@@ -14,8 +14,14 @@ from wdrd import (
     search_commutative_wdrd,
     wdrd_report,
 )
+from wdrd import kernel, search
 from wdrd.search import report_to_dict, word_to_digraph
-from wdrd.errors import NotSymmetricError, TooManyEdgesError
+from wdrd.errors import (
+    AccountingError,
+    BadJobsError,
+    NotSymmetricError,
+    TooManyEdgesError,
+)
 from oracles import search_by_brute_force
 
 
@@ -120,6 +126,40 @@ class TestDeterminismAndParallel:
         db.pop("jobs")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(BadJobsError):
+            search_commutative_wdrd(c4(), jobs=0)
+
+    def test_pool_bounded_by_usable_cpus(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records the pool size and runs the branches in-process."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.branches = 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work, chunksize=1):
+                work = list(work)
+                self.branches = len(work)
+                return map(fn, work)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(search.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        rep = search_commutative_wdrd(c4(), jobs=10**6)
+        assert [(p.max_workers, p.branches) for p in pools] == [(3, 27)]
+        assert rep.jobs == 10**6
+        assert rep.core() == search_commutative_wdrd(c4()).core()
+
     def test_reversal_exploit_same_classes(self):
         g = complete_graph(3)
         base = search_commutative_wdrd(g)
@@ -130,6 +170,18 @@ class TestDeterminismAndParallel:
 
 
 class TestSoundness:
+    def test_unbalanced_leaf_accounting_raises(self, monkeypatch):
+        real = kernel.search_run
+
+        def unbalanced(*args, **kwargs):
+            stats = real(*args, **kwargs)
+            stats["examined"] -= 1
+            return stats
+
+        monkeypatch.setattr(kernel, "search_run", unbalanced)
+        with pytest.raises(AccountingError):
+            search_commutative_wdrd(complete_graph(3))
+
     def test_survivors_reverify(self):
         rep = search_commutative_wdrd(complete_graph(3))
         for cls in rep.iso_classes:
