@@ -14,6 +14,10 @@ from __future__ import annotations
 from .digraph import Digraph
 from .errors import TooLargeError
 
+# Largest vertex count canonicalised exactly.  Colour blocks are searched
+# by brute force, so the cost grows factorially with the block size.
+MAX_N = 16
+
 
 def _link(adj, u, v) -> int:
     return (2 if adj[v, u] else 0) | (1 if adj[u, v] else 0)
@@ -45,7 +49,7 @@ def _canonical_ids(sigs) -> list[int]:
     return [order[s] for s in sigs]
 
 
-def canonical_permutation(d: Digraph, max_n: int = 16) -> tuple[int, ...]:
+def canonical_permutation(d: Digraph, max_n: int = MAX_N) -> tuple[int, ...]:
     """Vertex order minimizing the layered adjacency key."""
     n = d.n
     if n > max_n:
@@ -99,7 +103,7 @@ def canonical_permutation(d: Digraph, max_n: int = 16) -> tuple[int, ...]:
     return best_perm
 
 
-def canonical_digraph(d: Digraph, max_n: int = 16) -> Digraph:
+def canonical_digraph(d: Digraph, max_n: int = MAX_N) -> Digraph:
     """The digraph relabelled by its canonical permutation."""
     perm = canonical_permutation(d, max_n)
     inv = [0] * d.n
@@ -109,7 +113,7 @@ def canonical_digraph(d: Digraph, max_n: int = 16) -> Digraph:
     return Digraph.from_arcs(d.n, arcs)
 
 
-def canonical_form(d: Digraph, max_n: int = 16) -> bytes:
+def canonical_form(d: Digraph, max_n: int = MAX_N) -> bytes:
     """Row-major adjacency encoding under the canonical permutation.
 
     Equal forms if and only if the digraphs are isomorphic (for digraphs on
@@ -124,7 +128,7 @@ def np_packbits(d: Digraph) -> bytes:
     return np.packbits(d.adjacency.ravel()).tobytes()
 
 
-def are_isomorphic(a: Digraph, b: Digraph, max_n: int = 16) -> bool:
+def are_isomorphic(a: Digraph, b: Digraph, max_n: int = MAX_N) -> bool:
     """Exact isomorphism with cheap invariant fast-rejects first."""
     if a.n != b.n or a.arc_count != b.arc_count:
         return False

@@ -28,7 +28,7 @@ from .analysis import (
     verify_local_counts,
     wdrd_report,
 )
-from .canon import are_isomorphic
+from .canon import MAX_N, are_isomorphic
 from .digraph import Digraph, format_dgf, parse_dgf
 from .errors import WdrdError
 from .generators import (
@@ -326,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--expect", choices=["iso", "non-iso"])
-    p.add_argument("--max-n", type=int, default=16)
+    p.add_argument("--max-n", type=int, default=MAX_N)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_iso)
     return ap

@@ -28,6 +28,11 @@ from .errors import (
 # length; kept out of every serialized format.
 INFINITY = 2**31 - 1
 
+# Largest vertex count `parse_dgf` accepts.  A digraph holds dense n x n
+# matrices (the distance matrix alone is 8 n^2 bytes, 128 MB here), so a
+# larger header is refused before anything is allocated.
+DGF_MAX_N = 4096
+
 
 class Digraph:
     """Immutable loop-free digraph on vertices 0..n-1."""
@@ -282,6 +287,8 @@ def parse_dgf(text: str) -> Digraph:
         n = int(head[1])
     except ValueError:
         raise DgfError(f"bad vertex count {head[1]!r}") from None
+    if n > DGF_MAX_N:
+        raise DgfError(f"vertex count {n} exceeds the DGF limit {DGF_MAX_N}")
     arcs = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -89,6 +89,11 @@ class DiameterTooSmallError(WdrdError, ValueError):
     """Operation requires a graph of diameter at least two."""
 
 
+class TensorRangeError(WdrdError, ValueError):
+    """An intersection-tensor entry lies outside 0..n, or the tensor is too
+    large for exact float64 products."""
+
+
 class TooManyEdgesError(WdrdError, ValueError):
     """Edge count exceeds the configured enumeration cap."""
 
@@ -99,6 +104,10 @@ class BadJobsError(WdrdError, ValueError):
 
 class AccountingError(WdrdError, RuntimeError):
     """Examined plus skipped leaves do not add up to the 3^|E| candidates."""
+
+
+class ReverificationError(WdrdError, RuntimeError):
+    """A kernel survivor failed the independent re-verification."""
 
 
 class TooLargeError(WdrdError, ValueError):

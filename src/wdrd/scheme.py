@@ -6,6 +6,22 @@ the four scheme axioms (diagonal relation, partition, transpose closure,
 constant intersection numbers) and, on success, returns the full tensor
 p[i][j][l] together with the dual map and valencies; on failure it returns
 a structured AxiomViolation with a witness instead of raising.
+
+Axiom (iv) is checked as a multiset equality.  With nc classes, give the
+pair (x, y) the n keys class(x,z)*nc + class(z,y), one per vertex z; key
+i*nc + j occurs exactly p_{i,j}(x,y) times.  So every intersection number
+is constant on every class exactly when each pair's sorted key vector
+equals that of its class's representative pair, and at the first position
+where two sorted vectors differ the smaller key is the smallest (i, j)
+whose count differs.  One sort of n^3 keys replaces nc^2 indicator
+products and an nc^3 scan, and gives the same first witness.
+
+The composition identity and the commutation test multiply intersection
+matrices in float64, which BLAS runs.  This is exact: every tensor entry is
+an integer in 0..n and every sum has nc terms, so each partial sum is an
+integer of at most nc*n^2 < 2^53.  A valid scheme has at most n classes,
+so the bound holds up to n = 208,063; AssociationScheme enforces the entry
+range and the bound and raises TensorRangeError otherwise.
 """
 
 from __future__ import annotations
@@ -16,9 +32,19 @@ from typing import Sequence
 import numpy as np
 
 from .digraph import Digraph, _bfs_reach, _rows_to_masks
-from .errors import NotConnectedError, NotStronglyConnectedError, NotSymmetricError, UnknownClassError
+from .errors import (
+    NotConnectedError,
+    NotStronglyConnectedError,
+    NotSymmetricError,
+    TensorRangeError,
+    UnknownClassError,
+)
 
 Label = tuple[int, int]
+
+# Entries of the (x, y, z) key array sorted per chunk of rows x in the
+# axiom (iv) check; bounds its buffers to a few MB.
+_SORT_ENTRIES = 1 << 20
 
 
 class RelationPartition:
@@ -100,6 +126,15 @@ class AssociationScheme:
         self.dual = dual
         k = np.asarray(k, dtype=np.int64)
         p = np.asarray(p, dtype=np.int64)
+        n = partition.n
+        if p.size and (p.min() < 0 or p.max() > n):
+            raise TensorRangeError(
+                f"intersection numbers must lie in 0..{n}, got "
+                f"{p.min()}..{p.max()}")
+        if len(classes) * n * n >= 2 ** 53:
+            raise TensorRangeError(
+                f"{len(classes)} classes on {n} vertices exceed exact "
+                "float64 products")
         k.setflags(write=False)
         p.setflags(write=False)
         self.k = k
@@ -145,7 +180,8 @@ def verify_association_scheme(part: RelationPartition):
     """Check axioms (i)-(iv) on a relation partition.
 
     Returns an AssociationScheme on success, otherwise an AxiomViolation
-    carrying the first witness found (deterministic scan order).
+    carrying the first witness in scan order: the smallest class for (iii),
+    the lexicographically first (i, j, l) for (iv).
     """
     n = part.n
     co = part.class_of
@@ -169,50 +205,71 @@ def verify_association_scheme(part: RelationPartition):
 
     # (ii) the label matrix is a partition by construction; nothing to scan.
 
-    # (iii) transpose closure: each class transposes onto a single class
-    dual = []
-    cot = co.T
-    for i in range(nc):
-        vals = np.unique(cot[co == i])
-        if len(vals) != 1:
-            cells = np.argwhere(co == i)
-            w = []
-            for a, b in cells:
-                if co[b, a] != vals[0]:
-                    w = [[int(a), int(b)]]
-                    break
-            return AxiomViolation(
-                3, f"transpose of class {part.classes[i]} meets several classes",
-                {"class": list(part.classes[i]), "pair": w})
-        dual.append(int(vals[0]))
-
-    # (iv) constancy of every intersection number
-    indicators = [(co == i).astype(np.int64) for i in range(nc)]
+    # (iii) transpose closure: each class transposes onto a single class.
+    # One sorted pass over the (class, transposed class) pairs; the first
+    # pair of each class is its smallest transposed class.
+    co = co.astype(np.int64)
     flat = co.ravel()
-    cells = [np.flatnonzero(flat == l) for l in range(nc)]
-    p = np.zeros((nc, nc, nc), dtype=np.int64)
-    for i in range(nc):
-        ai = indicators[i]
-        for j in range(nc):
-            m = (ai @ indicators[j]).ravel()
-            for l in range(nc):
-                vals = m[cells[l]]
-                v0 = int(vals[0])
-                bad = np.flatnonzero(vals != v0)
-                if bad.size:
-                    first = int(cells[l][0])
-                    other = int(cells[l][bad[0]])
-                    return AxiomViolation(
-                        4, "intersection number not constant on class",
-                        {"i": list(part.classes[i]), "j": list(part.classes[j]),
-                         "l": list(part.classes[l]),
-                         "pair_a": [first // n, first % n],
-                         "count_a": v0,
-                         "pair_b": [other // n, other % n],
-                         "count_b": int(m[other])})
-                p[i, j, l] = v0
-    k = np.array([int(ind[0].sum()) for ind in indicators], dtype=np.int64)
-    return AssociationScheme(part, part.classes, tuple(dual), k, p)
+    tflat = co.T.ravel()
+    pairs, first = np.unique(flat * nc + tflat, return_index=True)
+    meets = np.bincount(pairs // nc, minlength=nc)
+    if (meets != 1).any():
+        i = int(np.flatnonzero(meets != 1)[0])
+        cells = np.flatnonzero(flat == i)
+        w = []
+        if cells.size:
+            smallest = int(pairs[np.searchsorted(pairs, i * nc)] % nc)
+            a = int(cells[np.flatnonzero(tflat[cells] != smallest)[0]])
+            w = [[a // n, a % n]]
+        return AxiomViolation(
+            3, f"transpose of class {part.classes[i]} meets several classes",
+            {"class": list(part.classes[i]), "pair": w})
+    dual = tuple(int(v) for v in pairs % nc)
+
+    # (iv) constancy of every intersection number, as a multiset equality
+    # (module docstring): each pair's sorted keys against those of its
+    # class's representative, the class's first cell in row-major order,
+    # which `first` holds now that each class has one transposed class.
+    # int32 keys sort about twice as fast as int64 ones.
+    ck = co.astype(np.int32 if nc * nc < 2 ** 31 else np.int64)
+    rep = np.sort(ck[first // n] * nc + ck.T[first % n], axis=1)
+    rows = max(1, _SORT_ENTRIES // (n * n))
+    worst = None
+    for x0 in range(0, n, rows):
+        keys = ck[x0:x0 + rows, None, :] * nc + ck.T[None, :, :]
+        keys.sort(axis=2)
+        want = rep[ck[x0:x0 + rows]]
+        diff = keys != want
+        if diff.any():
+            # at the first differing position the smaller key is the
+            # smallest (i, j) whose count differs on that pair
+            t = diff.argmax(axis=2)[..., None]
+            bad = np.take_along_axis(diff, t, 2)[..., 0]
+            key = np.minimum(np.take_along_axis(keys, t, 2),
+                             np.take_along_axis(want, t, 2))[..., 0]
+            cand = int((key[bad].astype(np.int64) * nc
+                        + co[x0:x0 + rows][bad]).min())
+            worst = cand if worst is None else min(worst, cand)
+    if worst is not None:
+        ij, l = divmod(worst, nc)
+        i, j = divmod(ij, nc)
+        m = ((co == i).astype(np.int64) @ (co == j).astype(np.int64)).ravel()
+        cells = np.flatnonzero(flat == l)
+        vals = m[cells]
+        a = int(cells[0])
+        b = int(cells[np.flatnonzero(vals != vals[0])[0]])
+        return AxiomViolation(
+            4, "intersection number not constant on class",
+            {"i": list(part.classes[i]), "j": list(part.classes[j]),
+             "l": list(part.classes[l]),
+             "pair_a": [a // n, a % n], "count_a": int(m[a]),
+             "pair_b": [b // n, b % n], "count_b": int(m[b])})
+    # p[i, j, l] counts key i*nc + j among the keys of class l's representative
+    offsets = np.arange(nc, dtype=np.int64)[:, None] * (nc * nc)
+    p = np.bincount((rep + offsets).ravel(), minlength=nc ** 3)
+    p = np.ascontiguousarray(p.reshape(nc, nc, nc).transpose(1, 2, 0))
+    k = np.bincount(co[0], minlength=nc)
+    return AssociationScheme(part, part.classes, dual, k, p)
 
 
 def is_commutative(s: AssociationScheme) -> bool:
@@ -275,19 +332,33 @@ def check_intersection_identities(s: AssociationScheme) -> IdentityReport:
     passed["valency_transposition"] = ok1 and ok2
     cex["valency_transposition"] = w1 if not ok1 else (w2 if not ok2 else None)
 
-    lhs = np.einsum("ilr,mrj->ilmj", p, p)
-    rhs = np.einsum("mit,tlj->ilmj", p, p)
-    passed["composition_exchange"], cex["composition_exchange"] = _first_mismatch(
-        lhs, rhs, s.classes, ("i", "l", "m", "j"))
+    passed["composition_exchange"], cex["composition_exchange"] = \
+        _composition_exchange(p, s.classes)
 
     return IdentityReport(passed=passed, counterexamples=cex)
 
 
+def _composition_exchange(p, classes):
+    """First (i, l, m, j) where sum_r p_{i,l}^r p_{m,r}^j differs from
+    sum_t p_{m,i}^t p_{t,l}^j, one slice of fixed i at a time."""
+    nc = len(classes)
+    pf = p.astype(np.float64)  # exact: see the module docstring
+    by_first = pf.reshape(nc, nc * nc)  # [t, (l, j)]
+    by_second = np.ascontiguousarray(pf.transpose(1, 0, 2)).reshape(nc, nc * nc)
+    for i in range(nc):
+        lhs = (pf[i] @ by_second).reshape(nc, nc, nc)  # [l, m, j]
+        rhs = (pf[:, i] @ by_first).reshape(nc, nc, nc).transpose(1, 0, 2)
+        ok, wit = _first_mismatch(lhs, rhs, classes, ("l", "m", "j"))
+        if not ok:
+            return False, {"i": list(classes[i]), **wit}
+    return True, None
+
+
 def _first_mismatch(lhs, rhs, classes, names):
-    bad = np.argwhere(lhs != rhs)
-    if bad.size == 0:
+    neq = lhs != rhs
+    if not neq.any():
         return True, None
-    idx = tuple(int(v) for v in bad[0])
+    idx = tuple(int(v) for v in np.argwhere(neq)[0])
     wit = {nm: list(classes[i]) for nm, i in zip(names, idx)}
     wit["lhs"] = int(lhs[idx])
     wit["rhs"] = int(rhs[idx])
@@ -315,11 +386,14 @@ def matrices_commute(s: AssociationScheme) -> bool:
 
     Equivalent to commutativity of the scheme.
     """
-    mats = [s.p[i] for i in range(len(s.classes))]
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if not np.array_equal(mats[a] @ mats[b], mats[b] @ mats[a]):
-                return False
+    nc = len(s.classes)
+    pf = s.p.astype(np.float64)  # exact: see the module docstring
+    by_second = np.ascontiguousarray(pf.transpose(1, 0, 2)).reshape(nc, nc * nc)
+    for a in range(nc - 1):
+        ab = (pf[a] @ by_second[:, (a + 1) * nc:]).reshape(nc, -1, nc)  # [i, b, j]
+        ba = (pf[a + 1:].reshape(-1, nc) @ pf[a]).reshape(-1, nc, nc)  # [b, i, j]
+        if not np.array_equal(ab.transpose(1, 0, 2), ba):
+            return False
     return True
 
 

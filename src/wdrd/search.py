@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 from . import kernel
 from .analysis import type_set, wdrd_report
-from .canon import canonical_digraph, canonical_form
+from .canon import MAX_N as CANON_MAX_N, canonical_digraph, canonical_form
 from .digraph import Digraph, format_dgf
 from .errors import (
     AccountingError,
     BadJobsError,
     NotSymmetricError,
+    ReverificationError,
     TooLargeError,
     TooManyEdgesError,
 )
@@ -157,6 +158,10 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
         raise TooManyEdgesError("kernel limit: at most 39 edges")
     if d.n > 64:
         raise TooLargeError("kernel limit: at most 64 vertices")
+    if d.n > CANON_MAX_N:
+        # survivors are canonicalised after the sweep; fail before it
+        raise TooLargeError(
+            f"exact canonicalization capped at {CANON_MAX_N} vertices")
     if graph_id is None:
         graph_id = f"graph(n={d.n}, edges={ne})"
     prune_degree = prune == "degree"
@@ -199,8 +204,8 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     if use_reversal:
         nc_survivors.extend(s.reverse() for s in list(nc_survivors))
 
-    iso = _dedupe(survivors, commutative=True, verify=True)
-    iso_nc = _dedupe(nc_survivors, commutative=False, verify=True)
+    iso = _dedupe(survivors, commutative=True)
+    iso_nc = _dedupe(nc_survivors, commutative=False)
 
     prune_stats = {k: stats[k] for k in
                    ("symmetric", "not_strongly_connected", "axiom",
@@ -222,14 +227,13 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     )
 
 
-def _dedupe(survivors, commutative: bool, verify: bool) -> tuple[FoundClass, ...]:
+def _dedupe(survivors, commutative: bool) -> tuple[FoundClass, ...]:
     classes: dict[bytes, tuple[Digraph, int]] = {}
     for s in survivors:
-        if verify:
-            rep = wdrd_report(s)
-            if not (rep.is_wdrd and rep.commutative == commutative):
-                raise AssertionError(
-                    "kernel survivor failed independent re-verification")
+        rep = wdrd_report(s)
+        if not (rep.is_wdrd and rep.commutative == commutative):
+            raise ReverificationError(
+                "kernel survivor failed independent re-verification")
         form = canonical_form(s)
         if form in classes:
             classes[form] = (classes[form][0], classes[form][1] + 1)

@@ -63,3 +63,131 @@ def search_by_brute_force(graph, enumerate_orientations, wdrd_report,
             forms.setdefault(canonical_form(cand), 0)
             forms[canonical_form(cand)] += 1
     return labelled, dict(sorted(forms.items()))
+
+
+# -- scan-loop references for the vectorised scheme checks -------------------
+#
+# These are the loops `wdrd.scheme` used before its checks were vectorised:
+# one indicator product per (i, j) with a cell-by-cell constancy scan, int64
+# einsum identities and pairwise matrix products.  They fix the contract the
+# vectorised code must meet exactly: the same verdict, the same scan-order
+# witness, the same tensor.
+
+def verify_by_scan(part):
+    """Axioms (i)-(iv) by the original scan; an AssociationScheme or the
+    first AxiomViolation in (i, j, l) scan order."""
+    from wdrd.scheme import AssociationScheme, AxiomViolation
+
+    n = part.n
+    co = part.class_of
+    nc = len(part.classes)
+
+    diag = co.diagonal()
+    d0 = int(diag[0])
+    if (diag != d0).any():
+        x = int(np.flatnonzero(diag != d0)[0])
+        return AxiomViolation(1, "diagonal pairs fall into different classes",
+                              {"pairs": [[0, 0], [x, x]]})
+    if int((co == d0).sum()) != n:
+        off = np.argwhere(co == d0)
+        bad = next(([int(a), int(b)] for a, b in off if a != b))
+        return AxiomViolation(1, "diagonal class contains an off-diagonal pair",
+                              {"pair": bad})
+    if d0 != 0:
+        return AxiomViolation(1, "diagonal class is not ordered first",
+                              {"class": int(d0)})
+
+    dual = []
+    cot = co.T
+    for i in range(nc):
+        vals = np.unique(cot[co == i])
+        if len(vals) != 1:
+            cells = np.argwhere(co == i)
+            w = []
+            for a, b in cells:
+                if co[b, a] != vals[0]:
+                    w = [[int(a), int(b)]]
+                    break
+            return AxiomViolation(
+                3, f"transpose of class {part.classes[i]} meets several classes",
+                {"class": list(part.classes[i]), "pair": w})
+        dual.append(int(vals[0]))
+
+    indicators = [(co == i).astype(np.int64) for i in range(nc)]
+    flat = co.ravel()
+    cells = [np.flatnonzero(flat == l) for l in range(nc)]
+    p = np.zeros((nc, nc, nc), dtype=np.int64)
+    for i in range(nc):
+        ai = indicators[i]
+        for j in range(nc):
+            m = (ai @ indicators[j]).ravel()
+            for l in range(nc):
+                vals = m[cells[l]]
+                v0 = int(vals[0])
+                bad = np.flatnonzero(vals != v0)
+                if bad.size:
+                    first = int(cells[l][0])
+                    other = int(cells[l][bad[0]])
+                    return AxiomViolation(
+                        4, "intersection number not constant on class",
+                        {"i": list(part.classes[i]), "j": list(part.classes[j]),
+                         "l": list(part.classes[l]),
+                         "pair_a": [first // n, first % n],
+                         "count_a": v0,
+                         "pair_b": [other // n, other % n],
+                         "count_b": int(m[other])})
+                p[i, j, l] = v0
+    k = np.array([int(ind[0].sum()) for ind in indicators], dtype=np.int64)
+    return AssociationScheme(part, part.classes, tuple(dual), k, p)
+
+
+def identities_by_einsum(s):
+    """The three classical identities with int64 einsum products; returns
+    (passed, counterexamples) as `check_intersection_identities` reports
+    them."""
+    p = s.p
+    k = s.k
+    dual = list(s.dual)
+    passed = {}
+    cex = {}
+
+    lhs = np.einsum("ijh,h->ij", p, k)
+    rhs = np.outer(k, k)
+    passed["valency_sum"], cex["valency_sum"] = _first_mismatch(
+        lhs, rhs, s.classes, ("i", "j"))
+
+    a = p * k[None, None, :]
+    b = p[:, dual, :].transpose(2, 1, 0) * k[:, None, None]
+    c = p[dual].transpose(0, 2, 1) * k[None, :, None]
+    ok1, w1 = _first_mismatch(a, b, s.classes, ("i", "j", "l"))
+    ok2, w2 = _first_mismatch(a, c, s.classes, ("i", "j", "l"))
+    passed["valency_transposition"] = ok1 and ok2
+    cex["valency_transposition"] = w1 if not ok1 else (w2 if not ok2 else None)
+
+    lhs = np.einsum("ilr,mrj->ilmj", p, p)
+    rhs = np.einsum("mit,tlj->ilmj", p, p)
+    passed["composition_exchange"], cex["composition_exchange"] = _first_mismatch(
+        lhs, rhs, s.classes, ("i", "l", "m", "j"))
+    return passed, cex
+
+
+def _first_mismatch(lhs, rhs, classes, names):
+    bad = np.argwhere(lhs != rhs)
+    if bad.size == 0:
+        return True, None
+    idx = tuple(int(v) for v in bad[0])
+    wit = {nm: list(classes[i]) for nm, i in zip(names, idx)}
+    wit["lhs"] = int(lhs[idx])
+    wit["rhs"] = int(rhs[idx])
+    return False, wit
+
+
+def commute_by_pairs(s) -> bool:
+    """B_a B_b == B_b B_a for every pair of intersection matrices, by int64
+    products."""
+    mats = [s.p[i] for i in range(len(s.classes))]
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            if not np.array_equal(mats[a] @ mats[b], mats[b] @ mats[a]):
+                return False
+    return True

@@ -1,7 +1,12 @@
+import hashlib
 import json
+
+import pytest
 
 from wdrd import kernel
 from wdrd.cli import run
+from wdrd.digraph import DGF_MAX_N
+from test_search import fake_sweep_with_digon_survivor
 
 
 def invoke(capsys, *argv):
@@ -197,6 +202,70 @@ class TestSearch:
         monkeypatch.setattr(kernel, "search_run", unbalanced)
         code, out, err = invoke(capsys, "search", "--graph", "complete", "3")
         assert code == 2 and out == "" and "expected 3^3" in err
+
+    def test_canon_cap_exits_two_before_the_sweep(self, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(kernel, "search_run", sweep)
+        code, out, err = invoke(capsys, "search", "--graph", "cayley", "17",
+                                "1,16", "--prune", "degree", "--max-edges", "17")
+        assert code == 2 and out == "" and "capped at 16" in err
+
+    def test_failed_reverification_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(kernel, "search_run", fake_sweep_with_digon_survivor)
+        code, out, err = invoke(capsys, "search", "--graph", "complete", "3")
+        assert code == 2 and out == "" and "re-verification" in err
+
+    def test_oversize_dgf_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "big.dgf"
+        src.write_text(f"n {DGF_MAX_N + 1}\n0 1\n1 0\n")
+        code, out, err = invoke(capsys, "search", "--graph", str(src))
+        assert code == 2 and out == "" and "DGF limit" in err
+
+
+# sha256 and length of the JSON that `wdrd check` / `wdrd scheme` printed for
+# these inputs before the scheme checks were vectorised
+GOLDEN = {
+    ("check", "johnson 7 3"): (
+        "253c5010f071303c8cb02e1f62314a2c490278c66e072617604e8432aa3bb62d", 1851),
+    ("check", "folded-johnson 4"): (
+        "363a39ec6decd06fa963698712c2168670f55255d6b4e3f5954e01783bd6cec0", 1129),
+    ("check", "cayley 32 1"): (
+        "3cc810e7f5d4c5707c15e420ca6909c1e6a304cedaf8803e2ae6a4a81feeedea", 450072),
+    ("check", "violator"): (
+        "92104f19e52a9d4a9bd819d9e8f956e7e7926ec7834f9cbe693b0921f24bcf9f", 562),
+    ("scheme", "violator"): (
+        "36043343c18f86530f9bbfc2646f2b068de08ffa6cf0f0608f13a405485d9394", 333),
+}
+# Cay(Z9,{1,3}) relabelled, less one arc: fails axiom (iv)
+VIOLATOR = ("n 9\n0 1\n0 5\n1 4\n1 6\n2 4\n2 7\n3 5\n4 0\n4 3\n5 6\n5 8\n"
+            "6 2\n6 3\n7 0\n7 8\n8 1\n8 2\n")
+
+
+class TestGolden:
+    @pytest.mark.parametrize("command,source", sorted(GOLDEN))
+    def test_byte_identical(self, command, source, tmp_path, capsys):
+        target = tmp_path / "g.dgf"
+        if source == "violator":
+            target.write_text(VIOLATOR)
+        else:
+            invoke(capsys, "gen", *source.split(), "--out", str(target))
+        code, out, _ = invoke(capsys, command, str(target))
+        assert code == (1 if command == "scheme" else 0)
+        assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == \
+            GOLDEN[command, source]
+
+    def test_violator_witness(self, tmp_path, capsys):
+        target = tmp_path / "v.dgf"
+        target.write_text(VIOLATOR)
+        _, out, _ = invoke(capsys, "scheme", str(target))
+        assert json.loads(out) == {
+            "valid": False, "axiom": 4,
+            "message": "intersection number not constant on class",
+            "witness": {"i": [1, 2], "j": [1, 4], "l": [2, 3],
+                        "pair_a": [0, 6], "count_a": 1,
+                        "pair_b": [0, 8], "count_b": 0}}
 
 
 class TestIso:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wdrd import INFINITY, build_digraph, cayley_cyclic, format_dgf, parse_dgf
+from wdrd import INFINITY, build_digraph, cayley_cyclic, digraph, format_dgf, parse_dgf
+from wdrd.digraph import DGF_MAX_N
 from wdrd.errors import (
     DgfError,
     DuplicateArcError,
@@ -186,3 +189,22 @@ class TestDgf:
     def test_malformed_rejected(self, text):
         with pytest.raises(DgfError):
             parse_dgf(text)
+
+    def test_oversize_header_rejected_before_allocation(self):
+        with pytest.raises(DgfError, match="DGF limit"):
+            parse_dgf("n 100000000\n0 1\n")
+        # one past the limit would allocate n^2 bytes for the adjacency
+        tracemalloc.start()
+        try:
+            with pytest.raises(DgfError, match="DGF limit"):
+                parse_dgf(f"n {DGF_MAX_N + 1}\n0 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_header_at_the_limit_accepted(self, monkeypatch):
+        monkeypatch.setattr(digraph, "DGF_MAX_N", 3)
+        assert parse_dgf("n 3\n0 1\n").n == 3
+        with pytest.raises(DgfError, match="DGF limit 3"):
+            parse_dgf("n 4\n0 1\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -20,8 +21,16 @@ from wdrd import (
     matrices_commute,
     verify_association_scheme,
 )
-from wdrd.errors import NotStronglyConnectedError, UnknownClassError
-from oracles import tensor_by_loops
+from wdrd import scheme
+from wdrd.digraph import Digraph
+from wdrd.errors import NotStronglyConnectedError, TensorRangeError, UnknownClassError
+from wdrd.scheme import RelationPartition
+from oracles import (
+    commute_by_pairs,
+    identities_by_einsum,
+    tensor_by_loops,
+    verify_by_scan,
+)
 
 
 def scheme_of(d):
@@ -205,3 +214,168 @@ def test_complete_graph_scheme():
     s = scheme_of(complete_graph(4))
     assert s.classes == ((0, 0), (1, 1))
     assert s.k.tolist() == [1, 3]
+
+
+# -- the vectorised checks against the scan-loop oracles ----------------------
+
+def assert_same_outcome(got, want):
+    """Equal AxiomViolation (axiom, message, witness) or equal scheme."""
+    assert type(got) is type(want)
+    if isinstance(want, AxiomViolation):
+        assert (got.axiom, got.message, got.witness) == \
+            (want.axiom, want.message, want.witness)
+    else:
+        assert got.classes == want.classes and got.dual == want.dual
+        assert got.k.dtype == want.k.dtype and got.p.dtype == want.p.dtype
+        assert np.array_equal(got.k, want.k)
+        assert np.array_equal(got.p, want.p)
+
+
+def random_partition(rng):
+    """A relation partition on at most 12 points: a fusion of the thin
+    cyclic scheme, a nearly transpose-closed random labelling, or a plain
+    random labelling; sometimes with a broken diagonal, reordered class
+    ids or an empty class."""
+    n = rng.randint(1, 12)
+    kind = rng.random()
+    if kind < 0.4:
+        fuse = [0] + [rng.randint(1, rng.randint(1, n)) for _ in range(1, n)]
+        co = np.array([[fuse[(y - x) % n] for y in range(n)] for x in range(n)])
+    elif kind < 0.7:
+        nc = rng.randint(1, 5)
+        dual = list(range(nc + 1))
+        for c in range(1, nc + 1):
+            if rng.random() < 0.5:
+                e = rng.randint(1, nc)
+                dual[c], dual[e] = e, c
+        co = np.zeros((n, n), dtype=int)
+        for x in range(n):
+            for y in range(x + 1, n):
+                c = rng.randint(1, nc)
+                co[x, y] = c
+                co[y, x] = dual[c] if rng.random() < 0.97 else rng.randint(1, nc)
+    else:
+        nc = rng.randint(1, 4)
+        co = np.array([[0 if x == y else rng.randint(1, nc) for y in range(n)]
+                       for x in range(n)])
+    r = rng.random()
+    if r < 0.05 and n > 1:
+        co[rng.randrange(n), rng.randrange(n)] = 0
+    elif r < 0.1 and n > 1:
+        x = rng.randrange(n)
+        co[x, x] = rng.randint(0, 3)
+    ids = sorted(set(co.ravel().tolist()))
+    order = list(range(len(ids)))
+    if rng.random() < 0.05:
+        rng.shuffle(order)
+    remap = dict(zip(ids, order))
+    co = np.array([[remap[v] for v in row] for row in co.tolist()])
+    nc = len(ids) + (rng.random() < 0.03)  # sometimes one empty class
+    return RelationPartition(n, [(c, c + 1) for c in range(nc)], co)
+
+
+def perturbed_cayley(rng, m):
+    """A relabelled cyclic Cayley digraph with up to two arcs toggled."""
+    conn = rng.sample(range(1, m), rng.randint(1, min(4, m - 1)))
+    perm = list(range(m))
+    rng.shuffle(perm)
+    arcs = {(perm[u], perm[v]) for u, v in cayley_cyclic(m, set(conn)).arcs()}
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        arcs ^= {tuple(rng.sample(range(m), 2))}
+    return Digraph.from_arcs(m, sorted(arcs))
+
+
+def thin_scheme_s3() -> RelationPartition:
+    """The regular scheme of S3: (x, y) lies in class x^-1 y.  Valid and
+    not commutative."""
+    perms = list(itertools.permutations(range(3)))
+    index = {q: c for c, q in enumerate(perms)}
+
+    def quotient(x, y):  # x^-1 y
+        inv = [0] * 3
+        for pos, v in enumerate(x):
+            inv[v] = pos
+        return tuple(inv[y[t]] for t in range(3))
+
+    co = [[index[quotient(x, y)] for y in perms] for x in perms]
+    return RelationPartition(6, [(c, c) for c in range(6)], np.array(co))
+
+
+def perturbed_tensors(rng, s, count):
+    for _ in range(count):
+        p = s.p.copy()
+        idx = tuple(rng.randrange(size) for size in p.shape)
+        p[idx] = rng.randint(0, s.n)
+        yield s.replace_tensor(p)
+
+
+class TestAgainstScanOracles:
+    def test_random_partitions(self):
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(400):
+            part = random_partition(rng)
+            want = verify_by_scan(part)
+            assert_same_outcome(verify_association_scheme(part), want)
+            outcomes.add(getattr(want, "axiom", 0))
+        assert outcomes == {0, 1, 3, 4}
+
+    @pytest.mark.parametrize("sort_entries", [None, 1])
+    def test_relabelled_perturbed_cayley(self, sort_entries, monkeypatch):
+        """Also with one row x per sort chunk, so the first witness has to
+        be found across chunks."""
+        if sort_entries is not None:
+            monkeypatch.setattr(scheme, "_SORT_ENTRIES", sort_entries)
+        rng = random.Random(11)
+        outcomes = set()
+        sizes = set()
+        for m in [rng.randint(3, 20) for _ in range(250)] + [64]:
+            d = perturbed_cayley(rng, m)
+            if not d.is_strongly_connected():
+                continue
+            part = attached_partition(d)
+            want = verify_by_scan(part)
+            assert_same_outcome(verify_association_scheme(part), want)
+            outcomes.add(getattr(want, "axiom", 0))
+            sizes.add(m)
+        assert {0, 4} <= outcomes and 64 in sizes
+
+    def test_noncommutative_thin_scheme(self):
+        part = thin_scheme_s3()
+        got = verify_association_scheme(part)
+        assert_same_outcome(got, verify_by_scan(part))
+        assert not is_commutative(got)
+
+    def test_thin_scheme_on_64_points(self):
+        part = attached_partition(cayley_cyclic(64, {1}))
+        got = verify_association_scheme(part)
+        assert_same_outcome(got, verify_by_scan(part))
+        assert len(got.classes) == 64
+
+    def test_identities_and_commutation_on_perturbed_tensors(self):
+        rng = random.Random(5)
+        failed = passed = 0
+        schemes = [scheme_of(d) for d in (
+            cayley_cyclic(6, {1, 2}), cayley_cyclic(6, {1, 4}),
+            cayley_cyclic(7, {1, 2, 4}), johnson(6, 3).graph,
+            cayley_cyclic(16, {1}))]
+        schemes.append(verify_association_scheme(thin_scheme_s3()))
+        for s in schemes:
+            for t in (s, *perturbed_tensors(rng, s, 40)):
+                rep = check_intersection_identities(t)
+                assert (rep.passed, rep.counterexamples) == identities_by_einsum(t)
+                assert matrices_commute(t) == commute_by_pairs(t)
+                failed += not rep.passed["composition_exchange"]
+                passed += rep.ok
+        assert failed and passed
+
+    def test_tensor_outside_zero_to_n_rejected(self):
+        s = scheme_of(cayley_cyclic(6, {1, 4}))
+        for value in (-1, s.n + 1):
+            p = s.p.copy()
+            p[1, 2, 3] = value
+            with pytest.raises(TensorRangeError):
+                s.replace_tensor(p)
+        p = s.p.copy()
+        p[1, 2, 3] = s.n
+        assert s.replace_tensor(p).p[1, 2, 3] == s.n

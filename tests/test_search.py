@@ -20,9 +20,20 @@ from wdrd.errors import (
     AccountingError,
     BadJobsError,
     NotSymmetricError,
+    ReverificationError,
+    TooLargeError,
     TooManyEdgesError,
 )
 from oracles import search_by_brute_force
+
+
+def fake_sweep_with_digon_survivor(n, edges, **kwargs):
+    """A balanced kernel result whose one survivor, the all-digon word,
+    is symmetric and so not weakly distance-regular."""
+    stats = {k: 0 for k in kernel.STAT_KEYS}
+    stats["examined"] = 3 ** len(edges)
+    return {**stats, "survivors": [bytes([2] * len(edges))],
+            "survivors_noncomm": []}
 
 
 def c4():
@@ -180,6 +191,20 @@ class TestSoundness:
 
         monkeypatch.setattr(kernel, "search_run", unbalanced)
         with pytest.raises(AccountingError):
+            search_commutative_wdrd(complete_graph(3))
+
+    def test_canon_cap_checked_before_the_sweep(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(kernel, "search_run", sweep)
+        with pytest.raises(TooLargeError, match="capped at 16"):
+            search_commutative_wdrd(cayley_cyclic(17, {1, 16}),
+                                    prune="degree", max_edges=17)
+
+    def test_failed_reverification_is_typed(self, monkeypatch):
+        monkeypatch.setattr(kernel, "search_run", fake_sweep_with_digon_survivor)
+        with pytest.raises(ReverificationError):
             search_commutative_wdrd(complete_graph(3))
 
     def test_survivors_reverify(self):
