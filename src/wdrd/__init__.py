@@ -8,7 +8,7 @@ desk-scale orientation search.
 
 __version__ = "0.1.0"
 
-from .digraph import Digraph, INFINITY, build_digraph, format_dgf, parse_dgf
+from .digraph import Digraph, INFINITY, format_dgf, parse_dgf
 from .generators import (
     CayleySpec,
     IntersectionArray,

@@ -41,7 +41,7 @@ class Digraph:
 
     def __init__(self, n: int, adj: np.ndarray):
         # Internal constructor: `adj` must already be validated.  Use
-        # build_digraph / from_arcs for checked construction.
+        # from_arcs for checked construction.
         self.n = n
         adj = np.ascontiguousarray(adj, dtype=bool)
         adj.setflags(write=False)
@@ -209,21 +209,12 @@ class Digraph:
         return frozenset(_mask_bits(self.out_masks[x] & self.out_masks[z]))
 
 
-def build_digraph(n: int, arc_list: Iterable[tuple[int, int]]) -> Digraph:
-    """Checked digraph constructor (rejects loops, range errors, duplicates)."""
-    return Digraph.from_arcs(n, arc_list)
-
-
 # -- bitmask helpers ---------------------------------------------------------
 
 def _rows_to_masks(adj: np.ndarray) -> list[int]:
-    masks = []
-    for row in adj:
-        m = 0
-        for v in np.flatnonzero(row):
-            m |= 1 << int(v)
-        masks.append(m)
-    return masks
+    """Row i as the integer with bit j set iff adj[i, j] is nonzero."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
 def _mask_bits(mask: int) -> Iterator[int]:
@@ -299,7 +290,7 @@ def parse_dgf(text: str) -> Digraph:
         except ValueError:
             raise DgfError(f"bad arc line {ln!r}") from None
     try:
-        return build_digraph(n, arcs)
+        return Digraph.from_arcs(n, arcs)
     except (LoopArcError, VertexOutOfRangeError, DuplicateArcError) as exc:
         raise DgfError(str(exc)) from exc
 

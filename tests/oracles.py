@@ -191,3 +191,88 @@ def commute_by_pairs(s) -> bool:
             if not np.array_equal(mats[a] @ mats[b], mats[b] @ mats[a]):
                 return False
     return True
+
+
+def refined_colors_by_pairs(adj: np.ndarray) -> list[int]:
+    """Colour refinement with (colour, link) pairs sorted per vertex, the
+    link being 2·adj[w, v] + adj[v, w]; colour ids rank the signatures."""
+    n = adj.shape[0]
+
+    def link(u, v):
+        return (2 if adj[v, u] else 0) | (1 if adj[u, v] else 0)
+
+    def ranks(sigs):
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        return [order[s] for s in sigs]
+
+    out_deg = adj.sum(axis=1)
+    in_deg = adj.sum(axis=0)
+    digon = (adj & adj.T).sum(axis=1)
+    colors = ranks([(int(out_deg[v]), int(in_deg[v]), int(digon[v]))
+                    for v in range(n)])
+    while True:
+        sigs = []
+        for v in range(n):
+            around = sorted((colors[w], link(v, w)) for w in range(n) if w != v)
+            sigs.append((colors[v], tuple(around)))
+        new = ranks(sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def canonical_permutation_by_lists(adj: np.ndarray) -> tuple[int, ...]:
+    """Vertex order minimizing the layered adjacency key, each layer built
+    as a list of bits: arcs from the placed vertices into v, then arcs from
+    v to them, in position order."""
+    n = adj.shape[0]
+    if n == 1:
+        return (0,)
+    colors = refined_colors_by_pairs(adj)
+    block_color = sorted(colors)
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+
+    best = None
+    best_perm = None
+    cur: list[int] = []
+    perm: list[int] = []
+    used = [False] * n
+
+    def layer(v):
+        return ([1 if adj[u, v] else 0 for u in perm]
+                + [1 if adj[v, u] else 0 for u in perm])
+
+    def dfs(p):
+        nonlocal best, best_perm
+        if p == n:
+            if best is None or cur < best:
+                best = cur.copy()
+                best_perm = tuple(perm)
+            return
+        cands = [v for v in by_color[block_color[p]] if not used[v]]
+        cands.sort(key=layer)
+        for v in cands:
+            lay = layer(v)
+            cur.extend(lay)
+            if best is None or cur <= best[:len(cur)]:
+                used[v] = True
+                perm.append(v)
+                dfs(p + 1)
+                perm.pop()
+                used[v] = False
+            del cur[len(cur) - len(lay):]
+
+    dfs(0)
+    return best_perm
+
+
+def rows_to_masks_by_bits(adj: np.ndarray) -> list[int]:
+    masks = []
+    for row in adj:
+        m = 0
+        for v in np.flatnonzero(row):
+            m |= 1 << int(v)
+        masks.append(m)
+    return masks

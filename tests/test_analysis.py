@@ -3,11 +3,11 @@ import pytest
 from wdrd import (
     AssociationScheme,
     AxiomViolation,
+    Digraph,
     PathClass,
     Purity,
     arc_purity,
     attached_partition,
-    build_digraph,
     cayley_cyclic,
     classify_common_neighbour,
     johnson,
@@ -52,7 +52,7 @@ class TestWdrdReport:
             assert rep.is_wdrd and rep.commutative
 
     def test_axiom_violation_candidate(self):
-        rep = wdrd_report(build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)]))
+        rep = wdrd_report(Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0)]))
         assert not rep.is_wdrd
         assert isinstance(rep.scheme, AxiomViolation)
 
@@ -63,7 +63,7 @@ class TestWdrdReport:
         assert isinstance(rep.scheme, AssociationScheme)
 
     def test_disconnected(self):
-        rep = wdrd_report(build_digraph(2, [(0, 1)]))
+        rep = wdrd_report(Digraph.from_arcs(2, [(0, 1)]))
         assert not rep.strongly_connected and rep.scheme is None
         assert not rep.is_wdrd and rep.type_set is None
 
@@ -76,11 +76,12 @@ class TestTypeSet:
 
     def test_requires_connectivity(self):
         with pytest.raises(NotStronglyConnectedError):
-            type_set(build_digraph(2, [(0, 1)]))
+            type_set(Digraph.from_arcs(2, [(0, 1)]))
 
     def test_min_two_iff_digon(self, cay12):
         assert min(type_set(cay12)) > 2  # no digons
-        with_digon = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2)])
+        with_digon = Digraph.from_arcs(
+            3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2)])
         assert min(type_set(with_digon)) == 2
 
 
@@ -95,7 +96,7 @@ class TestClassifyCommonNeighbour:
         assert classify_common_neighbour(cay12, 0, 3, 4) == PathClass("C4", (2, 3))
 
     def test_digon_neighbour_reports_c1(self):
-        d = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0)])
         assert classify_common_neighbour(d, 0, 2, 1) == PathClass("C1", (1,))
 
     def test_exhaustive_and_single_valued(self, cay14, cay12):
@@ -138,7 +139,7 @@ class TestLocalCounts:
 
     def test_underlying_must_be_distance_regular(self):
         # directed path glued to a cycle: underlying graph irregular
-        d = build_digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)])
+        d = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)])
         s = verify_association_scheme(attached_partition(d))
         if isinstance(s, AssociationScheme):
             with pytest.raises(UnderlyingNotDistanceRegularError):
@@ -155,7 +156,7 @@ class TestArcPurity:
         assert arc_purity(cay14, 2) is Purity.PURE
 
     def test_digon_type_always_pure(self):
-        d = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2)])
         assert arc_purity(d, 1) is Purity.PURE
 
 
@@ -192,7 +193,7 @@ class TestMuCase:
         for u, v in [(0, 2), (2, 1), (1, 3), (3, 0), (0, 4), (4, 1), (1, 5), (5, 0)]:
             arcs.append((u, v))
             arcs.append((v, u))
-        d = build_digraph(6, arcs + [(2, 3), (4, 5)])
+        d = Digraph.from_arcs(6, arcs + [(2, 3), (4, 5)])
         if d.two_way_distance(0, 1) == (2, 2) and \
                 len(d.underlying_graph().common_neighbours(0, 1)) == 4:
             mc = mu_case(d, 0, 1)

@@ -268,6 +268,26 @@ class TestGolden:
                         "pair_b": [0, 8], "count_b": 0}}
 
 
+# sha256 and length of the `wdrd search` JSON for these arguments before the
+# canonical search used integer layer keys; every class's DGF there is the
+# canonical digraph, so this pins canon end to end
+GOLDEN_SEARCH = {
+    "--graph johnson 4 2": (
+        "6175fd76a75dad4bfe86f6b4de0238a87b63a5242360a595a56c1bf5e9a3c2ac", 1812),
+    "--graph complete 7 --prune degree --max-edges 21": (
+        "9e1c15380b5a2bd24fcd352ebe0aec24855e263c29d3eafaad950af92be96aa3", 1003),
+}
+
+
+class TestGoldenSearch:
+    @pytest.mark.parametrize("args", sorted(GOLDEN_SEARCH))
+    def test_byte_identical(self, args, capsys):
+        code, out, _ = invoke(capsys, "search", *args.split())
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == \
+            GOLDEN_SEARCH[args]
+
+
 class TestIso:
     def test_expectations(self, tmp_path, capsys):
         a = tmp_path / "a.dgf"

@@ -1,9 +1,10 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wdrd import INFINITY, build_digraph, cayley_cyclic, digraph, format_dgf, parse_dgf
+from wdrd import INFINITY, Digraph, cayley_cyclic, digraph, format_dgf, parse_dgf
 from wdrd.digraph import DGF_MAX_N
 from wdrd.errors import (
     DgfError,
@@ -15,7 +16,7 @@ from wdrd.errors import (
     NotSymmetricError,
     VertexOutOfRangeError,
 )
-from oracles import floyd_warshall, girth_by_walks, BIG
+from oracles import floyd_warshall, girth_by_walks, rows_to_masks_by_bits, BIG
 
 
 def octahedron():
@@ -28,41 +29,42 @@ def digraphs(draw, max_n=7):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) \
         if pairs else []
-    return build_digraph(n, arcs)
+    return Digraph.from_arcs(n, arcs)
 
 
 class TestConstruction:
     def test_directed_triangle(self):
-        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert d.arc_count == 3
         assert d.has_arc(0, 1) and not d.has_arc(1, 0)
 
     def test_loop_rejected(self):
         with pytest.raises(LoopArcError):
-            build_digraph(2, [(0, 0)])
+            Digraph.from_arcs(2, [(0, 0)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(VertexOutOfRangeError):
-            build_digraph(2, [(0, 2)])
-        d = build_digraph(2, [(0, 1)])
+            Digraph.from_arcs(2, [(0, 2)])
+        d = Digraph.from_arcs(2, [(0, 1)])
         with pytest.raises(VertexOutOfRangeError):
             d.has_arc(0, 5)
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateArcError):
-            build_digraph(3, [(0, 1), (0, 1)])
+            Digraph.from_arcs(3, [(0, 1), (0, 1)])
 
     def test_cayley_equivalence(self):
         arcs = [(x, (x + s) % 6) for x in range(6) for s in (1, 4)]
-        assert build_digraph(6, arcs) == cayley_cyclic(6, {1, 4})
+        assert Digraph.from_arcs(6, arcs) == cayley_cyclic(6, {1, 4})
 
 
 class TestConnectivityAndDistance:
     def test_triangle_strongly_connected(self):
-        assert build_digraph(3, [(0, 1), (1, 2), (2, 0)]).is_strongly_connected()
+        tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+        assert tri.is_strongly_connected()
 
     def test_single_arc_not(self):
-        assert not build_digraph(2, [(0, 1)]).is_strongly_connected()
+        assert not Digraph.from_arcs(2, [(0, 1)]).is_strongly_connected()
 
     def test_cayley_12_connected(self):
         assert cayley_cyclic(6, {1, 2}).is_strongly_connected()
@@ -78,12 +80,13 @@ class TestConnectivityAndDistance:
             {(0, 0), (1, 2), (2, 1), (3, 3)}
         assert cayley_cyclic(6, {1, 2}).two_way_distance_set() == \
             {(0, 0), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)}
-        k3 = build_digraph(3, [(u, v) for u in range(3) for v in range(3) if u != v])
+        k3 = Digraph.from_arcs(3, [(u, v) for u in range(3)
+                                   for v in range(3) if u != v])
         assert k3.two_way_distance_set() == {(0, 0), (1, 1)}
 
     def test_two_way_needs_connectivity(self):
         with pytest.raises(NotStronglyConnectedError):
-            build_digraph(2, [(0, 1)]).two_way_distance_set()
+            Digraph.from_arcs(2, [(0, 1)]).two_way_distance_set()
 
 
 class TestUnderlyingAndGirth:
@@ -96,17 +99,17 @@ class TestUnderlyingAndGirth:
         assert g.underlying_graph() is g
 
     def test_triangle_underlying_is_k3(self):
-        und = build_digraph(3, [(0, 1), (1, 2), (2, 0)]).underlying_graph()
+        und = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]).underlying_graph()
         assert und.arc_count == 6
 
     def test_girth(self):
-        assert build_digraph(2, [(0, 1), (1, 0)]).girth() == 2
+        assert Digraph.from_arcs(2, [(0, 1), (1, 0)]).girth() == 2
         assert cayley_cyclic(6, {1, 2}).girth() == 3
         assert cayley_cyclic(6, {1, 4}).girth() == 3
 
     def test_no_circuit(self):
         with pytest.raises(NoCircuitError):
-            build_digraph(3, [(0, 1), (1, 2)]).girth()
+            Digraph.from_arcs(3, [(0, 1), (1, 2)]).girth()
 
 
 class TestCommonNeighbours:
@@ -117,7 +120,7 @@ class TestCommonNeighbours:
         assert len(octahedron().common_neighbours(0, 1)) == 2
 
     def test_k2_empty(self):
-        k2 = build_digraph(2, [(0, 1), (1, 0)])
+        k2 = Digraph.from_arcs(2, [(0, 1), (1, 0)])
         assert k2.common_neighbours(0, 1) == frozenset()
 
     def test_errors(self):
@@ -125,6 +128,17 @@ class TestCommonNeighbours:
             octahedron().common_neighbours(2, 2)
         with pytest.raises(NotSymmetricError):
             cayley_cyclic(6, {1, 2}).common_neighbours(0, 3)
+
+
+class TestMasks:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+    def test_rows_to_masks_matches_bit_loop(self, n):
+        rng = np.random.default_rng(n)
+        adj = rng.random((n, n)) < 0.4
+        adj[0] = True
+        adj[-1] = False
+        for rows in (adj, adj.T, adj[:, :0]):
+            assert digraph._rows_to_masks(rows) == rows_to_masks_by_bits(rows)
 
 
 class TestProperties:

@@ -6,7 +6,6 @@ from wdrd import (
     IntersectionArray,
     NotDistanceRegular,
     are_isomorphic,
-    build_digraph,
     cayley_cyclic,
     complete_graph,
     folded_johnson,
@@ -119,14 +118,14 @@ class TestIntersectionArray:
         assert arr.a == (0, 6, 8)
 
     def test_path_not_distance_regular(self):
-        p3 = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+        p3 = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
         res = intersection_array(p3)
         assert isinstance(res, NotDistanceRegular)
 
     def test_errors(self):
         with pytest.raises(NotSymmetricError):
             intersection_array(cayley_cyclic(6, {1, 2}))
-        disconnected = build_digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        disconnected = Digraph.from_arcs(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         with pytest.raises(NotConnectedError):
             intersection_array(disconnected)
 
@@ -202,7 +201,7 @@ class TestIsomorphicPairs:
         rnd = random.Random(3)
         perm = list(range(20))
         rnd.shuffle(perm)
-        relabeled = build_digraph(20, [(perm[u], perm[v])
+        relabeled = Digraph.from_arcs(20, [(perm[u], perm[v])
                                        for u, v in g.graph.arcs()])
         assert are_isomorphic(g.graph, relabeled, max_n=20)
 

@@ -8,7 +8,6 @@ from wdrd import (
     AssociationScheme,
     AxiomViolation,
     attached_partition,
-    build_digraph,
     cayley_cyclic,
     check_intersection_identities,
     complete_graph,
@@ -52,7 +51,7 @@ class TestAttachedPartition:
 
     def test_requires_strong_connectivity(self):
         with pytest.raises(NotStronglyConnectedError):
-            attached_partition(build_digraph(2, [(0, 1)]))
+            attached_partition(Digraph.from_arcs(2, [(0, 1)]))
 
     def test_symmetric_graph_gives_distance_partition(self):
         g = johnson(5, 2).graph
@@ -68,7 +67,7 @@ class TestVerification:
         assert sum(s.k) == s.n
 
     def test_three_vertex_violation(self):
-        d = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
         v = verify_association_scheme(attached_partition(d))
         assert isinstance(v, AxiomViolation)
         assert v.axiom == 4
@@ -91,7 +90,7 @@ class TestVerification:
             assert np.array_equal(s.p, ref)
 
     def test_loop_oracle_rejects_bad_partition(self):
-        d = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
+        d = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
         part = attached_partition(d)
         assert tensor_by_loops(np.asarray(part.class_of), len(part.classes)) is None
 

@@ -4,8 +4,8 @@ import json
 import pytest
 
 from wdrd import (
+    Digraph,
     are_isomorphic,
-    build_digraph,
     canonical_form,
     cayley_cyclic,
     complete_graph,
@@ -77,7 +77,7 @@ class TestToySearches:
     def test_k3_directed_triangle(self):
         rep = search_commutative_wdrd(complete_graph(3))
         assert len(rep.iso_classes) == 1
-        tri = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert are_isomorphic(rep.iso_classes[0].digraph, tri)
         assert rep.wdrd_count == 2  # both chiralities, one class
 
@@ -113,7 +113,7 @@ class TestToySearches:
             assert rep.examined + skipped == rep.total_candidates
 
     def test_irregular_graph_has_no_wdrd(self):
-        path = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+        path = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
         a = search_commutative_wdrd(path, graph_id="P3")
         b = search_commutative_wdrd(path, graph_id="P3", prune="degree")
         assert not a.iso_classes and a.core() == b.core()
