@@ -1,7 +1,9 @@
 /* Compiled orientation-search kernel.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the leaf pipeline and the degree prune.  `wdrd.kernel`
+   module for the contract, the leaf pipeline and the degree prune.  One
+   depth-first search tries only prefix[depth] at the depths below the
+   prefix length; the kernel knows nothing of arc reversal.  `wdrd.kernel`
    compiles this file with the system C compiler, loads it with ctypes and
    validates every argument before calling `wdrd_search_run`.
 
@@ -21,14 +23,15 @@ typedef int64_t i64;
 
 enum { FWD, BWD, DIG };
 /* Counter slots, in the order of the stats dict keys. */
-enum { EXAMINED, SKIPPED_DEGREE, SKIPPED_REVERSAL, SYMMETRIC,
-       NOT_STRONGLY_CONNECTED, AXIOM, NONCOMMUTATIVE, NSTATS };
+enum { EXAMINED, SKIPPED_DEGREE, SYMMETRIC, NOT_STRONGLY_CONNECTED, AXIOM,
+       NONCOMMUTATIVE, NSTATS };
 
 /* Receives each surviving edge-state word (ne bytes) as it is found. */
 typedef void (*emit_fn)(const unsigned char *word, int commutative);
 
 typedef struct {
-    int n, ne, npairs, prune, use_reversal;
+    int n, ne, np, npairs, prune;
+    const unsigned char *prefix;
     int eu[MAXE], ev[MAXE];
     int pair_d[MAXN], pair_f[MAXN];   /* feasible (digon, out-only) degrees */
     u64 out_m[MAXN], in_m[MAXN];
@@ -227,26 +230,24 @@ static u64 feasible_edge(const Ctx *c, int depth, u64 fmask)
     return fmask ? feasible(c, c->ev[depth], fmask) : 0;
 }
 
-static void dfs(Ctx *c, int depth, int nondigon, u64 fmask, int all_digons)
+static void dfs(Ctx *c, int depth, int nondigon, u64 fmask)
 {
     if (depth == c->ne) {
         check_leaf(c, nondigon);
         return;
     }
-    i64 rem = c->pow3[c->ne - depth - 1];
-    for (int s = FWD; s <= DIG; s++) {
+    /* a fixed state: pruning it cuts the whole branch */
+    int fixed = depth < c->np;
+    int lo = fixed ? c->prefix[depth] : FWD, hi = fixed ? lo : DIG;
+    i64 rem = c->pow3[c->ne - (fixed ? c->np : depth + 1)];
+    for (int s = lo; s <= hi; s++) {
         u64 nm = 0;
-        if (c->use_reversal && all_digons && s == BWD) {
-            c->stats[SKIPPED_REVERSAL] += rem;
-            continue;
-        }
         orient(c, depth, s, 1);
         c->states[depth] = (unsigned char)s;
         if (c->prune && !(nm = feasible_edge(c, depth, fmask)))
             c->stats[SKIPPED_DEGREE] += rem;
         else
-            dfs(c, depth + 1, nondigon + (s != DIG), nm,
-                all_digons && s == DIG);
+            dfs(c, depth + 1, nondigon + (s != DIG), nm);
         orient(c, depth, s, 0);
     }
 }
@@ -256,16 +257,17 @@ static void dfs(Ctx *c, int depth, int nondigon, u64 fmask, int all_digons)
    stats[NSTATS].  Returns 0, or -1 when out of memory. */
 int wdrd_search_run(int n, int ne, const int *edges, int np,
                     const unsigned char *prefix, int prune_degree,
-                    int use_reversal, i64 *stats, emit_fn emit)
+                    i64 *stats, emit_fn emit)
 {
     Ctx *c = calloc(1, sizeof *c);
-    int deg[MAXN] = {0}, regular = 1, nondigon = 0, all_digons = 1;
+    int deg[MAXN] = {0}, regular = 1;
     if (!c)
         return -1;
     c->n = n;
     c->ne = ne;
+    c->np = np;
+    c->prefix = prefix;
     c->prune = prune_degree;
-    c->use_reversal = use_reversal;
     c->stats = stats;
     c->emit = emit;
     c->pow3[0] = 1;
@@ -277,7 +279,8 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
         c->pow3[i + 1] = 3 * c->pow3[i];
     }
     /* On a k-regular graph (edgeless included) the targets are the
-       (d, (k - d) / 2) with k - d even; an irregular graph has none. */
+       (d, (k - d) / 2) with k - d even; an irregular graph has none, so
+       in pruned mode the first edge already cuts every branch. */
     for (int v = 1; v < n; v++)
         regular &= deg[v] == deg[0];
     for (int d = 0; regular && d <= deg[0]; d++) {
@@ -286,31 +289,7 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
             c->pair_f[c->npairs++] = (deg[0] - d) / 2;
         }
     }
-    u64 fmask = prune_degree ? ((u64)1 << c->npairs) - 1 : 0;
-    i64 branch = c->pow3[ne - np];
-
-    if (prune_degree && !c->npairs) {
-        stats[SKIPPED_DEGREE] += branch;
-        goto done;
-    }
-    /* replay the fixed prefix with the same accounting as the search */
-    for (int t = 0; t < np; t++) {
-        int s = prefix[t];
-        if (use_reversal && all_digons && s == BWD) {
-            stats[SKIPPED_REVERSAL] += branch;
-            goto done;
-        }
-        orient(c, t, s, 1);
-        c->states[t] = (unsigned char)s;
-        nondigon += s != DIG;
-        all_digons = all_digons && s == DIG;
-        if (prune_degree && !(fmask = feasible_edge(c, t, fmask))) {
-            stats[SKIPPED_DEGREE] += branch;
-            goto done;
-        }
-    }
-    dfs(c, np, nondigon, fmask, all_digons);
-done:
+    dfs(c, 0, 0, prune_degree ? ((u64)1 << c->npairs) - 1 : 0);
     free(c);
     return 0;
 }

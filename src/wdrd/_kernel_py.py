@@ -6,6 +6,14 @@ full candidate check at every leaf.  `_kernel.c` implements the same
 contract in C; `wdrd.kernel` compiles and loads it when a C compiler is
 available and otherwise selects this module.
 
+Contract: `search_run(n, edges, prefix=(), prune_degree=False)` visits the
+3^(|E| - len(prefix)) completions of `prefix` in one depth-first search,
+which tries only `prefix[depth]` at the depths below len(prefix).  It
+returns the counters of `wdrd.kernel.STAT_KEYS`, which account for every
+leaf of the branch (examined + skipped_degree = 3^(|E| - len(prefix))),
+and the surviving words in visiting order.  The kernel knows no symmetry;
+`wdrd.search` applies arc reversal by choosing the prefixes.
+
 Leaf pipeline (cheapest first):
   1. all-digon candidates are symmetric, hence never weakly distance-regular;
   2. strong connectivity;
@@ -23,14 +31,15 @@ never discards a candidate that would have survived the full check.
 
 from __future__ import annotations
 
-from .digraph import _bfs_reach
+from .digraph import _bfs_fill, _bfs_reach
 
 BACKEND = "pure"
 
 _FWD, _BWD, _DIG = 0, 1, 2
+_NOPATH = 63  # capped "no path" distance; class keys stay below 64*64
 
 
-def search_run(n, edges, prefix=(), prune_degree=False, use_reversal=False):
+def search_run(n, edges, prefix=(), prune_degree=False):
     """Enumerate and check all completions of `prefix` over `edges`.
 
     edges: sequence of (u, v) with u < v, in processing order.
@@ -43,7 +52,6 @@ def search_run(n, edges, prefix=(), prune_degree=False, use_reversal=False):
     stats = {
         "examined": 0,
         "skipped_degree": 0,
-        "skipped_reversal": 0,
         "symmetric": 0,
         "not_strongly_connected": 0,
         "axiom": 0,
@@ -57,18 +65,14 @@ def search_run(n, edges, prefix=(), prune_degree=False, use_reversal=False):
         deg[u] += 1
         deg[v] += 1
 
-    # Feasible (digon-degree, out-only-degree) targets; empty disables leaves
-    # entirely in pruned mode (an irregular graph carries no scheme).
+    # Feasible (digon-degree, out-only-degree) targets on a k-regular graph
+    # (edgeless included).  An irregular graph carries no scheme and has
+    # none, so in pruned mode the first edge already cuts every branch.
     pairs: list[tuple[int, int]] = []
-    if prune_degree:
-        if ne and all(x == deg[0] for x in deg):
-            k = deg[0]
-            pairs = [(dl, (k - dl) // 2) for dl in range(k + 1) if (k - dl) % 2 == 0]
-        elif ne == 0:
-            pairs = [(0, 0)]
-        full_fmask = (1 << len(pairs)) - 1
-    else:
-        full_fmask = 0
+    if all(x == deg[0] for x in deg):
+        k = deg[0]
+        pairs = [(dl, (k - dl) // 2) for dl in range(k + 1) if (k - dl) % 2 == 0]
+    full_fmask = (1 << len(pairs)) - 1 if prune_degree else 0
 
     branch_leaves = 3 ** (ne - np_)
 
@@ -135,7 +139,9 @@ def search_run(n, edges, prefix=(), prune_degree=False, use_reversal=False):
         if _bfs_reach(out_m, 0) != full or _bfs_reach(in_m, 0) != full:
             stats["not_strongly_connected"] += 1
             return
-        dist = _all_pairs(out_m, n)
+        dist = [[_NOPATH] * n for _ in range(n)]
+        for src in range(n):
+            _bfs_fill(out_m, src, dist[src])
         # two-way distance labels
         class_of_key: dict[int, int] = {}
         labels = [0] * (n * n)
@@ -145,7 +151,7 @@ def search_run(n, edges, prefix=(), prune_degree=False, use_reversal=False):
             bx = x * n
             row_counts: list[int] = [0] * (len(class_of_key) + n)
             for y in range(n):
-                key = dist[bx + y] * 64 + dist[y * n + x]
+                key = dist[x][y] * 64 + dist[y][x]
                 cid = class_of_key.get(key)
                 if cid is None:
                     cid = len(class_of_key)
@@ -198,41 +204,16 @@ def search_run(n, edges, prefix=(), prune_degree=False, use_reversal=False):
             stats["noncommutative"] += 1
             survivors_nc.append(bytes(states))
 
-    # replay the fixed prefix with the same accounting
-    fmask = full_fmask
-    all_digons = True
-    nondigon = 0
-    if prune_degree and not pairs:
-        stats["skipped_degree"] += branch_leaves
-        return _result(stats, survivors, survivors_nc)
-    for t in range(np_):
-        s = prefix[t]
-        if use_reversal and all_digons and s == _BWD:
-            stats["skipped_reversal"] += branch_leaves
-            return _result(stats, survivors, survivors_nc)
-        apply_state(t, s)
-        states[t] = s
-        nondigon += s != _DIG
-        all_digons = all_digons and s == _DIG
-        if prune_degree:
-            u, v = edges[t]
-            fmask = feasible(u, fmask)
-            if fmask:
-                fmask = feasible(v, fmask)
-            if not fmask:
-                stats["skipped_degree"] += branch_leaves
-                return _result(stats, survivors, survivors_nc)
-
-    def dfs(depth, nondigon, fmask, all_digons):
+    def dfs(depth, nondigon, fmask):
         if depth == ne:
             stats["examined"] += 1
             check_leaf(nondigon)
             return
-        rem_leaves = 3 ** (ne - depth - 1)
-        for s in (_FWD, _BWD, _DIG):
-            if use_reversal and all_digons and s == _BWD:
-                stats["skipped_reversal"] += rem_leaves
-                continue
+        if depth < np_:  # a fixed state: pruning it cuts the whole branch
+            choices, rem_leaves = prefix[depth:depth + 1], branch_leaves
+        else:
+            choices, rem_leaves = (_FWD, _BWD, _DIG), 3 ** (ne - depth - 1)
+        for s in choices:
             apply_state(depth, s)
             states[depth] = s
             if prune_degree:
@@ -246,42 +227,11 @@ def search_run(n, edges, prefix=(), prune_degree=False, use_reversal=False):
                     continue
             else:
                 nm = 0
-            dfs(depth + 1, nondigon + (s != _DIG), nm,
-                     all_digons and s == _DIG)
+            dfs(depth + 1, nondigon + (s != _DIG), nm)
             undo_state(depth, s)
 
-    dfs(np_, nondigon, fmask, all_digons)
-    return _result(stats, survivors, survivors_nc)
-
-
-def _result(stats, survivors, survivors_nc):
+    dfs(0, 0, full_fmask)
     out = dict(stats)
     out["survivors"] = survivors
     out["survivors_noncomm"] = survivors_nc
     return out
-
-
-def _all_pairs(out_m, n):
-    big = 63  # capped sentinel; keys stay below 64*64
-    dist = [big] * (n * n)
-    for s in range(n):
-        base = s * n
-        dist[base + s] = 0
-        seen = frontier = 1 << s
-        depth = 0
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= out_m[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-            depth += 1
-            m = frontier
-            while m:
-                low = m & -m
-                dist[base + low.bit_length() - 1] = depth
-                m ^= low
-    return dist

@@ -39,6 +39,8 @@ from .errors import TooLargeError
 # Largest vertex count canonicalised exactly.  Colour blocks are searched
 # by brute force, so the cost grows factorially with the block size.
 MAX_N = 16
+# The form stores the vertex count in its first byte.
+FORM_MAX_N = 255
 
 
 def _refined_colors(d: Digraph) -> list[int]:
@@ -150,7 +152,11 @@ def canonical_form(d: Digraph, max_n: int = MAX_N) -> bytes:
     """Row-major adjacency encoding under the canonical permutation.
 
     Equal forms if and only if the digraphs are isomorphic (for digraphs on
-    the same number of vertices; the vertex count is prepended)."""
+    the same number of vertices; the vertex count is prepended as one
+    byte, so at most FORM_MAX_N vertices)."""
+    if d.n > FORM_MAX_N:
+        raise TooLargeError(
+            f"canonical form encodes at most {FORM_MAX_N} vertices")
     c = canonical_digraph(d, max_n)
     return bytes([c.n]) + np.packbits(c.adjacency.ravel()).tobytes()
 

@@ -238,7 +238,10 @@ def _bfs_reach(masks: tuple[int, ...], src: int) -> int:
     return seen
 
 
-def _bfs_fill(masks: tuple[int, ...], src: int, row: np.ndarray) -> None:
+def _bfs_fill(masks: tuple[int, ...], src: int,
+              row: np.ndarray | list[int]) -> None:
+    """Write the distance from `src` into `row`; unreached entries keep
+    their value."""
     row[src] = 0
     seen = frontier = 1 << src
     depth = 0

@@ -25,10 +25,12 @@ from . import _kernel_py
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _COMPILE = ("cc", "-O2", "-shared", "-fPIC")
-_MAX_N = 64
-_MAX_EDGES = 39
+# Size limits of both kernels: one 64-bit adjacency mask per vertex, and
+# 3^|E| must fit in a signed 64-bit counter.
+MAX_N = 64
+MAX_EDGES = 39
 # Counter keys of every search_run result, in the order of the C counters.
-STAT_KEYS = ("examined", "skipped_degree", "skipped_reversal", "symmetric",
+STAT_KEYS = ("examined", "skipped_degree", "symmetric",
              "not_strongly_connected", "axiom", "noncommutative")
 _EMIT = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_ubyte), ctypes.c_int)
 
@@ -66,7 +68,7 @@ def _load() -> ctypes.CDLL | None:
         return None
     fn = lib.wdrd_search_run
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int),
-                   ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_int,
+                   ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
                    ctypes.POINTER(ctypes.c_longlong), _EMIT]
     fn.restype = ctypes.c_int
     return lib
@@ -79,17 +81,16 @@ def _compiled():
     return None if lib is None else functools.partial(_run_compiled, lib)
 
 
-def _run_compiled(lib, n, edges, prefix=(), prune_degree=False,
-                  use_reversal=False):
+def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
     """Compiled twin of `_kernel_py.search_run`; arguments are checked here
     because the C code trusts them."""
     edges = [(int(u), int(v)) for u, v in edges]
     prefix = bytes(prefix)
     ne = len(edges)
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"kernel supports 1..{_MAX_N} vertices, got {n}")
-    if ne > _MAX_EDGES:
-        raise ValueError(f"kernel supports at most {_MAX_EDGES} edges, got {ne}")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"kernel supports 1..{MAX_N} vertices, got {n}")
+    if ne > MAX_EDGES:
+        raise ValueError(f"kernel supports at most {MAX_EDGES} edges, got {ne}")
     if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
         raise ValueError(f"edge endpoint outside 0..{n - 1}")
     if len(prefix) > ne:
@@ -108,8 +109,7 @@ def _run_compiled(lib, n, edges, prefix=(), prune_degree=False,
     stats = (ctypes.c_longlong * len(STAT_KEYS))()
     callback = _EMIT(emit)
     if lib.wdrd_search_run(n, ne, flat, len(prefix), prefix,
-                           bool(prune_degree), bool(use_reversal), stats,
-                           callback):
+                           bool(prune_degree), stats, callback):
         raise MemoryError("kernel scratch allocation failed")
     out = dict(zip(STAT_KEYS, stats))
     out["survivors"] = survivors

@@ -12,6 +12,12 @@ The optional degree prune cuts subtrees that cannot carry constant
 digon/out/in valencies (necessary for any association scheme) and never
 changes the surviving classes; the skipped-leaf accounting keeps
 examined + skipped = 3^|E| exact.
+
+The search runs as a list of branches, each a fixed prefix of edge states
+handed to the kernel: the one branch () for a single worker, or all 3^k
+prefixes of length k under `jobs > 1`.  `use_reversal` halves the sweep by
+choosing among these prefixes (`_reversal_split`); the kernel itself knows
+no symmetry.
 """
 
 from __future__ import annotations
@@ -125,10 +131,34 @@ def _usable_cpus() -> int:
 
 
 def _branch(args):
-    n, edges, prefix, prune_degree, use_reversal = args
+    n, edges, prefix, prune_degree = args
     return kernel.search_run(n, edges, prefix=prefix,
-                             prune_degree=prune_degree,
-                             use_reversal=use_reversal)
+                             prune_degree=prune_degree)
+
+
+def _reversal_split(prefixes, ne: int):
+    """Keep one word of every pair {word, reversed word}.
+
+    A word and its reversal first differ at the word's first non-digon
+    edge, where one is Forward and the other Backward; the kept words are
+    those whose first non-digon edge is Forward (and the all-digon word,
+    its own reversal).  A prefix whose first non-digon state is Backward is
+    dropped, one whose first is Forward kept, and an all-digon prefix of
+    length k becomes D^j F for j = k..ne-1 plus D^ne.  Returns the kept
+    prefixes in search order and the number of leaves dropped."""
+    kept, skipped = [], 0
+    for p in prefixes:
+        first = next((s for s in p if s != _DIG), _DIG)
+        if first == _FWD:
+            kept.append(p)
+        elif first == _BWD:
+            skipped += 3 ** (ne - len(p))
+        else:
+            for j in range(len(p), ne):
+                kept.append((_DIG,) * j + (_FWD,))
+                skipped += 3 ** (ne - j - 1)  # the branch D^j B
+            kept.append((_DIG,) * ne)
+    return kept, skipped
 
 
 def search_commutative_wdrd(g, *, graph_id: str | None = None,
@@ -141,7 +171,9 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     Returns the deduplicated isomorphism classes (re-verified after the
     kernel pass) plus rejection statistics.  `prune="degree"` enables the
     sound valency prune; `jobs > 1` splits the edge-state space by fixed
-    prefixes across processes with a deterministic merge."""
+    prefixes across processes with a deterministic merge; `use_reversal`
+    sweeps one word of every reversal pair and adds the reversed survivors,
+    so `core()` is the same as without it."""
     d = g.graph if isinstance(g, LabeledGraph) else g
     if not d.is_symmetric():
         raise NotSymmetricError("orientation search needs a graph")
@@ -154,10 +186,11 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     if ne > max_edges:
         raise TooManyEdgesError(
             f"{ne} edges exceed the cap {max_edges}; raise max_edges to confirm")
-    if ne > 39:
-        raise TooManyEdgesError("kernel limit: at most 39 edges")
-    if d.n > 64:
-        raise TooLargeError("kernel limit: at most 64 vertices")
+    if ne > kernel.MAX_EDGES:
+        raise TooManyEdgesError(
+            f"kernel limit: at most {kernel.MAX_EDGES} edges")
+    if d.n > kernel.MAX_N:
+        raise TooLargeError(f"kernel limit: at most {kernel.MAX_N} vertices")
     if d.n > CANON_MAX_N:
         # survivors are canonicalised after the sweep; fail before it
         raise TooLargeError(
@@ -167,17 +200,20 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     prune_degree = prune == "degree"
 
     # More workers than usable CPUs only adds start-up cost; the report
-    # still records the requested `jobs`.
+    # still records the requested `jobs`.  A pool gets at least four
+    # branches per worker.
     workers = min(jobs, _usable_cpus())
+    k = 0
+    while workers > 1 and 3 ** k < 4 * workers and k < ne:
+        k += 1
+    prefixes = list(itertools.product((_FWD, _BWD, _DIG), repeat=k))
+    skipped_reversal = 0
+    if use_reversal:
+        prefixes, skipped_reversal = _reversal_split(prefixes, ne)
+    work = [(d.n, edges, p, prune_degree) for p in prefixes]
     if workers == 1:
-        results = [kernel.search_run(d.n, edges, prune_degree=prune_degree,
-                                     use_reversal=use_reversal)]
+        results = list(map(_branch, work))
     else:
-        k = 0
-        while 3 ** k < 4 * workers and k < ne:
-            k += 1
-        prefixes = list(itertools.product((0, 1, 2), repeat=k))
-        work = [(d.n, edges, p, prune_degree, use_reversal) for p in prefixes]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch, work, chunksize=1))
 
@@ -191,34 +227,35 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
         words_nc.extend(r["survivors_noncomm"])
 
     total = 3 ** ne
-    accounted = (stats["examined"] + stats["skipped_degree"]
-                 + stats["skipped_reversal"])
+    accounted = stats["examined"] + stats["skipped_degree"] + skipped_reversal
     if accounted != total:
         raise AccountingError(
             f"examined + skipped leaves = {accounted}, expected 3^{ne} = {total}")
 
     survivors = [word_to_digraph(d.n, edges, w) for w in words]
-    if use_reversal:
-        survivors.extend(s.reverse() for s in list(survivors))
     nc_survivors = [word_to_digraph(d.n, edges, w) for w in words_nc]
     if use_reversal:
-        nc_survivors.extend(s.reverse() for s in list(nc_survivors))
+        # Each kept survivor stands for its reversal too, a distinct word
+        # (only the all-digon word is its own reversal, and it is symmetric).
+        survivors += [s.reverse() for s in survivors]
+        nc_survivors += [s.reverse() for s in nc_survivors]
 
     iso = _dedupe(survivors, commutative=True)
     iso_nc = _dedupe(nc_survivors, commutative=False)
 
     prune_stats = {k: stats[k] for k in
                    ("symmetric", "not_strongly_connected", "axiom",
-                    "skipped_degree", "skipped_reversal")}
+                    "skipped_degree")}
+    prune_stats["skipped_reversal"] = skipped_reversal
     return SearchReport(
         graph_id=graph_id,
         n=d.n,
         edge_count=ne,
         total_candidates=total,
         examined=stats["examined"],
-        wdrd_count=len(words),
+        wdrd_count=len(survivors),
         iso_classes=iso,
-        noncommutative_count=stats["noncommutative"],
+        noncommutative_count=len(nc_survivors),
         noncommutative_classes=iso_nc,
         prune_stats=prune_stats,
         prune=prune,

@@ -1,11 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from wdrd import kernel
+from wdrd import Digraph, kernel
 from wdrd.cli import run
-from wdrd.digraph import DGF_MAX_N
+from wdrd.digraph import DGF_MAX_N, format_dgf
 from test_search import fake_sweep_with_digon_survivor
 
 
@@ -269,13 +270,18 @@ class TestGolden:
 
 
 # sha256 and length of the `wdrd search` JSON for these arguments before the
-# canonical search used integer layer keys; every class's DGF there is the
+# canonical search used integer layer keys (the --jobs 2 pins: before the
+# kernels lost their reversal skip); every class's DGF there is the
 # canonical digraph, so this pins canon end to end
 GOLDEN_SEARCH = {
     "--graph johnson 4 2": (
         "6175fd76a75dad4bfe86f6b4de0238a87b63a5242360a595a56c1bf5e9a3c2ac", 1812),
     "--graph complete 7 --prune degree --max-edges 21": (
         "9e1c15380b5a2bd24fcd352ebe0aec24855e263c29d3eafaad950af92be96aa3", 1003),
+    "--graph johnson 4 2 --jobs 2": (
+        "aba2bc69f7386390b2ed358e5b5ffce9fb726a6c397d51a98043caf0949bb21f", 1812),
+    "--graph complete 7 --prune degree --max-edges 21 --jobs 2": (
+        "86b62a29bb10ce29ca8f1a931560de1d9fd177f6dacacdc3c41a3bac896e07aa", 1003),
 }
 
 
@@ -306,3 +312,16 @@ class TestIso:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "iso", "nope.dgf", "nada.dgf")
         assert code == 2
+
+    def test_form_beyond_one_byte_of_vertices_is_usage_error(self, tmp_path,
+                                                            capsys):
+        # a random digraph: refinement separates every vertex, so a form
+        # that did not check the count would be computed quickly
+        rng = np.random.default_rng(5)
+        adj = rng.random((256, 256)) < 0.1
+        arcs = [(u, v) for u, v in zip(*np.nonzero(adj)) if u != v]
+        a = tmp_path / "r256.dgf"
+        a.write_text(format_dgf(Digraph.from_arcs(256, arcs)))
+        code, out, err = invoke(capsys, "iso", "--max-n", "300", str(a), str(a))
+        assert code == 2 and out == ""
+        assert "at most 255 vertices" in err

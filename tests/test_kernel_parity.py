@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wdrd import _kernel_py
-from wdrd import kernel
+from wdrd import kernel, search
 
 
 def edges_of(n, rnd, p=0.5):
@@ -29,30 +29,36 @@ CASES = [
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("reversal", [False, True])
 def test_full_runs_agree(compiled, n, edges, prune, reversal):
-    a = _kernel_py.search_run(n, edges, prune_degree=prune,
-                              use_reversal=reversal)
-    b = compiled(n, edges, prune_degree=prune,
-                            use_reversal=reversal)
-    assert a == b
+    """With `reversal`, on every branch of the reversal split, which runs
+    prefixes up to the full word length."""
+    prefixes = [()]
+    if reversal:
+        prefixes, _ = search._reversal_split(prefixes, len(edges))
+    for prefix in prefixes:
+        a = _kernel_py.search_run(n, edges, prefix=prefix, prune_degree=prune)
+        b = compiled(n, edges, prefix=prefix, prune_degree=prune)
+        assert a == b
 
 
 @pytest.mark.parametrize("n,edges", CASES[:4])
 def test_prefix_branches_agree_and_partition(compiled, n, edges):
     k = min(2, len(edges))
-    keys = [key for key in _kernel_py.search_run(n, edges) if key != "survivors"
-            and key != "survivors_noncomm"]
-    total = {key: 0 for key in keys}
-    survivors = []
-    for prefix in itertools.product((0, 1, 2), repeat=k):
-        a = _kernel_py.search_run(n, edges, prefix=prefix)
-        b = compiled(n, edges, prefix=prefix)
-        assert a == b
-        for key in keys:
-            total[key] += a[key]
-        survivors.extend(a["survivors"])
-    full = _kernel_py.search_run(n, edges)
-    assert {k: full[k] for k in keys} == total
-    assert sorted(survivors) == sorted(full["survivors"])
+    for prune in (False, True):
+        total = {key: 0 for key in kernel.STAT_KEYS}
+        survivors = []
+        for prefix in itertools.product((0, 1, 2), repeat=k):
+            a = _kernel_py.search_run(n, edges, prefix=prefix,
+                                      prune_degree=prune)
+            b = compiled(n, edges, prefix=prefix, prune_degree=prune)
+            assert a == b
+            assert a["examined"] + a["skipped_degree"] == \
+                3 ** (len(edges) - k)
+            for key in kernel.STAT_KEYS:
+                total[key] += a[key]
+            survivors.extend(a["survivors"])
+        full = _kernel_py.search_run(n, edges, prune_degree=prune)
+        assert {key: full[key] for key in kernel.STAT_KEYS} == total
+        assert survivors == full["survivors"]
 
 
 def test_random_graphs_agree(compiled):

@@ -94,9 +94,12 @@ class TestToySearches:
     def test_matches_brute_force_oracle(self, graph, gid):
         labelled, forms = search_by_brute_force(
             graph, enumerate_orientations, wdrd_report, canonical_form)
-        rep = search_commutative_wdrd(graph, graph_id=gid)
-        assert rep.wdrd_count == labelled
-        assert {c.canonical: c.labelled_count for c in rep.iso_classes} == forms
+        for reversal in (False, True):
+            rep = search_commutative_wdrd(graph, graph_id=gid,
+                                          use_reversal=reversal)
+            assert rep.wdrd_count == labelled
+            assert {c.canonical: c.labelled_count
+                    for c in rep.iso_classes} == forms
 
     @pytest.mark.parametrize("graph,gid", [
         (complete_graph(2), "K2"), (complete_graph(3), "K3"),
@@ -118,6 +121,69 @@ class TestToySearches:
         b = search_commutative_wdrd(path, graph_id="P3", prune="degree")
         assert not a.iso_classes and a.core() == b.core()
         assert b.examined == 0  # irregular: every leaf degree-pruned
+        c = search_commutative_wdrd(path, graph_id="P3", prune="degree",
+                                    use_reversal=True)
+        # the reversal split drops B?, DB and keeps F?, DF, DD
+        assert c.core() == b.core() and c.examined == 0
+        assert (c.prune_stats["skipped_degree"],
+                c.prune_stats["skipped_reversal"]) == (5, 4)
+
+
+class TestReversal:
+    """`use_reversal` sweeps one word of every reversal pair."""
+
+    @staticmethod
+    def words(prefixes, ne):
+        for p in prefixes:
+            for tail in itertools.product((0, 1, 2), repeat=ne - len(p)):
+                yield tuple(p) + tail
+
+    @pytest.mark.parametrize("ne,k", [(ne, k) for ne in range(5)
+                                      for k in range(min(ne, 2) + 1)])
+    def test_split_keeps_one_word_of_each_pair(self, ne, k):
+        prefixes = list(itertools.product((0, 1, 2), repeat=k))
+        kept, skipped = search._reversal_split(prefixes, ne)
+        words = list(self.words(kept, ne))
+        assert len(words) + skipped == 3 ** ne
+        flip = {0: 1, 1: 0, 2: 2}
+        reversed_words = {tuple(flip[s] for s in w) for w in words}
+        assert set(words) & reversed_words == {(2,) * ne}
+        assert set(words) | reversed_words == \
+            set(itertools.product((0, 1, 2), repeat=ne))
+        # the kept words come in the order of the unsplit search
+        assert words == sorted(words)
+
+    @pytest.mark.parametrize("graph,prune", [
+        (complete_graph(3), "none"), (c4(), "none"), (johnson(4, 2), "degree"),
+    ])
+    def test_core_equals_the_run_without_reversal(self, graph, prune):
+        base = search_commutative_wdrd(graph, prune=prune)
+        rev = search_commutative_wdrd(graph, prune=prune, use_reversal=True)
+        assert rev.core() == base.core()
+        assert rev.examined + rev.prune_stats["skipped_degree"] + \
+            rev.prune_stats["skipped_reversal"] == rev.total_candidates
+
+    def test_jobs_identical(self):
+        solo = search_commutative_wdrd(c4(), use_reversal=True)
+        multi = search_commutative_wdrd(c4(), use_reversal=True, jobs=2)
+        da, db = report_to_dict(solo), report_to_dict(multi)
+        assert da.pop("jobs") == 1 and db.pop("jobs") == 2
+        assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+    def test_kernel_calls(self, monkeypatch):
+        prefixes = []
+        real = kernel.search_run
+
+        def recording(n, edges, prefix=(), **kwargs):
+            prefixes.append(tuple(prefix))
+            return real(n, edges, prefix=prefix, **kwargs)
+
+        monkeypatch.setattr(kernel, "search_run", recording)
+        search_commutative_wdrd(complete_graph(3))
+        assert prefixes == [()]
+        prefixes.clear()
+        search_commutative_wdrd(complete_graph(3), use_reversal=True)
+        assert prefixes == [(0,), (2, 0), (2, 2, 0), (2, 2, 2)]
 
 
 class TestDeterminismAndParallel:
