@@ -3,9 +3,11 @@
    Same contract and identical output as `_kernel_py.search_run`; see that
    module for the contract, the leaf pipeline and the degree prune.  One
    depth-first search tries only prefix[depth] at the depths below the
-   prefix length; the kernel knows nothing of arc reversal.  `wdrd.kernel`
-   compiles this file with the system C compiler, loads it with ctypes and
-   validates every argument before calling `wdrd_search_run`.
+   prefix length and emits every weakly distance-regular word it finds;
+   the kernel knows nothing of arc reversal, and `wdrd.search` classifies
+   the survivors.  `wdrd.kernel` compiles this file with the system C
+   compiler, loads it with ctypes and validates every argument before
+   calling `wdrd_search_run`.
 
    Limits: n <= 64 vertices (one 64-bit adjacency mask per vertex) and 39
    edges (3^|E| must fit in a signed 64-bit counter). */
@@ -16,7 +18,6 @@
 
 #define MAXN 64
 #define MAXE 39
-#define NOPATH 63 /* capped "no path" distance; class keys stay below 64*64 */
 
 typedef uint64_t u64;
 typedef int64_t i64;
@@ -24,10 +25,10 @@ typedef int64_t i64;
 enum { FWD, BWD, DIG };
 /* Counter slots, in the order of the stats dict keys. */
 enum { EXAMINED, SKIPPED_DEGREE, SYMMETRIC, NOT_STRONGLY_CONNECTED, AXIOM,
-       NONCOMMUTATIVE, NSTATS };
+       NSTATS };
 
 /* Receives each surviving edge-state word (ne bytes) as it is found. */
-typedef void (*emit_fn)(const unsigned char *word, int commutative);
+typedef void (*emit_fn)(const unsigned char *word);
 
 typedef struct {
     int n, ne, np, npairs, prune;
@@ -65,11 +66,11 @@ static u64 reach(const u64 *masks, int src)
     return seen;
 }
 
+/* Only called on a strongly connected leaf, so every entry is written and
+   distances are at most n - 1 <= 63: class keys stay below 64 * 64. */
 static void all_pairs(Ctx *c)
 {
     int n = c->n;
-    for (int i = 0; i < n * n; i++)
-        c->dist[i] = NOPATH;
     for (int s = 0; s < n; s++) {
         int *row = c->dist + s * n;
         u64 seen = (u64)1 << s, frontier = seen;
@@ -118,7 +119,7 @@ static int classify(Ctx *c)
 }
 
 /* Check that p^l_{ij} = #{z : (x,z) in i, (z,y) in j} depends only on the
-   class l of (x,y).  Leaves the reference tallies in c->refs. */
+   class l of (x,y), against the first tally of each class. */
 static int constant_tensor(Ctx *c, int nc)
 {
     int n = c->n, cc = nc * nc;
@@ -154,18 +155,6 @@ static int constant_tensor(Ctx *c, int nc)
     return 1;
 }
 
-static int commutative(const Ctx *c, int nc)
-{
-    for (int l = 0; l < nc; l++) {
-        const int *ref = c->refs + l * nc * nc;
-        for (int i = 0; i < nc; i++)
-            for (int j = i + 1; j < nc; j++)
-                if (ref[i * nc + j] != ref[j * nc + i])
-                    return 0;
-    }
-    return 1;
-}
-
 static void check_leaf(Ctx *c, int nondigon)
 {
     u64 full = c->n == 64 ? ~(u64)0 : ((u64)1 << c->n) - 1;
@@ -184,10 +173,7 @@ static void check_leaf(Ctx *c, int nondigon)
         c->stats[AXIOM]++;
         return;
     }
-    int comm = commutative(c, nc);
-    if (!comm)
-        c->stats[NONCOMMUTATIVE]++;
-    c->emit(c->states, comm);
+    c->emit(c->states);
 }
 
 /* Set (on) or clear the arcs of edge `depth` in state s. */

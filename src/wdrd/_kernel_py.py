@@ -18,8 +18,9 @@ Leaf pipeline (cheapest first):
   1. all-digon candidates are symmetric, hence never weakly distance-regular;
   2. strong connectivity;
   3. two-way distance partition + constancy of all intersection numbers
-     (association-scheme axiom check with early exit);
-  4. commutativity of the intersection tensor.
+     (association-scheme axiom check with early exit).
+Every word that passes all three is a survivor; `wdrd.search` classifies
+the survivors when it re-verifies them.
 
 Optional degree pruning cuts subtrees that cannot satisfy the valency
 constancy a scheme forces: every vertex must carry the same digon-degree d,
@@ -36,7 +37,6 @@ from .digraph import _bfs_fill, _bfs_reach
 BACKEND = "pure"
 
 _FWD, _BWD, _DIG = 0, 1, 2
-_NOPATH = 63  # capped "no path" distance; class keys stay below 64*64
 
 
 def search_run(n, edges, prefix=(), prune_degree=False):
@@ -55,10 +55,8 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         "symmetric": 0,
         "not_strongly_connected": 0,
         "axiom": 0,
-        "noncommutative": 0,
     }
     survivors: list[bytes] = []
-    survivors_nc: list[bytes] = []
 
     deg = [0] * n
     for u, v in edges:
@@ -139,7 +137,9 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         if _bfs_reach(out_m, 0) != full or _bfs_reach(in_m, 0) != full:
             stats["not_strongly_connected"] += 1
             return
-        dist = [[_NOPATH] * n for _ in range(n)]
+        # strongly connected, so the BFS writes every entry and distances
+        # are at most n - 1 <= 63: class keys stay below 64*64
+        dist = [[0] * n for _ in range(n)]
         for src in range(n):
             _bfs_fill(out_m, src, dist[src])
         # two-way distance labels
@@ -188,21 +188,7 @@ def search_run(n, edges, prefix=(), prune_degree=False):
                 elif ref != tly:
                     stats["axiom"] += 1
                     return
-        # commutativity
-        commutative = True
-        for ref in refs:
-            for key, cnt in ref.items():
-                i, j = divmod(key, c)
-                if ref.get(j * c + i, 0) != cnt:
-                    commutative = False
-                    break
-            if not commutative:
-                break
-        if commutative:
-            survivors.append(bytes(states))
-        else:
-            stats["noncommutative"] += 1
-            survivors_nc.append(bytes(states))
+        survivors.append(bytes(states))
 
     def dfs(depth, nondigon, fmask):
         if depth == ne:
@@ -233,5 +219,4 @@ def search_run(n, edges, prefix=(), prune_degree=False):
     dfs(0, 0, full_fmask)
     out = dict(stats)
     out["survivors"] = survivors
-    out["survivors_noncomm"] = survivors_nc
     return out

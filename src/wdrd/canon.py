@@ -161,6 +161,13 @@ def canonical_form(d: Digraph, max_n: int = MAX_N) -> bytes:
     return bytes([c.n]) + np.packbits(c.adjacency.ravel()).tobytes()
 
 
+def form_digraph(form: bytes) -> Digraph:
+    """The canonical digraph that `form` encodes."""
+    n = form[0]
+    bits = np.unpackbits(np.frombuffer(form, np.uint8, offset=1), count=n * n)
+    return Digraph(n, bits.reshape(n, n))
+
+
 def are_isomorphic(a: Digraph, b: Digraph, max_n: int = MAX_N) -> bool:
     """Exact isomorphism with cheap invariant fast-rejects first."""
     if a.n != b.n or a.arc_count != b.arc_count:

@@ -31,8 +31,8 @@ MAX_N = 64
 MAX_EDGES = 39
 # Counter keys of every search_run result, in the order of the C counters.
 STAT_KEYS = ("examined", "skipped_degree", "symmetric",
-             "not_strongly_connected", "axiom", "noncommutative")
-_EMIT = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_ubyte), ctypes.c_int)
+             "not_strongly_connected", "axiom")
+_EMIT = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_ubyte))
 
 
 def _library_path() -> Path:
@@ -99,11 +99,9 @@ def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
         raise ValueError("prefix states must be 0, 1 or 2")
 
     survivors: list[bytes] = []
-    survivors_nc: list[bytes] = []
 
-    def emit(word, commutative):
-        (survivors if commutative else survivors_nc).append(
-            ctypes.string_at(word, ne))
+    def emit(word):
+        survivors.append(ctypes.string_at(word, ne))
 
     flat = (ctypes.c_int * (2 * ne + 1))(*(x for e in edges for x in e))
     stats = (ctypes.c_longlong * len(STAT_KEYS))()
@@ -113,7 +111,6 @@ def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
         raise MemoryError("kernel scratch allocation failed")
     out = dict(zip(STAT_KEYS, stats))
     out["survivors"] = survivors
-    out["survivors_noncomm"] = survivors_nc
     return out
 
 

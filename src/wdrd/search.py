@@ -1,12 +1,12 @@
 """Exhaustive orientation search over a prescribed underlying graph.
 
 Every edge of the input graph takes one of three states (Forward, Backward,
-Digon); the 3^|E| resulting digraphs are checked for being commutative
-weakly distance-regular, with a fixed filter order (all-digon shortcut,
-strong connectivity, scheme axioms, commutativity).  Survivors are
-re-verified independently, deduplicated by canonical form and reported in
-canonical-form order, so single-threaded and parallel runs emit
-byte-identical class lists.
+Digon); the kernel checks the 3^|E| resulting digraphs for being weakly
+distance-regular, with a fixed filter order (all-digon shortcut, strong
+connectivity, scheme axioms).  Survivors are re-verified independently,
+which also decides whether each is commutative, deduplicated by canonical
+form and reported in canonical-form order, so single-threaded and parallel
+runs emit byte-identical class lists.
 
 The optional degree prune cuts subtrees that cannot carry constant
 digon/out/in valencies (necessary for any association scheme) and never
@@ -28,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import kernel
-from .analysis import type_set, wdrd_report
-from .canon import MAX_N as CANON_MAX_N, canonical_digraph, canonical_form
+from .analysis import WdrdReport, wdrd_report
+from .canon import MAX_N as CANON_MAX_N, canonical_form, form_digraph
 from .digraph import Digraph, format_dgf
 from .errors import (
     AccountingError,
@@ -40,7 +40,6 @@ from .errors import (
     TooManyEdgesError,
 )
 from .generators import LabeledGraph
-from .scheme import attached_partition, verify_association_scheme
 
 _FWD, _BWD, _DIG = 0, 1, 2
 
@@ -169,11 +168,12 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     distance-regular digraphs.
 
     Returns the deduplicated isomorphism classes (re-verified after the
-    kernel pass) plus rejection statistics.  `prune="degree"` enables the
-    sound valency prune; `jobs > 1` splits the edge-state space by fixed
-    prefixes across processes with a deterministic merge; `use_reversal`
-    sweeps one word of every reversal pair and adds the reversed survivors,
-    so `core()` is the same as without it."""
+    kernel pass, noncommutative ones apart) plus rejection statistics.
+    `prune="degree"` enables the sound valency prune; `jobs > 1` splits the
+    edge-state space by fixed prefixes across processes with a
+    deterministic merge; `use_reversal` sweeps one word of every reversal
+    pair and adds the reversed survivors, so `core()` is the same as
+    without it."""
     d = g.graph if isinstance(g, LabeledGraph) else g
     if not d.is_symmetric():
         raise NotSymmetricError("orientation search needs a graph")
@@ -219,12 +219,10 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
 
     stats = {k: 0 for k in kernel.STAT_KEYS}
     words: list[bytes] = []
-    words_nc: list[bytes] = []
     for r in results:
         for k in kernel.STAT_KEYS:
             stats[k] += r[k]
         words.extend(r["survivors"])
-        words_nc.extend(r["survivors_noncomm"])
 
     total = 3 ** ne
     accounted = stats["examined"] + stats["skipped_degree"] + skipped_reversal
@@ -233,15 +231,13 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
             f"examined + skipped leaves = {accounted}, expected 3^{ne} = {total}")
 
     survivors = [word_to_digraph(d.n, edges, w) for w in words]
-    nc_survivors = [word_to_digraph(d.n, edges, w) for w in words_nc]
     if use_reversal:
         # Each kept survivor stands for its reversal too, a distinct word
         # (only the all-digon word is its own reversal, and it is symmetric).
         survivors += [s.reverse() for s in survivors]
-        nc_survivors += [s.reverse() for s in nc_survivors]
-
-    iso = _dedupe(survivors, commutative=True)
-    iso_nc = _dedupe(nc_survivors, commutative=False)
+    classes = _dedupe(survivors)
+    iso = tuple(c for c in classes if c.commutative)
+    iso_nc = tuple(c for c in classes if not c.commutative)
 
     prune_stats = {k: stats[k] for k in
                    ("symmetric", "not_strongly_connected", "axiom",
@@ -253,9 +249,9 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
         edge_count=ne,
         total_candidates=total,
         examined=stats["examined"],
-        wdrd_count=len(survivors),
+        wdrd_count=sum(c.labelled_count for c in iso),
         iso_classes=iso,
-        noncommutative_count=len(nc_survivors),
+        noncommutative_count=sum(c.labelled_count for c in iso_nc),
         noncommutative_classes=iso_nc,
         prune_stats=prune_stats,
         prune=prune,
@@ -264,30 +260,30 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     )
 
 
-def _dedupe(survivors, commutative: bool) -> tuple[FoundClass, ...]:
-    classes: dict[bytes, tuple[Digraph, int]] = {}
+def _dedupe(survivors) -> tuple[FoundClass, ...]:
+    """Re-verify every survivor and group the survivors by canonical form,
+    in form order.  A class takes its commutativity, type set and valencies
+    from the report of its first survivor; all three are isomorphism
+    invariants."""
+    classes: dict[bytes, tuple[WdrdReport, int]] = {}
     for s in survivors:
         rep = wdrd_report(s)
-        if not (rep.is_wdrd and rep.commutative == commutative):
+        if not rep.is_wdrd:
             raise ReverificationError(
                 "kernel survivor failed independent re-verification")
         form = canonical_form(s)
-        if form in classes:
-            classes[form] = (classes[form][0], classes[form][1] + 1)
-        else:
-            classes[form] = (canonical_digraph(s), 1)
+        first, cnt = classes.get(form, (rep, 0))
+        classes[form] = (first, cnt + 1)
     out = []
     for form in sorted(classes):
         rep, cnt = classes[form]
-        scheme = verify_association_scheme(attached_partition(rep))
-        valencies = tuple(sorted(
-            (cls, int(scheme.k[i])) for i, cls in enumerate(scheme.classes)))
         out.append(FoundClass(
-            digraph=rep,
+            digraph=form_digraph(form),
             canonical=form,
-            commutative=commutative,
-            type_set=tuple(sorted(type_set(rep))),
-            valencies=valencies,
+            commutative=rep.commutative,
+            type_set=tuple(sorted(rep.type_set)),
+            valencies=tuple(sorted(
+                zip(rep.scheme.classes, map(int, rep.scheme.k)))),
             labelled_count=cnt,
         ))
     return tuple(out)

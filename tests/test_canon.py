@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wdrd import Digraph, are_isomorphic, canonical_form, cayley_cyclic, johnson
-from wdrd.canon import _refined_colors, canonical_digraph, canonical_permutation
+from wdrd.canon import (_refined_colors, canonical_digraph,
+                        canonical_permutation, form_digraph)
 from wdrd.errors import TooLargeError
 from oracles import canonical_permutation_by_lists, refined_colors_by_pairs
 
@@ -43,6 +44,7 @@ class TestCanonicalForm:
         c = canonical_digraph(d)
         assert canonical_digraph(c) == c
         assert canonical_form(c) == canonical_form(d)
+        assert form_digraph(canonical_form(d)) == c
 
     def test_cap(self):
         g = johnson(6, 3).graph

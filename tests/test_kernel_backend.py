@@ -2,6 +2,7 @@
 pure fallback and the argument checks in front of the C code."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -76,6 +77,15 @@ def test_second_load_reuses_the_cached_library(empty_cache, monkeypatch):
     assert kernel._load() is not None
     assert len(builds) == 1
     assert [p.name for p in empty_cache.iterdir()] == [builds[0].name]
+
+
+def test_c_counters_are_the_stat_keys():
+    """C writes NSTATS counter slots into an array of len(STAT_KEYS)."""
+    enum = re.search(r"enum\s*\{([^}]*)\bNSTATS\s*\}",
+                     kernel._SOURCE.read_text())
+    assert enum is not None
+    names = [name.strip() for name in enum.group(1).split(",")]
+    assert names == [key.upper() for key in kernel.STAT_KEYS] + [""]
 
 
 BAD_ARGUMENTS = {

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -14,7 +15,7 @@ from wdrd import (
     search_commutative_wdrd,
     wdrd_report,
 )
-from wdrd import kernel, search
+from wdrd import canon, kernel, search
 from wdrd.search import report_to_dict, word_to_digraph
 from wdrd.errors import (
     AccountingError,
@@ -32,8 +33,17 @@ def fake_sweep_with_digon_survivor(n, edges, **kwargs):
     is symmetric and so not weakly distance-regular."""
     stats = {k: 0 for k in kernel.STAT_KEYS}
     stats["examined"] = 3 ** len(edges)
-    return {**stats, "survivors": [bytes([2] * len(edges))],
-            "survivors_noncomm": []}
+    return {**stats, "survivors": [bytes([2] * len(edges))]}
+
+
+def fake_sweep_with_triangle_survivor(n, edges, prefix=(), **kwargs):
+    """A balanced K3 kernel branch whose one survivor, if the branch holds
+    it, is the directed triangle 0 -> 1 -> 2 -> 0."""
+    word = bytes([0, 1, 0])
+    stats = {k: 0 for k in kernel.STAT_KEYS}
+    stats["examined"] = 3 ** (len(edges) - len(prefix))
+    return {**stats, "survivors": [word] if word.startswith(bytes(prefix))
+            else []}
 
 
 def c4():
@@ -272,6 +282,36 @@ class TestSoundness:
         monkeypatch.setattr(kernel, "search_run", fake_sweep_with_digon_survivor)
         with pytest.raises(ReverificationError):
             search_commutative_wdrd(complete_graph(3))
+
+    @pytest.mark.parametrize("reversal,count", [(False, 1), (True, 2)])
+    def test_noncommutative_survivor_is_filed_apart(self, monkeypatch,
+                                                    reversal, count):
+        real = search.wdrd_report
+
+        def noncommutative_report(d):
+            return dataclasses.replace(real(d), commutative=False)
+
+        monkeypatch.setattr(kernel, "search_run",
+                            fake_sweep_with_triangle_survivor)
+        monkeypatch.setattr(search, "wdrd_report", noncommutative_report)
+        rep = search_commutative_wdrd(complete_graph(3), use_reversal=reversal)
+        assert rep.iso_classes == () and rep.wdrd_count == 0
+        (cls,) = rep.noncommutative_classes
+        assert not cls.commutative and cls.labelled_count == count
+        assert rep.noncommutative_count == count
+
+    @pytest.mark.parametrize("reversal", [False, True])
+    def test_one_canonical_search_per_survivor(self, monkeypatch, reversal):
+        calls = []
+        real = canon.canonical_permutation
+
+        def counting(d, *args, **kwargs):
+            calls.append(d)
+            return real(d, *args, **kwargs)
+
+        monkeypatch.setattr(canon, "canonical_permutation", counting)
+        rep = search_commutative_wdrd(complete_graph(3), use_reversal=reversal)
+        assert rep.wdrd_count == 2 and len(calls) == 2
 
     def test_survivors_reverify(self):
         rep = search_commutative_wdrd(complete_graph(3))
