@@ -1,13 +1,25 @@
 /* Compiled orientation-search kernel.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the contract, the leaf pipeline and the degree prune.  One
-   depth-first search tries only prefix[depth] at the depths below the
-   prefix length and emits every weakly distance-regular word it finds;
-   the kernel knows nothing of arc reversal, and `wdrd.search` classifies
-   the survivors.  `wdrd.kernel` compiles this file with the system C
-   compiler, loads it with ctypes and validates every argument before
-   calling `wdrd_search_run`.
+   module for the contract and the degree prune.  One depth-first search
+   tries only prefix[depth] at the depths below the prefix length and
+   emits every weakly distance-regular word it finds; the kernel knows
+   nothing of arc reversal, and `wdrd.search` classifies the survivors.
+   `wdrd.kernel` compiles this file with the system C compiler, loads it
+   with ctypes and validates every argument before calling
+   `wdrd_search_run`.
+
+   Leaf pipeline, the steps of `_kernel_py` in the same order: symmetric
+   leaves; strong connectivity, by one BFS from vertex 0 over out_m and
+   one over in_m, which also record vertex 0's distance-layer sizes; the
+   layers (leaf_stage()); the classes (classify()); the two-arc path
+   counts (constant_arcs()); the intersection tensor (constant_tensor()).
+   The layer check is sound because in a scheme #{y : d(x,y) = i} is a sum
+   of valencies, the same for every x, and #{y : d(y,x) = i} equals it
+   because dual classes have equal valencies.  The two-arc check is sound
+   because #{z : x -> z -> y} is a sum of intersection numbers p^l_ij over
+   the class l of (x,y).  Each rejects only leaves that the class or the
+   tensor check would reject, and counts as AXIOM like them.
 
    Limits: n <= 64 vertices (one 64-bit adjacency mask per vertex) and 39
    edges (3^|E| must fit in a signed 64-bit counter). */
@@ -27,6 +39,10 @@ enum { FWD, BWD, DIG };
 enum { EXAMINED, SKIPPED_DEGREE, SYMMETRIC, NOT_STRONGLY_CONNECTED, AXIOM,
        NSTATS };
 
+/* What rejects a leaf that is not symmetric, in the order of
+   wdrd.kernel.LEAF_STAGES; PASS when nothing does. */
+enum { PASS, NOT_STRONG, LAYERS, CLASSES, ARCS, TENSOR };
+
 /* Receives each surviving edge-state word (ne bytes) as it is found. */
 typedef void (*emit_fn)(const unsigned char *word);
 
@@ -43,47 +59,43 @@ typedef struct {
     emit_fn emit;
     /* leaf scratch; every lookup table is all-zero between leaves */
     int dist[MAXN * MAXN];
+    int lay_out[MAXN + 1], lay_in[MAXN + 1]; /* vertex 0's layer sizes */
     int labels[MAXN * MAXN];
     int class_of[64 * 64];            /* two-way distance key -> class + 1 */
     int class_key[MAXN];
     int row0[MAXN], row[MAXN];
     int tally[MAXN * MAXN];
     int touched[MAXN];
+    int ref_arcs[MAXN];               /* -1 until the class has a reference */
     int ref_nnz[MAXN];                /* -1 until the class has a reference */
     int refs[MAXN * MAXN * MAXN];     /* per class: dense c x c tally */
 } Ctx;
 
-static u64 reach(const u64 *masks, int src)
+/* Breadth-first search from src over masks.  Writes the distance of each
+   reached vertex into row (unless NULL) and the size of each distance layer
+   into lay (unless NULL), ending with an empty layer.  With ref (unless
+   NULL), stops and returns 0 at the first layer whose size differs from
+   ref's.  Otherwise returns the set reached. */
+static u64 bfs(const u64 *masks, int src, int *row, int *lay, const int *ref)
 {
     u64 seen = (u64)1 << src, frontier = seen;
-    while (frontier) {
+    for (int depth = 0;; depth++) {
+        int size = 0;
         u64 nxt = 0;
-        for (u64 m = frontier; m; m &= m - 1)
-            nxt |= masks[__builtin_ctzll(m)];
+        for (u64 m = frontier; m; m &= m - 1, size++) {
+            int v = __builtin_ctzll(m);
+            if (row)
+                row[v] = depth;
+            nxt |= masks[v];
+        }
+        if (ref && ref[depth] != size)
+            return 0;
+        if (lay)
+            lay[depth] = size;
+        if (!size)
+            return seen;
         frontier = nxt & ~seen;
         seen |= frontier;
-    }
-    return seen;
-}
-
-/* Only called on a strongly connected leaf, so every entry is written and
-   distances are at most n - 1 <= 63: class keys stay below 64 * 64. */
-static void all_pairs(Ctx *c)
-{
-    int n = c->n;
-    for (int s = 0; s < n; s++) {
-        int *row = c->dist + s * n;
-        u64 seen = (u64)1 << s, frontier = seen;
-        row[s] = 0;
-        for (int depth = 1; frontier; depth++) {
-            u64 nxt = 0;
-            for (u64 m = frontier; m; m &= m - 1)
-                nxt |= c->out_m[__builtin_ctzll(m)];
-            frontier = nxt & ~seen;
-            seen |= frontier;
-            for (u64 m = frontier; m; m &= m - 1)
-                row[__builtin_ctzll(m)] = depth;
-        }
     }
 }
 
@@ -116,6 +128,36 @@ static int classify(Ctx *c)
     for (int i = 0; i < nc; i++)
         c->class_of[c->class_key[i]] = 0;
     return ok ? nc : 0;
+}
+
+/* Bit count of m.  Without a flag that allows the popcount instruction,
+   __builtin_popcountll compiles to a library call. */
+static inline int popcount(u64 m)
+{
+    m -= (m >> 1) & 0x5555555555555555ULL;
+    m = (m & 0x3333333333333333ULL) + ((m >> 2) & 0x3333333333333333ULL);
+    m = (m + (m >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int)((m * 0x0101010101010101ULL) >> 56);
+}
+
+/* Check that the number of two-arc paths x -> z -> y depends only on the
+   class of (x,y), as a sum of intersection numbers must. */
+static int constant_arcs(Ctx *c, int nc)
+{
+    int n = c->n;
+    for (int l = 0; l < nc; l++)
+        c->ref_arcs[l] = -1;
+    for (int x = 0; x < n; x++) {
+        for (int y = 0; y < n; y++) {
+            int lab = c->labels[x * n + y];
+            int k = popcount(c->out_m[x] & c->in_m[y]);
+            if (c->ref_arcs[lab] < 0)
+                c->ref_arcs[lab] = k;
+            else if (c->ref_arcs[lab] != k)
+                return 0;
+        }
+    }
+    return 1;
 }
 
 /* Check that p^l_{ij} = #{z : (x,z) in i, (z,y) in j} depends only on the
@@ -155,25 +197,51 @@ static int constant_tensor(Ctx *c, int nc)
     return 1;
 }
 
-static void check_leaf(Ctx *c, int nondigon)
+/* Run a leaf that is not symmetric through the checks, cheapest first, and
+   return the stage that rejects it (PASS when none does).  Both BFS from
+   vertex 0 must reach every vertex; they write row 0 of dist and vertex
+   0's layer sizes, and each further row is rejected at its first layer
+   whose size differs.  classify() runs only when every row passed, so on
+   a strongly connected leaf: every entry of dist is written and distances
+   are at most n - 1 <= 63, which keeps class keys below 64 * 64. */
+static int leaf_stage(Ctx *c)
 {
     u64 full = c->n == 64 ? ~(u64)0 : ((u64)1 << c->n) - 1;
     int nc;
+    if (bfs(c->out_m, 0, c->dist, c->lay_out, NULL) != full
+            || bfs(c->in_m, 0, NULL, c->lay_in, NULL) != full)
+        return NOT_STRONG;
+    /* both lists sum to n: agreeing up to lay_out's empty layer, they agree */
+    for (int d = 0; c->lay_out[d]; d++)
+        if (c->lay_in[d] != c->lay_out[d])
+            return LAYERS;
+    for (int x = 1; x < c->n; x++)
+        if (!bfs(c->out_m, x, c->dist + x * c->n, NULL, c->lay_out))
+            return LAYERS;
+    if (!(nc = classify(c)))
+        return CLASSES;
+    if (!constant_arcs(c, nc))
+        return ARCS;
+    return constant_tensor(c, nc) ? PASS : TENSOR;
+}
+
+static void check_leaf(Ctx *c, int nondigon)
+{
     c->stats[EXAMINED]++;
     if (!nondigon) {
         c->stats[SYMMETRIC]++;
         return;
     }
-    if (reach(c->out_m, 0) != full || reach(c->in_m, 0) != full) {
+    switch (leaf_stage(c)) {
+    case PASS:
+        c->emit(c->states);
+        break;
+    case NOT_STRONG:
         c->stats[NOT_STRONGLY_CONNECTED]++;
-        return;
-    }
-    all_pairs(c);
-    if (!(nc = classify(c)) || !constant_tensor(c, nc)) {
+        break;
+    default:
         c->stats[AXIOM]++;
-        return;
     }
-    c->emit(c->states);
 }
 
 /* Set (on) or clear the arcs of edge `depth` in state s. */
@@ -278,4 +346,21 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
     dfs(c, 0, 0, prune_degree ? ((u64)1 << c->npairs) - 1 : 0);
     free(c);
     return 0;
+}
+
+/* One digraph through the leaf checks that follow the symmetry test, for
+   tests: returns the stage that rejects the digraph with adjacency masks
+   out_m and in_m, as in leaf_stage(), or -1 when out of memory. */
+int wdrd_leaf_stage(int n, const u64 *out_m, const u64 *in_m)
+{
+    Ctx *c = calloc(1, sizeof *c);
+    int stage;
+    if (!c)
+        return -1;
+    c->n = n;
+    memcpy(c->out_m, out_m, sizeof(u64) * n);
+    memcpy(c->in_m, in_m, sizeof(u64) * n);
+    stage = leaf_stage(c);
+    free(c);
+    return stage;
 }

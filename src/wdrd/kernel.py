@@ -7,7 +7,9 @@ in the package's `__pycache__` under a name keyed by the SHA-256 of the
 source and the compile command, and loads it with ctypes.  Without a
 compiler, when the compile fails or when the cache directory is read-only
 it falls back to the pure kernel.  Set WDRD_PURE=1 to force the fallback.
-`BACKEND` names the selected kernel.
+`BACKEND` names the selected kernel.  `backends()` and `leaf_stages()`
+give every available kernel's search and its leaf check, for tests that
+compare them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ MAX_EDGES = 39
 # Counter keys of every search_run result, in the order of the C counters.
 STAT_KEYS = ("examined", "skipped_degree", "symmetric",
              "not_strongly_connected", "axiom")
+# What rejects a leaf that is not symmetric, in the order of the C leaf
+# stages; None when nothing does (see `_kernel_py.leaf_stage`).
+LEAF_STAGES = (None, "not_strongly_connected", "layers", "classes", "arcs",
+               "tensor")
 _EMIT = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_ubyte))
+_MASKS = ctypes.c_uint64 * MAX_N
 
 
 def _library_path() -> Path:
@@ -71,14 +78,15 @@ def _load() -> ctypes.CDLL | None:
                    ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
                    ctypes.POINTER(ctypes.c_longlong), _EMIT]
     fn.restype = ctypes.c_int
+    lib.wdrd_leaf_stage.argtypes = [ctypes.c_int, _MASKS, _MASKS]
+    lib.wdrd_leaf_stage.restype = ctypes.c_int
     return lib
 
 
 @functools.cache
 def _compiled():
-    """search_run of the compiled kernel, or None when it is unavailable."""
-    lib = _load()
-    return None if lib is None else functools.partial(_run_compiled, lib)
+    """The compiled kernel library, or None when it is unavailable."""
+    return _load()
 
 
 def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
@@ -93,6 +101,7 @@ def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
         raise ValueError(f"kernel supports at most {MAX_EDGES} edges, got {ne}")
     if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
         raise ValueError(f"edge endpoint outside 0..{n - 1}")
+    _kernel_py.check_simple(edges)
     if len(prefix) > ne:
         raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
     if any(s > 2 for s in prefix):
@@ -114,12 +123,24 @@ def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
     return out
 
 
+def _leaf_stage_compiled(lib, n, out_masks, in_masks):
+    """Compiled twin of `_kernel_py.leaf_stage`."""
+    if not 1 <= n <= MAX_N or len(out_masks) != n or len(in_masks) != n:
+        raise ValueError(f"need 1..{MAX_N} vertices and a mask per vertex")
+    if any(m < 0 or m >> n for m in (*out_masks, *in_masks)):
+        raise ValueError(f"mask outside vertices 0..{n - 1}")
+    stage = lib.wdrd_leaf_stage(n, _MASKS(*out_masks), _MASKS(*in_masks))
+    if stage < 0:
+        raise MemoryError("kernel scratch allocation failed")
+    return LEAF_STAGES[stage]
+
+
 def _select():
     """(name, search_run) of the kernel this process uses."""
-    compiled = None if os.environ.get("WDRD_PURE") else _compiled()
-    if compiled is None:
+    lib = None if os.environ.get("WDRD_PURE") else _compiled()
+    if lib is None:
         return _kernel_py.BACKEND, _kernel_py.search_run
-    return "compiled", compiled
+    return "compiled", functools.partial(_run_compiled, lib)
 
 
 BACKEND, search_run = _select()
@@ -128,7 +149,16 @@ BACKEND, search_run = _select()
 def backends():
     """All available kernel backends, name -> search_run."""
     found = {"pure": _kernel_py.search_run}
-    compiled = _compiled()
-    if compiled is not None:
-        found["compiled"] = compiled
+    lib = _compiled()
+    if lib is not None:
+        found["compiled"] = functools.partial(_run_compiled, lib)
+    return found
+
+
+def leaf_stages():
+    """The leaf check of every available backend, name -> leaf_stage."""
+    found = {"pure": _kernel_py.leaf_stage}
+    lib = _compiled()
+    if lib is not None:
+        found["compiled"] = functools.partial(_leaf_stage_compiled, lib)
     return found

@@ -51,6 +51,37 @@ def tensor_by_loops(class_of: np.ndarray, nclasses: int):
     return p
 
 
+def leaf_stage_by_matrices(adj: np.ndarray) -> str | None:
+    """The first condition of the kernels' leaf pipeline that a non-symmetric
+    digraph violates, or None when it violates none: strong connectivity;
+    equal out-distance layer sizes from every vertex, and vertex 0's
+    in-distance layer sizes equal to them; equal two-way distance class
+    counts in every row; two-arc path counts constant on each class; the
+    full intersection tensor constant.  Distances from Floyd–Warshall,
+    path counts from the squared adjacency matrix."""
+    n = adj.shape[0]
+    dist = floyd_warshall(adj)
+    if (dist >= BIG).any():
+        return "not_strongly_connected"
+    layers = [np.bincount(row, minlength=n).tolist() for row in dist]
+    in_layers = np.bincount(dist[:, 0], minlength=n).tolist()
+    if any(lay != layers[0] for lay in layers) or in_layers != layers[0]:
+        return "layers"
+    keys = dist * n + dist.T
+    if any(sorted(row) != sorted(keys[0]) for row in keys.tolist()):
+        return "classes"
+    a = adj.astype(np.int64)
+    paths = a @ a
+    classes, class_of = np.unique(keys, return_inverse=True)
+    class_of = class_of.reshape(n, n)
+    if any(len(np.unique(paths[class_of == c])) > 1
+           for c in range(len(classes))):
+        return "arcs"
+    if tensor_by_loops(class_of, len(classes)) is None:
+        return "tensor"
+    return None
+
+
 def search_by_brute_force(graph, enumerate_orientations, wdrd_report,
                           canonical_form, max_edges=20):
     """Reference search: full enumeration + report-level filtering."""

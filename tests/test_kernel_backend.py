@@ -97,6 +97,9 @@ BAD_ARGUMENTS = {
     "state 3": (2, [(0, 1)], (3,)),
     "negative state": (2, [(0, 1)], (-1,)),
     "prefix longer than edges": (2, [(0, 1)], (0, 0)),
+    "loop edge": (3, [(0, 0), (0, 1), (1, 2), (0, 2)]),
+    "repeated edge": (3, [(0, 1), (1, 2), (0, 1)]),
+    "repeated edge reversed": (3, [(0, 1), (1, 2), (1, 0)]),
 }
 
 
@@ -109,3 +112,18 @@ class NoLibrary:
 def test_bad_arguments_are_rejected_before_the_c_call(args):
     with pytest.raises(ValueError):
         kernel._run_compiled(NoLibrary(), *args)
+
+
+@pytest.mark.parametrize("args", [(0, [], []), (65, [0] * 65, [0] * 65),
+                                  (2, [2], [1, 1]), (2, [4, 1], [2, 1]),
+                                  (2, [-1, 1], [2, 1])])
+def test_bad_leaf_stage_arguments_are_rejected_before_the_c_call(args):
+    with pytest.raises(ValueError):
+        kernel._leaf_stage_compiled(NoLibrary(), *args)
+
+
+@pytest.mark.parametrize("name", ["loop edge", "repeated edge",
+                                  "repeated edge reversed"])
+def test_pure_kernel_rejects_a_graph_that_is_not_simple(name):
+    with pytest.raises(ValueError):
+        _kernel_py.search_run(*BAD_ARGUMENTS[name])

@@ -7,6 +7,7 @@ import pytest
 
 from wdrd import _kernel_py
 from wdrd import kernel, search
+from wdrd.generators import complete_graph, johnson
 
 
 def edges_of(n, rnd, p=0.5):
@@ -22,6 +23,15 @@ CASES = [
     (1, []),
     (6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (0, 5)]),
     (64, [(0, 1), (0, 2), (1, 2)]),
+    (4, search._underlying_edges(complete_graph(4))),
+]
+
+# Prefix branches on which the distance-layer and two-arc checks of the
+# leaf pipeline fire (see test_kernel_leaves.py).
+BRANCHES = [
+    (6, search._underlying_edges(johnson(4, 2).graph), (0, 1, 2, 2)),
+    (6, search._underlying_edges(complete_graph(6)),
+     (0, 0, 1, 1, 2, 2, 0, 0, 1)),
 ]
 
 
@@ -38,6 +48,14 @@ def test_full_runs_agree(compiled, n, edges, prune, reversal):
         a = _kernel_py.search_run(n, edges, prefix=prefix, prune_degree=prune)
         b = compiled(n, edges, prefix=prefix, prune_degree=prune)
         assert a == b
+
+
+@pytest.mark.parametrize("n,edges,prefix", BRANCHES)
+@pytest.mark.parametrize("prune", [False, True])
+def test_branches_agree(compiled, n, edges, prefix, prune):
+    a = _kernel_py.search_run(n, edges, prefix=prefix, prune_degree=prune)
+    b = compiled(n, edges, prefix=prefix, prune_degree=prune)
+    assert a == b
 
 
 @pytest.mark.parametrize("n,edges", CASES[:4])
