@@ -1,7 +1,11 @@
 /* Compiled orientation-search kernel.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the contract and the degree prune.  One depth-first search
+   module for the contract and for the soundness of the degree prune: the
+   search carries the largest digon degree dmax and the largest out-only
+   or in-only degree fmax of any vertex so far, and cuts a subtree when
+   dmax + 2 fmax > k, the common degree (-1 on an irregular graph, so that
+   the first edge cuts every branch).  One depth-first search
    tries only prefix[depth] at the depths below the prefix length and
    emits every weakly distance-regular word it finds; the kernel knows
    nothing of arc reversal, and `wdrd.search` classifies the survivors.
@@ -47,10 +51,9 @@ enum { PASS, NOT_STRONG, LAYERS, CLASSES, ARCS, TENSOR };
 typedef void (*emit_fn)(const unsigned char *word);
 
 typedef struct {
-    int n, ne, np, npairs, prune;
+    int n, ne, np, prune, k;          /* k: common degree, or -1 */
     const unsigned char *prefix;
     int eu[MAXE], ev[MAXE];
-    int pair_d[MAXN], pair_f[MAXN];   /* feasible (digon, out-only) degrees */
     u64 out_m[MAXN], in_m[MAXN];
     int dd[MAXN], oo[MAXN], ii[MAXN]; /* digon, out-only, in-only degrees */
     i64 pow3[MAXE + 1];
@@ -268,23 +271,14 @@ static void orient(Ctx *c, int depth, int s, int on)
 #undef SET
 }
 
-/* Drop the degree targets that vertex vtx has already outgrown. */
-static u64 feasible(const Ctx *c, int vtx, u64 fmask)
+static inline int max(int a, int b)
 {
-    for (int i = 0; i < c->npairs; i++)
-        if (c->dd[vtx] > c->pair_d[i] || c->oo[vtx] > c->pair_f[i]
-                || c->ii[vtx] > c->pair_f[i])
-            fmask &= ~((u64)1 << i);
-    return fmask;
+    return a > b ? a : b;
 }
 
-static u64 feasible_edge(const Ctx *c, int depth, u64 fmask)
-{
-    fmask = feasible(c, c->eu[depth], fmask);
-    return fmask ? feasible(c, c->ev[depth], fmask) : 0;
-}
-
-static void dfs(Ctx *c, int depth, int nondigon, u64 fmask)
+/* dmax and fmax: the largest digon and the largest out-only or in-only
+   degree of any vertex in the edges oriented so far. */
+static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
 {
     if (depth == c->ne) {
         check_leaf(c, nondigon);
@@ -294,14 +288,21 @@ static void dfs(Ctx *c, int depth, int nondigon, u64 fmask)
     int fixed = depth < c->np;
     int lo = fixed ? c->prefix[depth] : FWD, hi = fixed ? lo : DIG;
     i64 rem = c->pow3[c->ne - (fixed ? c->np : depth + 1)];
+    int u = c->eu[depth], v = c->ev[depth];
     for (int s = lo; s <= hi; s++) {
-        u64 nm = 0;
         orient(c, depth, s, 1);
         c->states[depth] = (unsigned char)s;
-        if (c->prune && !(nm = feasible_edge(c, depth, fmask)))
-            c->stats[SKIPPED_DEGREE] += rem;
-        else
-            dfs(c, depth + 1, nondigon + (s != DIG), nm);
+        if (!c->prune) {
+            dfs(c, depth + 1, nondigon + (s != DIG), 0, 0);
+        } else {
+            int dm = max(dmax, max(c->dd[u], c->dd[v]));
+            int fm = max(max(fmax, max(c->oo[u], c->ii[u])),
+                         max(c->oo[v], c->ii[v]));
+            if (dm + 2 * fm > c->k)
+                c->stats[SKIPPED_DEGREE] += rem;
+            else
+                dfs(c, depth + 1, nondigon + (s != DIG), dm, fm);
+        }
         orient(c, depth, s, 0);
     }
 }
@@ -332,18 +333,12 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
         deg[c->ev[i]]++;
         c->pow3[i + 1] = 3 * c->pow3[i];
     }
-    /* On a k-regular graph (edgeless included) the targets are the
-       (d, (k - d) / 2) with k - d even; an irregular graph has none, so
-       in pruned mode the first edge already cuts every branch. */
+    /* An irregular graph carries no scheme: with k = -1 the first edge
+       cuts every branch in pruned mode. */
     for (int v = 1; v < n; v++)
         regular &= deg[v] == deg[0];
-    for (int d = 0; regular && d <= deg[0]; d++) {
-        if ((deg[0] - d) % 2 == 0) {
-            c->pair_d[c->npairs] = d;
-            c->pair_f[c->npairs++] = (deg[0] - d) / 2;
-        }
-    }
-    dfs(c, 0, 0, prune_degree ? ((u64)1 << c->npairs) - 1 : 0);
+    c->k = regular ? deg[0] : -1;
+    dfs(c, 0, 0, 0, 0);
     free(c);
     return 0;
 }

@@ -12,8 +12,10 @@ which tries only `prefix[depth]` at the depths below len(prefix).  It
 returns the counters of `wdrd.kernel.STAT_KEYS`, which account for every
 leaf of the branch (examined + skipped_degree = 3^(|E| - len(prefix))),
 and the surviving words in visiting order.  The kernel knows no symmetry;
-`wdrd.search` applies arc reversal by choosing the prefixes.  The graph
-must be simple: a loop or an edge given twice raises ValueError.
+`wdrd.search` applies arc reversal by choosing the prefixes.
+`check_arguments` rejects, with ValueError, what neither kernel supports:
+more than MAX_N vertices or MAX_EDGES edges, an endpoint out of range, a
+graph that is not simple, or a bad prefix.
 
 Leaf pipeline (cheapest first, the same steps in `_kernel.c`;
 `leaf_stage` runs steps 2-6 on one digraph and names the step that
@@ -42,30 +44,57 @@ of steps 3-6 count as `axiom`.  Every word that passes is a survivor;
 `wdrd.search` classifies the survivors when it re-verifies them.
 
 Optional degree pruning cuts subtrees that cannot satisfy the valency
-constancy a scheme forces: every vertex must carry the same digon-degree d,
+constancy a scheme forces: every vertex must carry the same digon degree d,
 the same out-only degree f and the same in-only degree f (out-only equals
 in-only because dual classes have equal valencies), with d + 2f = k on a
-k-regular underlying graph.  These are necessary conditions, so pruning
-never discards a candidate that would have survived the full check.
+k-regular underlying graph; an irregular graph carries no scheme.  These
+are necessary conditions, so pruning never discards a candidate that
+would have survived the full check.  The search tests them as one
+inequality.  It carries dmax, the largest digon degree of any vertex so
+far, and fmax, the largest out-only or in-only degree, and cuts a subtree
+when dmax + 2 fmax > k, with k = -1 on an irregular graph so that the
+first edge cuts every branch.  Degrees only grow down the tree, so a
+target (d, (k - d) / 2) stays reachable iff d >= dmax and
+(k - d) / 2 >= fmax: the d in [dmax, k - 2 fmax] with d = k (mod 2).  The
+top one, k - 2 fmax, has the parity of k, so some target stays exactly
+when dmax + 2 fmax <= k.
 """
 
 from __future__ import annotations
 
 BACKEND = "pure"
 
+# Size limits of both kernels: one 64-bit adjacency mask per vertex in C,
+# and 3^|E| must fit in a signed 64-bit counter.
+MAX_N = 64
+MAX_EDGES = 39
+
 _FWD, _BWD, _DIG = 0, 1, 2
 
 
-def check_simple(edges):
-    """Raise ValueError on a loop or on an edge given twice (in either
-    order): the search orients a simple graph."""
+def check_arguments(n, edges, prefix):
+    """Raise ValueError unless `search_run` supports the arguments: 1..MAX_N
+    vertices, at most MAX_EDGES edges between them, a simple graph (no loop,
+    no edge given twice in either order) and at most one state 0, 1 or 2
+    per edge in `prefix`."""
+    ne = len(edges)
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"kernel supports 1..{MAX_N} vertices, got {n}")
+    if ne > MAX_EDGES:
+        raise ValueError(f"kernel supports at most {MAX_EDGES} edges, got {ne}")
     seen = set()
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge endpoint outside 0..{n - 1}")
         if u == v:
             raise ValueError(f"loop edge ({u}, {v})")
         if (u, v) in seen or (v, u) in seen:
             raise ValueError(f"edge ({u}, {v}) given twice")
         seen.add((u, v))
+    if len(prefix) > ne:
+        raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
+    if any(s not in (_FWD, _BWD, _DIG) for s in prefix):
+        raise ValueError("prefix states must be 0, 1 or 2")
 
 
 def _bfs(masks, src, row=None, ref=None):
@@ -177,7 +206,7 @@ def search_run(n, edges, prefix=(), prune_degree=False):
     Returns a stats dict with survivor edge-state words (bytes).
     """
     edges = list(edges)
-    check_simple(edges)
+    check_arguments(n, edges, prefix)
     ne = len(edges)
     np_ = len(prefix)
     stats = {
@@ -194,15 +223,9 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         deg[u] += 1
         deg[v] += 1
 
-    # Feasible (digon-degree, out-only-degree) targets on a k-regular graph
-    # (edgeless included).  An irregular graph carries no scheme and has
-    # none, so in pruned mode the first edge already cuts every branch.
-    pairs: list[tuple[int, int]] = []
-    if all(x == deg[0] for x in deg):
-        k = deg[0]
-        pairs = [(dl, (k - dl) // 2) for dl in range(k + 1) if (k - dl) % 2 == 0]
-    full_fmask = (1 << len(pairs)) - 1 if prune_degree else 0
-
+    # An irregular graph carries no scheme: with k = -1 the first edge cuts
+    # every branch in pruned mode.
+    k = deg[0] if all(x == deg[0] for x in deg) else -1
     branch_leaves = 3 ** (ne - np_)
 
     states = bytearray(ne)
@@ -212,53 +235,23 @@ def search_run(n, edges, prefix=(), prune_degree=False):
     oo = [0] * n
     ii = [0] * n
 
-    def feasible(vtx, fmask):
-        m = fmask
-        for idx, (dl, f) in enumerate(pairs):
-            bit = 1 << idx
-            if m & bit and (dd[vtx] > dl or oo[vtx] > f or ii[vtx] > f):
-                m ^= bit
-        return m
-
-    def apply_state(depth, s):
+    def orient(depth, s, d):
+        """Add (d = 1) or remove (d = -1) the arcs of edge `depth` in state
+        s.  Toggling the bits is safe because the graph is simple: no other
+        edge owns them."""
         u, v = edges[depth]
-        if s == _FWD:
-            out_m[u] |= 1 << v
-            in_m[v] |= 1 << u
-            oo[u] += 1
-            ii[v] += 1
-        elif s == _BWD:
-            out_m[v] |= 1 << u
-            in_m[u] |= 1 << v
-            oo[v] += 1
-            ii[u] += 1
+        if s == _BWD:
+            u, v = v, u
+        out_m[u] ^= 1 << v
+        in_m[v] ^= 1 << u
+        if s == _DIG:
+            out_m[v] ^= 1 << u
+            in_m[u] ^= 1 << v
+            dd[u] += d
+            dd[v] += d
         else:
-            out_m[u] |= 1 << v
-            out_m[v] |= 1 << u
-            in_m[u] |= 1 << v
-            in_m[v] |= 1 << u
-            dd[u] += 1
-            dd[v] += 1
-
-    def undo_state(depth, s):
-        u, v = edges[depth]
-        if s == _FWD:
-            out_m[u] &= ~(1 << v)
-            in_m[v] &= ~(1 << u)
-            oo[u] -= 1
-            ii[v] -= 1
-        elif s == _BWD:
-            out_m[v] &= ~(1 << u)
-            in_m[u] &= ~(1 << v)
-            oo[v] -= 1
-            ii[u] -= 1
-        else:
-            out_m[u] &= ~(1 << v)
-            out_m[v] &= ~(1 << u)
-            in_m[u] &= ~(1 << v)
-            in_m[v] &= ~(1 << u)
-            dd[u] -= 1
-            dd[v] -= 1
+            oo[u] += d
+            ii[v] += d
 
     def check_leaf(nondigon):
         if nondigon == 0:
@@ -272,7 +265,9 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         else:
             stats["axiom"] += 1
 
-    def dfs(depth, nondigon, fmask):
+    def dfs(depth, nondigon, dmax, fmax):
+        """dmax and fmax: the largest digon and the largest out-only or
+        in-only degree of any vertex in the edges oriented so far."""
         if depth == ne:
             stats["examined"] += 1
             check_leaf(nondigon)
@@ -281,24 +276,22 @@ def search_run(n, edges, prefix=(), prune_degree=False):
             choices, rem_leaves = prefix[depth:depth + 1], branch_leaves
         else:
             choices, rem_leaves = (_FWD, _BWD, _DIG), 3 ** (ne - depth - 1)
+        u, v = edges[depth]
         for s in choices:
-            apply_state(depth, s)
+            orient(depth, s, 1)
             states[depth] = s
-            if prune_degree:
-                u, v = edges[depth]
-                nm = feasible(u, fmask)
-                if nm:
-                    nm = feasible(v, nm)
-                if not nm:
-                    stats["skipped_degree"] += rem_leaves
-                    undo_state(depth, s)
-                    continue
+            if not prune_degree:
+                dfs(depth + 1, nondigon + (s != _DIG), 0, 0)
             else:
-                nm = 0
-            dfs(depth + 1, nondigon + (s != _DIG), nm)
-            undo_state(depth, s)
+                dm = max(dmax, dd[u], dd[v])
+                fm = max(fmax, oo[u], ii[u], oo[v], ii[v])
+                if dm + 2 * fm > k:
+                    stats["skipped_degree"] += rem_leaves
+                else:
+                    dfs(depth + 1, nondigon + (s != _DIG), dm, fm)
+            orient(depth, s, -1)
 
-    dfs(0, 0, full_fmask)
+    dfs(0, 0, 0, 0)
     out = dict(stats)
     out["survivors"] = survivors
     return out

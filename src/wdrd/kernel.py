@@ -23,14 +23,11 @@ import tempfile
 from pathlib import Path
 
 from . import _kernel_py
+from ._kernel_py import MAX_EDGES, MAX_N
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _COMPILE = ("cc", "-O2", "-shared", "-fPIC")
-# Size limits of both kernels: one 64-bit adjacency mask per vertex, and
-# 3^|E| must fit in a signed 64-bit counter.
-MAX_N = 64
-MAX_EDGES = 39
 # Counter keys of every search_run result, in the order of the C counters.
 STAT_KEYS = ("examined", "skipped_degree", "symmetric",
              "not_strongly_connected", "axiom")
@@ -93,19 +90,9 @@ def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
     """Compiled twin of `_kernel_py.search_run`; arguments are checked here
     because the C code trusts them."""
     edges = [(int(u), int(v)) for u, v in edges]
+    _kernel_py.check_arguments(n, edges, prefix)
     prefix = bytes(prefix)
     ne = len(edges)
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"kernel supports 1..{MAX_N} vertices, got {n}")
-    if ne > MAX_EDGES:
-        raise ValueError(f"kernel supports at most {MAX_EDGES} edges, got {ne}")
-    if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
-        raise ValueError(f"edge endpoint outside 0..{n - 1}")
-    _kernel_py.check_simple(edges)
-    if len(prefix) > ne:
-        raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
-    if any(s > 2 for s in prefix):
-        raise ValueError("prefix states must be 0, 1 or 2")
 
     survivors: list[bytes] = []
 

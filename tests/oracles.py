@@ -6,6 +6,8 @@ explicit walk enumeration) and shares no code with the paths under test.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 BIG = 10**6
@@ -80,6 +82,48 @@ def leaf_stage_by_matrices(adj: np.ndarray) -> str | None:
     if tensor_by_loops(class_of, len(classes)) is None:
         return "tensor"
     return None
+
+
+def degree_prune_by_words(n, edges, prefix=()):
+    """(examined, skipped, nodes) of the degree-pruned branch `prefix`,
+    decided word by word with the rule of a table of degree targets.  On a
+    k-regular graph the targets are the (d, (k - d) / 2) with k - d even;
+    an irregular graph has none.  A word is skipped when some prefix of it
+    (one edge or more) leaves no target (d, f) with every vertex's digon
+    degree at most d and its out-only and in-only degrees at most f.
+    `nodes` counts the root and every distinct prefix, leaves included,
+    whose own prefixes all leave a target: the nodes a depth-first search
+    visits when it cuts at the first prefix that leaves none."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    k = deg[0]
+    targets = [(d, (k - d) // 2) for d in range(k + 1) if (k - d) % 2 == 0]
+    if any(x != k for x in deg):
+        targets = []
+    examined = skipped = 0
+    visited = set()
+    for rest in itertools.product((0, 1, 2), repeat=len(edges) - len(prefix)):
+        word = tuple(prefix) + rest
+        digon, out_only, in_only = [0] * n, [0] * n, [0] * n
+        for t, ((u, v), s) in enumerate(zip(edges, word), 1):
+            if s == 2:
+                digon[u] += 1
+                digon[v] += 1
+            else:
+                tail, head = (u, v) if s == 0 else (v, u)
+                out_only[tail] += 1
+                in_only[head] += 1
+            if not any(all(digon[x] <= d and out_only[x] <= f
+                           and in_only[x] <= f for x in range(n))
+                       for d, f in targets):
+                skipped += 1
+                break
+            visited.add(word[:t])
+        else:
+            examined += 1
+    return examined, skipped, 1 + len(visited)
 
 
 def search_by_brute_force(graph, enumerate_orientations, wdrd_report,

@@ -122,8 +122,42 @@ def test_bad_leaf_stage_arguments_are_rejected_before_the_c_call(args):
         kernel._leaf_stage_compiled(NoLibrary(), *args)
 
 
-@pytest.mark.parametrize("name", ["loop edge", "repeated edge",
-                                  "repeated edge reversed"])
-def test_pure_kernel_rejects_a_graph_that_is_not_simple(name):
+@pytest.mark.parametrize("args", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_pure_kernel_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
-        _kernel_py.search_run(*BAD_ARGUMENTS[name])
+        _kernel_py.search_run(*args)
+
+
+# Runs the parity cases through a kernel library built elsewhere, given as
+# argv[1], and compares it with the pure kernel.
+PARITY_SCRIPT = """
+import sys
+from pathlib import Path
+from test_kernel_parity import BRANCHES, CASES
+from wdrd import _kernel_py, kernel
+
+kernel._library_path = lambda: Path(sys.argv[1])
+lib = kernel._load()
+assert lib is not None, "the library did not load"
+for n, edges, *prefix in CASES + BRANCHES:
+    for prune in (False, True):
+        want = _kernel_py.search_run(n, edges, *prefix, prune_degree=prune)
+        got = kernel._run_compiled(lib, n, edges, *prefix, prune_degree=prune)
+        assert got == want, (n, edges, prefix, prune)
+"""
+
+
+@needs_cc
+def test_compiled_kernel_runs_clean_under_ubsan(tmp_path):
+    """Undefined behaviour aborts the subprocess, which fails this test
+    instead of killing pytest."""
+    lib = tmp_path / "_kernel_ubsan.so"
+    subprocess.run(["cc", "-O1", "-fsanitize=undefined",
+                    "-fno-sanitize-recover=all", "-shared", "-fPIC", "-o",
+                    str(lib), str(kernel._SOURCE)], check=True,
+                   capture_output=True)
+    env = {k: v for k, v in os.environ.items() if k != "WDRD_PURE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(Path(__file__).parent)])
+    out = subprocess.run([sys.executable, "-c", PARITY_SCRIPT, str(lib)],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
