@@ -19,7 +19,7 @@ graph that is not simple, or a bad prefix.
 
 Leaf pipeline (cheapest first, the same steps in `_kernel.c`;
 `leaf_stage` runs steps 2-6 on one digraph and names the step that
-rejects it):
+rejects it; its BFS is `wdrd.digraph._bfs`, the package's only one):
   1. all-digon candidates are symmetric, hence never weakly
      distance-regular (counted as `symmetric`);
   2. strong connectivity: one BFS from vertex 0 over the out-arcs and one
@@ -62,6 +62,8 @@ when dmax + 2 fmax <= k.
 
 from __future__ import annotations
 
+from .digraph import _bfs
+
 BACKEND = "pure"
 
 # Size limits of both kernels: one 64-bit adjacency mask per vertex in C,
@@ -95,35 +97,6 @@ def check_arguments(n, edges, prefix):
         raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
     if any(s not in (_FWD, _BWD, _DIG) for s in prefix):
         raise ValueError("prefix states must be 0, 1 or 2")
-
-
-def _bfs(masks, src, row=None, ref=None):
-    """Breadth-first search from `src` over `masks`.  Writes the distance
-    of each reached vertex into `row` when given.  Returns the set reached
-    and the size of each distance layer, ending with an empty layer; with
-    `ref`, returns None at the first layer whose size differs from ref's."""
-    seen = frontier = 1 << src
-    sizes = []
-    depth = 0
-    while True:
-        size = frontier.bit_count()
-        if ref is not None and ref[depth] != size:
-            return None
-        sizes.append(size)
-        if not frontier:
-            return seen, sizes
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if row is not None:
-                row[v] = depth
-            nxt |= masks[v]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        depth += 1
 
 
 def leaf_stage(n, out_m, in_m):

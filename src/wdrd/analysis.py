@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .digraph import Digraph
+from .digraph import Digraph, _mask_bits
 from .errors import (
     BadDistanceError,
     BadMuSizeError,
@@ -166,7 +166,7 @@ def arc_purity(d: Digraph, q: int) -> Purity:
         return Purity.NO_SUCH_TYPE
     out = d.out_masks
     for u, v in arcs_q:
-        # walks (u, v, w_2, ..., w_q) closed by the arc (w_q, u); BFS over
+        # walks (u, v, w_2, ..., w_q) closed by the arc (w_q, u); search over
         # states (vertex, steps taken, mixed arc seen) -- at most 2*n*q states
         seen = {(v, 1, False)}
         frontier = [(v, 1, False)]
@@ -177,11 +177,7 @@ def arc_purity(d: Digraph, q: int) -> Purity:
                     if mixed or int(dist[u, pos]) != q:
                         return Purity.MIXED
                 continue
-            m = out[pos]
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
+            for w in _mask_bits(out[pos]):
                 state = (w, steps + 1, mixed or int(dist[w, pos]) != q)
                 if state not in seen:
                     seen.add(state)

@@ -109,11 +109,11 @@ def _emit_json(obj, out: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     g, gid = _load_graph_tokens([args.kind] + args.params)
+    if args.labels and not isinstance(g, LabeledGraph):
+        raise UsageError("--labels only applies to johnson/folded-johnson")
     d = g.graph if isinstance(g, LabeledGraph) else g
     _emit(format_dgf(d, comment=gid), args.out)
     if args.labels:
-        if not isinstance(g, LabeledGraph):
-            raise UsageError("--labels only applies to johnson/folded-johnson")
         lines = [f"{v} {{{','.join(map(str, sorted(g.label_set(v))))}}}"
                  for v in range(d.n)]
         Path(args.labels).write_text("\n".join(lines) + "\n")
@@ -202,6 +202,8 @@ def _cmd_structure(args) -> int:
     g, gid = _load_graph_tokens(args.graph)
     if not isinstance(g, LabeledGraph):
         raise UsageError("structure oracles need johnson/folded-johnson input")
+    if args.sample is not None and args.sample < 1:
+        raise UsageError(f"--sample must be at least 1, got {args.sample}")
     edges = [(u, v) for u, v in g.graph.arcs() if u < v]
     if args.sample and args.sample < len(edges):
         rng = random.Random(args.seed)
@@ -336,10 +338,7 @@ def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WdrdError as exc:
+    except (UsageError, WdrdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -5,6 +5,10 @@ vertices stored as a dense boolean matrix; a pair of mutually inverse arcs
 is an edge (digon).  All derived data (distance matrix, underlying graph,
 adjacency bitmasks) is computed lazily and cached; instances are immutable
 after construction and safe to share between workers.
+
+`_bfs` here is the package's only breadth-first search.  Distances, strong
+connectivity, scheme primitivity and the pure kernel's leaf check
+(`_kernel_py.leaf_stage`) all run on it.
 """
 
 from __future__ import annotations
@@ -76,10 +80,7 @@ class Digraph:
         n = len(masks)
         adj = np.zeros((n, n), dtype=bool)
         for v, m in enumerate(masks):
-            while m:
-                low = m & -m
-                adj[v, low.bit_length() - 1] = True
-                m ^= low
+            adj[v, list(_mask_bits(m))] = True
         return cls(n, adj)
 
     # -- basic queries ------------------------------------------------------
@@ -106,9 +107,6 @@ class Digraph:
     @property
     def arc_count(self) -> int:
         return int(self._adj.sum())
-
-    def out_mask(self, v: int) -> int:
-        return self.out_masks[v]
 
     @property
     def out_masks(self) -> tuple[int, ...]:
@@ -145,17 +143,18 @@ class Digraph:
     def is_strongly_connected(self) -> bool:
         """True iff every ordered pair of vertices is joined by a path."""
         full = (1 << self.n) - 1
-        return (_bfs_reach(self.out_masks, 0) == full
-                and _bfs_reach(self.in_masks, 0) == full)
+        return (_bfs(self.out_masks, 0)[0] == full
+                and _bfs(self.in_masks, 0)[0] == full)
 
     def distance_matrix(self) -> np.ndarray:
         """n x n matrix of shortest directed path lengths (INFINITY if none)."""
         if self._dist is None:
             n = self.n
             out = self.out_masks
-            dist = np.full((n, n), INFINITY, dtype=np.int64)
+            rows = [[INFINITY] * n for _ in range(n)]
             for s in range(n):
-                _bfs_fill(out, s, dist[s])
+                _bfs(out, s, rows[s])
+            dist = np.array(rows, dtype=np.int64).reshape(n, n)
             dist.setflags(write=False)
             self._dist = dist
         return self._dist
@@ -224,42 +223,33 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _bfs_reach(masks: tuple[int, ...], src: int) -> int:
+def _bfs(masks, src, row=None, ref=None):
+    """Breadth-first search from `src` over `masks`.  Writes the distance
+    of each reached vertex into `row` when given.  Returns the set reached
+    and the size of each distance layer, ending with an empty layer; with
+    `ref`, returns None at the first layer whose size differs from ref's."""
     seen = frontier = 1 << src
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= masks[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
-
-
-def _bfs_fill(masks: tuple[int, ...], src: int,
-              row: np.ndarray | list[int]) -> None:
-    """Write the distance from `src` into `row`; unreached entries keep
-    their value."""
-    row[src] = 0
-    seen = frontier = 1 << src
+    sizes = []
     depth = 0
-    while frontier:
+    while True:
+        size = frontier.bit_count()
+        if ref is not None and ref[depth] != size:
+            return None
+        sizes.append(size)
+        if not frontier:
+            return seen, sizes
         nxt = 0
         m = frontier
-        while m:
+        while m:  # not _mask_bits: this is the pure kernel's hot path
             low = m & -m
-            nxt |= masks[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            if row is not None:
+                row[v] = depth
+            nxt |= masks[v]
             m ^= low
         frontier = nxt & ~seen
         seen |= frontier
         depth += 1
-        m = frontier
-        while m:
-            low = m & -m
-            row[low.bit_length() - 1] = depth
-            m ^= low
 
 
 # -- DGF interchange format --------------------------------------------------

@@ -99,15 +99,8 @@ class LabeledGraph:
         self.kind = kind
         self._index = {mask: i for i, mask in enumerate(label_masks)}
 
-    @property
-    def n_vertices(self) -> int:
-        return self.graph.n
-
     def label_set(self, v: int) -> frozenset[int]:
         return frozenset(_mask_bits(self.label_masks[v]))
-
-    def labels(self) -> tuple[frozenset[int], ...]:
-        return tuple(self.label_set(v) for v in range(self.graph.n))
 
     def vertex_of_mask(self, mask: int) -> int:
         """Vertex whose label equals `mask`; folds to the 0-representative."""
@@ -226,11 +219,7 @@ def intersection_array(g) -> IntersectionArray | NotDistanceRegular:
     c_vals: list[int | None] = [None] * (diam + 1)
     for i in range(diam + 1):
         for x in range(n):
-            layer = layers[x][i]
-            while layer:
-                low = layer & -layer
-                y = low.bit_length() - 1
-                layer ^= low
+            for y in _mask_bits(layers[x][i]):
                 if i > 0:
                     cnt = (out[y] & layers[x][i - 1]).bit_count()
                     if c_vals[i] is None:

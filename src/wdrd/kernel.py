@@ -46,7 +46,9 @@ def _library_path() -> Path:
 
 
 def _build(target: Path) -> None:
-    """Compile the kernel into `target`, atomically."""
+    """Compile the kernel into `target`, atomically, and delete the
+    libraries of older sources.  Unlinking a library that another process
+    has loaded is safe on POSIX."""
     target.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem,
                                suffix=".tmp")
@@ -55,6 +57,9 @@ def _build(target: Path) -> None:
         subprocess.run([*_COMPILE, "-o", tmp, str(_SOURCE)], check=True,
                        capture_output=True)
         os.replace(tmp, target)
+        for stale in target.parent.glob("_kernel-*.so"):
+            if stale != target:
+                stale.unlink(missing_ok=True)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

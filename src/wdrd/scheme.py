@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph, _bfs_reach, _rows_to_masks
+from .digraph import Digraph
 from .errors import (
     NotConnectedError,
     NotStronglyConnectedError,
@@ -285,13 +285,8 @@ def is_symmetric_scheme(s: AssociationScheme) -> bool:
 def is_primitive(s: AssociationScheme) -> bool:
     """True iff every non-diagonal relation digraph is strongly connected."""
     co = s.partition.class_of
-    full = (1 << s.n) - 1
-    for i in range(1, len(s.classes)):
-        rows = co == i
-        if (_bfs_reach(_rows_to_masks(rows), 0) != full
-                or _bfs_reach(_rows_to_masks(rows.T), 0) != full):
-            return False
-    return True
+    return all(Digraph(s.n, co == i).is_strongly_connected()
+               for i in range(1, len(s.classes)))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import (
     NotAdjacentError,
     SizeMismatchError,
 )
-from .generators import LabeledGraph
+from .generators import LabeledGraph, _subset_mask
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,7 @@ class SubsetVertex:
 
     @property
     def mask(self) -> int:
-        bits = 0
-        for x in self.members:
-            bits |= 1 << x
-        return bits
+        return _subset_mask(self.members)
 
     def __repr__(self):
         return f"SubsetVertex(m={self.m}, {{{', '.join(map(str, sorted(self.members)))}}})"

@@ -37,6 +37,10 @@ class TestGen:
         lines = labels.read_text().splitlines()
         assert lines[0] == "0 {0,1}"
         assert len(lines) == 6
+        code, out, err = invoke(capsys, "gen", "complete", "3",
+                                "--labels", str(tmp_path / "k3.labels"))
+        assert code == 2 and out == "" and "--labels" in err
+        assert not (tmp_path / "k3.labels").exists()
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "g.dgf"
@@ -138,6 +142,12 @@ class TestStructure:
                               "--sample", "10", "--seed", "5")
         assert code == 0
         assert json.loads(out)["edges_checked"] == 10
+
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_sample_below_one_is_usage_error(self, capsys, sample):
+        code, out, err = invoke(capsys, "structure", "--graph", "johnson",
+                                "4", "2", "--sample", sample)
+        assert code == 2 and out == "" and "--sample" in err
 
 
 class TestSearch:

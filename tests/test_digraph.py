@@ -150,6 +150,8 @@ class TestProperties:
         finite = ref < BIG
         assert (dist[finite] == ref[finite]).all()
         assert (dist[~finite] == INFINITY).all()
+        assert d.is_strongly_connected() == bool(finite.all())
+        assert Digraph.from_out_masks(d.out_masks) == d
 
     @given(digraphs())
     @settings(max_examples=120, deadline=None)

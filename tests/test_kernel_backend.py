@@ -73,9 +73,13 @@ def test_second_load_reuses_the_cached_library(empty_cache, monkeypatch):
         real_build(target)
 
     monkeypatch.setattr(kernel, "_build", counting_build)
+    empty_cache.mkdir()
+    stale = empty_cache / "_kernel-0000000000000000.so"
+    stale.write_bytes(b"")
     assert kernel._load() is not None
     assert kernel._load() is not None
     assert len(builds) == 1
+    assert not stale.exists()
     assert [p.name for p in empty_cache.iterdir()] == [builds[0].name]
 
 

@@ -25,7 +25,9 @@ from wdrd.digraph import Digraph
 from wdrd.errors import NotStronglyConnectedError, TensorRangeError, UnknownClassError
 from wdrd.scheme import RelationPartition
 from oracles import (
+    BIG,
     commute_by_pairs,
+    floyd_warshall,
     identities_by_einsum,
     tensor_by_loops,
     verify_by_scan,
@@ -112,6 +114,14 @@ class TestPredicates:
         assert is_primitive(scheme_of(johnson(5, 2).graph))
         # J(2e,e) distance schemes are imprimitive for e in {2, 3}
         assert not is_primitive(scheme_of(johnson(6, 3).graph))
+        for d in (cayley_cyclic(6, {1, 2}), cayley_cyclic(6, {1, 4}),
+                  johnson(4, 2).graph, johnson(5, 2).graph,
+                  johnson(6, 3).graph, complete_graph(4)):
+            s = scheme_of(d)
+            co = np.asarray(s.partition.class_of)
+            reach = all((floyd_warshall(co == i) < BIG).all()
+                        for i in range(1, len(s.classes)))
+            assert is_primitive(s) == reach
 
     def test_dual_involution_and_valency(self):
         for d in (cayley_cyclic(6, {1, 2}), cayley_cyclic(8, {1, 2, 5})):
