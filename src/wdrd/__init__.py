@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .digraph import Digraph, INFINITY, format_dgf, parse_dgf
 from .generators import (
-    CayleySpec,
     IntersectionArray,
     LabeledGraph,
     NotDistanceRegular,

@@ -6,16 +6,22 @@ full candidate check at every leaf.  `_kernel.c` implements the same
 contract in C; `wdrd.kernel` compiles and loads it when a C compiler is
 available and otherwise selects this module.
 
-Contract: `search_run(n, edges, prefix=(), prune_degree=False)` visits the
+Contract: this module is the one definition of what `wdrd.search` and
+both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
+(tests/test_kernel_backend.py checks the C side).  It holds the edge-state
+codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the counter
+keys STAT_KEYS, the leaf stages LEAF_STAGES and `check_arguments`.
+`search_run(n, edges, prefix=(), prune_degree=False)` visits the
 3^(|E| - len(prefix)) completions of `prefix` in one depth-first search,
 which tries only `prefix[depth]` at the depths below len(prefix).  It
-returns the counters of `wdrd.kernel.STAT_KEYS`, which account for every
-leaf of the branch (examined + skipped_degree = 3^(|E| - len(prefix))),
-and the surviving words in visiting order.  The kernel knows no symmetry;
+returns the counters of STAT_KEYS, which account for every leaf of the
+branch (examined + skipped_degree = 3^(|E| - len(prefix))), and the
+surviving words in visiting order.  The kernel knows no symmetry;
 `wdrd.search` applies arc reversal by choosing the prefixes.
-`check_arguments` rejects, with ValueError, what neither kernel supports:
-more than MAX_N vertices or MAX_EDGES edges, an endpoint out of range, a
-graph that is not simple, or a bad prefix.
+`check_arguments` rejects what neither kernel supports: more than
+MAX_EDGES edges (TooManyEdgesError) or MAX_N vertices (TooLargeError), and
+with ValueError no vertex, an endpoint out of range, a graph that is not
+simple, or a bad prefix.
 
 Leaf pipeline (cheapest first, the same steps in `_kernel.c`;
 `leaf_stage` runs steps 2-6 on one digraph and names the step that
@@ -63,6 +69,7 @@ when dmax + 2 fmax <= k.
 from __future__ import annotations
 
 from .digraph import _bfs
+from .errors import TooLargeError, TooManyEdgesError
 
 BACKEND = "pure"
 
@@ -71,19 +78,29 @@ BACKEND = "pure"
 MAX_N = 64
 MAX_EDGES = 39
 
-_FWD, _BWD, _DIG = 0, 1, 2
+# Edge states, in search order.
+FWD, BWD, DIG = 0, 1, 2
+# Counter keys of every search_run result, in the order of the C counters.
+STAT_KEYS = ("examined", "skipped_degree", "symmetric",
+             "not_strongly_connected", "axiom")
+# What rejects a leaf that is not symmetric, in the order of the C leaf
+# stages; None when nothing does (see `leaf_stage`).
+LEAF_STAGES = (None, "not_strongly_connected", "layers", "classes", "arcs",
+               "tensor")
 
 
 def check_arguments(n, edges, prefix):
-    """Raise ValueError unless `search_run` supports the arguments: 1..MAX_N
-    vertices, at most MAX_EDGES edges between them, a simple graph (no loop,
-    no edge given twice in either order) and at most one state 0, 1 or 2
-    per edge in `prefix`."""
+    """Raise unless `search_run` supports the arguments: at most MAX_EDGES
+    edges (TooManyEdgesError) on 1..MAX_N vertices (TooLargeError above),
+    a simple graph (no loop, no edge given twice in either order) and at
+    most one state 0, 1 or 2 per edge in `prefix`; ValueError otherwise."""
     ne = len(edges)
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"kernel supports 1..{MAX_N} vertices, got {n}")
     if ne > MAX_EDGES:
-        raise ValueError(f"kernel supports at most {MAX_EDGES} edges, got {ne}")
+        raise TooManyEdgesError(f"kernel limit: at most {MAX_EDGES} edges")
+    if n > MAX_N:
+        raise TooLargeError(f"kernel limit: at most {MAX_N} vertices")
+    if n < 1:
+        raise ValueError(f"kernel needs at least one vertex, got {n}")
     seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -95,14 +112,14 @@ def check_arguments(n, edges, prefix):
         seen.add((u, v))
     if len(prefix) > ne:
         raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
-    if any(s not in (_FWD, _BWD, _DIG) for s in prefix):
+    if any(s not in (FWD, BWD, DIG) for s in prefix):
         raise ValueError("prefix states must be 0, 1 or 2")
 
 
 def leaf_stage(n, out_m, in_m):
     """Run a digraph that is not symmetric, given by its out- and
     in-neighbour masks, through the leaf checks in pipeline order.
-    Returns the stage that rejects it, as named in `wdrd.kernel.LEAF_STAGES`,
+    Returns the stage that rejects it, as named in LEAF_STAGES,
     or None when it passes every check."""
     full = (1 << n) - 1
     dist = [[0] * n for _ in range(n)]
@@ -182,13 +199,7 @@ def search_run(n, edges, prefix=(), prune_degree=False):
     check_arguments(n, edges, prefix)
     ne = len(edges)
     np_ = len(prefix)
-    stats = {
-        "examined": 0,
-        "skipped_degree": 0,
-        "symmetric": 0,
-        "not_strongly_connected": 0,
-        "axiom": 0,
-    }
+    stats = dict.fromkeys(STAT_KEYS, 0)
     survivors: list[bytes] = []
 
     deg = [0] * n
@@ -213,11 +224,11 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         s.  Toggling the bits is safe because the graph is simple: no other
         edge owns them."""
         u, v = edges[depth]
-        if s == _BWD:
+        if s == BWD:
             u, v = v, u
         out_m[u] ^= 1 << v
         in_m[v] ^= 1 << u
-        if s == _DIG:
+        if s == DIG:
             out_m[v] ^= 1 << u
             in_m[u] ^= 1 << v
             dd[u] += d
@@ -248,20 +259,20 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         if depth < np_:  # a fixed state: pruning it cuts the whole branch
             choices, rem_leaves = prefix[depth:depth + 1], branch_leaves
         else:
-            choices, rem_leaves = (_FWD, _BWD, _DIG), 3 ** (ne - depth - 1)
+            choices, rem_leaves = (FWD, BWD, DIG), 3 ** (ne - depth - 1)
         u, v = edges[depth]
         for s in choices:
             orient(depth, s, 1)
             states[depth] = s
             if not prune_degree:
-                dfs(depth + 1, nondigon + (s != _DIG), 0, 0)
+                dfs(depth + 1, nondigon + (s != DIG), 0, 0)
             else:
                 dm = max(dmax, dd[u], dd[v])
                 fm = max(fmax, oo[u], ii[u], oo[v], ii[v])
                 if dm + 2 * fm > k:
                     stats["skipped_degree"] += rem_leaves
                 else:
-                    dfs(depth + 1, nondigon + (s != _DIG), dm, fm)
+                    dfs(depth + 1, nondigon + (s != DIG), dm, fm)
             orient(depth, s, -1)
 
     dfs(0, 0, 0, 0)

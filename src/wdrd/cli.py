@@ -20,17 +20,15 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    Purity,
-    arc_purity,
-    mu_case,
-    type_set,
-    verify_local_counts,
-    wdrd_report,
-)
+from .analysis import arc_purity, mu_case, verify_local_counts, wdrd_report
 from .canon import MAX_N, are_isomorphic
 from .digraph import Digraph, format_dgf, parse_dgf
-from .errors import WdrdError
+from .errors import (
+    BadMuSizeError,
+    MuCaseMatchError,
+    UnderlyingNotDistanceRegularError,
+    WdrdError,
+)
 from .generators import (
     LabeledGraph,
     cayley_cyclic,
@@ -40,7 +38,7 @@ from .generators import (
     johnson,
 )
 from .scheme import AssociationScheme, scheme_table
-from .search import report_to_dict, search_commutative_wdrd
+from .search import PRUNE_MODES, report_to_dict, search_commutative_wdrd
 from .structure import mu_graph_property, verify_neighbourhood_structure
 
 _EXPECT_CHECK = ("wdrd", "commutative-wdrd", "not-wdrd")
@@ -159,32 +157,40 @@ def _cmd_check(args) -> int:
 
 
 def _local_payload(d: Digraph, rep) -> dict:
-    """Eq-style local verification: per-class counting identity, purity per
-    arc type, and mu-case statistics over (2,2)-pairs."""
+    """Eq-style local verification: per-class counting identity (when the
+    underlying graph is distance-regular, else a note), purity per arc
+    type, and mu-case statistics over (2,2)-pairs, where pairs outside the
+    five-case taxonomy count as "not covered"."""
     out: dict = {}
     if not (rep.is_wdrd and isinstance(rep.scheme, AssociationScheme)):
         out["note"] = "local checks need a valid weakly distance-regular digraph"
         return out
     s = rep.scheme
     und = d.underlying_graph().distance_matrix()
-    counts = []
-    for lbl in s.classes:
-        if lbl == (0, 0):
-            continue
-        x0, y0 = s.partition.members(lbl)[0]
-        ud = int(und[x0, y0])
-        if ud in (1, 2):
-            counts.append({"class": list(lbl), "underlying_distance": ud,
-                           "ok": verify_local_counts(d, s, lbl)})
-    out["local_counts"] = counts
+    try:
+        counts = []
+        for lbl in s.classes:
+            if lbl == (0, 0):
+                continue
+            x0, y0 = s.partition.members(lbl)[0]
+            ud = int(und[x0, y0])
+            if ud in (1, 2):
+                counts.append({"class": list(lbl), "underlying_distance": ud,
+                               "ok": verify_local_counts(d, s, lbl)})
+        out["local_counts"] = counts
+    except UnderlyingNotDistanceRegularError as exc:
+        out["note"] = f"no local counts: {exc}"
     out["purity"] = [{"q": t - 1, "result": arc_purity(d, t - 1).value}
                      for t in sorted(rep.type_set)]
     mu_stats: dict[str, int] = {}
     if s.partition.classes.count((2, 2)):
         for x, y in s.partition.members((2, 2)):
             if x < y:
-                mc = mu_case(d, x, y)
-                key = f"case {mc.case} params {list(mc.params)}"
+                try:
+                    mc = mu_case(d, x, y)
+                    key = f"case {mc.case} params {list(mc.params)}"
+                except (BadMuSizeError, MuCaseMatchError):
+                    key = "not covered"
                 mu_stats[key] = mu_stats.get(key, 0) + 1
     out["mu_cases"] = dict(sorted(mu_stats.items()))
     return out
@@ -315,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "weakly distance-regular digraphs")
     p.add_argument("--graph", nargs="+", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--prune", choices=["none", "degree"], default="none")
+    p.add_argument("--prune", choices=PRUNE_MODES, default="none")
     p.add_argument("--max-edges", type=int, default=20)
     p.add_argument("--use-reversal", action="store_true")
     p.add_argument("--classes-dir",

@@ -24,18 +24,6 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class CayleySpec:
-    """Cyclic-group Cayley digraph parameters: order m, connection set s."""
-
-    m: int
-    s: frozenset[int]
-
-    def __init__(self, m: int, s: Iterable[int]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", frozenset(s))
-
-
-@dataclass(frozen=True)
 class IntersectionArray:
     """Distance-regular intersection array (b_0..b_{d-1}; c_1..c_d).
 
@@ -164,13 +152,10 @@ def _subset_mask(elems) -> int:
     return mask
 
 
-def cayley_cyclic(spec, connection: Iterable[int] | None = None) -> Digraph:
+def cayley_cyclic(m: int, connection: Iterable[int]) -> Digraph:
     """Cayley digraph on Z_m: arc x -> x+s (mod m) for each s in the
-    connection set.  Accepts a CayleySpec or (m, connection)."""
-    if isinstance(spec, CayleySpec):
-        m, conn = spec.m, spec.s
-    else:
-        m, conn = int(spec), frozenset(connection or ())
+    connection set."""
+    conn = frozenset(connection)
     if m < 2:
         raise BadParametersError(f"cyclic group order must be >= 2, got {m}")
     if not conn:
@@ -226,12 +211,11 @@ def intersection_array(g) -> IntersectionArray | NotDistanceRegular:
                         c_vals[i] = cnt
                     elif c_vals[i] != cnt:
                         return NotDistanceRegular(i, (x, y), "c", c_vals[i], cnt)
-                if i < diam + 1:
-                    cnt = (out[y] & layers[x][i + 1]).bit_count()
-                    if b_vals[i] is None:
-                        b_vals[i] = cnt
-                    elif b_vals[i] != cnt:
-                        return NotDistanceRegular(i, (x, y), "b", b_vals[i], cnt)
+                cnt = (out[y] & layers[x][i + 1]).bit_count()
+                if b_vals[i] is None:
+                    b_vals[i] = cnt
+                elif b_vals[i] != cnt:
+                    return NotDistanceRegular(i, (x, y), "b", b_vals[i], cnt)
     return IntersectionArray(b=tuple(b_vals[:diam]), c=tuple(c_vals[1:]))
 
 

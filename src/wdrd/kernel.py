@@ -9,7 +9,9 @@ compiler, when the compile fails or when the cache directory is read-only
 it falls back to the pure kernel.  Set WDRD_PURE=1 to force the fallback.
 `BACKEND` names the selected kernel.  `backends()` and `leaf_stages()`
 give every available kernel's search and its leaf check, for tests that
-compare them.
+compare them.  The contract both kernels keep (state codes, size limits,
+counter keys, leaf stages, `check_arguments`) lives in `_kernel_py` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -23,18 +25,12 @@ import tempfile
 from pathlib import Path
 
 from . import _kernel_py
-from ._kernel_py import MAX_EDGES, MAX_N
+from ._kernel_py import (BWD, DIG, FWD, LEAF_STAGES, MAX_EDGES,  # noqa: F401
+                         MAX_N, STAT_KEYS, check_arguments)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 _COMPILE = ("cc", "-O2", "-shared", "-fPIC")
-# Counter keys of every search_run result, in the order of the C counters.
-STAT_KEYS = ("examined", "skipped_degree", "symmetric",
-             "not_strongly_connected", "axiom")
-# What rejects a leaf that is not symmetric, in the order of the C leaf
-# stages; None when nothing does (see `_kernel_py.leaf_stage`).
-LEAF_STAGES = (None, "not_strongly_connected", "layers", "classes", "arcs",
-               "tensor")
 _EMIT = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_ubyte))
 _MASKS = ctypes.c_uint64 * MAX_N
 
@@ -95,7 +91,7 @@ def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
     """Compiled twin of `_kernel_py.search_run`; arguments are checked here
     because the C code trusts them."""
     edges = [(int(u), int(v)) for u, v in edges]
-    _kernel_py.check_arguments(n, edges, prefix)
+    check_arguments(n, edges, prefix)
     prefix = bytes(prefix)
     ne = len(edges)
 

@@ -14,14 +14,18 @@ changes the surviving classes; the skipped-leaf accounting keeps
 examined + skipped = 3^|E| exact.
 
 The search runs as a list of branches, each a fixed prefix of edge states
-handed to the kernel: the one branch () for a single worker, or all 3^k
-prefixes of length k under `jobs > 1`.  `use_reversal` halves the sweep by
-choosing among these prefixes (`_reversal_split`); the kernel itself knows
-no symmetry.
+handed to the kernel, all planned by `_branches`: the one branch () for a
+single worker, or the 3^k prefixes of length k under `jobs > 1`.
+`use_reversal` halves the sweep through the same planner, which drops the
+prefixes that reversal maps onto kept ones; the kernel itself knows no
+symmetry.  The state codes, kernel limits and counter keys this module
+shares with the kernels are defined once, in `_kernel_py`, and reached
+through `wdrd.kernel`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -40,8 +44,7 @@ from .errors import (
     TooManyEdgesError,
 )
 from .generators import LabeledGraph
-
-_FWD, _BWD, _DIG = 0, 1, 2
+from .kernel import BWD, DIG, FWD
 
 PRUNE_MODES = ("none", "degree")
 
@@ -91,13 +94,27 @@ def _underlying_edges(g: Digraph) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.arcs() if u < v]
 
 
+def _orientable(g, max_edges: int):
+    """The digraph of graph `g` (unwrapping a LabeledGraph) and its edges in
+    lexicographic order, at most `max_edges` of them."""
+    d = g.graph if isinstance(g, LabeledGraph) else g
+    if not d.is_symmetric():
+        raise NotSymmetricError("orientation search needs a graph")
+    edges = _underlying_edges(d)
+    if len(edges) > max_edges:
+        raise TooManyEdgesError(
+            f"{len(edges)} edges exceed the cap {max_edges}; raise max_edges "
+            "to confirm")
+    return d, edges
+
+
 def word_to_digraph(n: int, edges, word: bytes) -> Digraph:
     """Rebuild the digraph encoded by an edge-state word."""
     arcs = []
     for (u, v), s in zip(edges, word):
-        if s == _FWD:
+        if s == FWD:
             arcs.append((u, v))
-        elif s == _BWD:
+        elif s == BWD:
             arcs.append((v, u))
         else:
             arcs.append((u, v))
@@ -110,15 +127,8 @@ def enumerate_orientations(g, max_edges: int = 20):
 
     Edges are taken in lexicographic order and states cycle
     Forward -> Backward -> Digon, the last edge fastest."""
-    d = g.graph if isinstance(g, LabeledGraph) else g
-    if not d.is_symmetric():
-        raise NotSymmetricError("orientation enumeration needs a graph")
-    edges = _underlying_edges(d)
-    if len(edges) > max_edges:
-        raise TooManyEdgesError(
-            f"{len(edges)} edges exceed the cap {max_edges}; raise max_edges "
-            "to confirm")
-    for word in itertools.product((_FWD, _BWD, _DIG), repeat=len(edges)):
+    d, edges = _orientable(g, max_edges)
+    for word in itertools.product((FWD, BWD, DIG), repeat=len(edges)):
         yield word_to_digraph(d.n, edges, bytes(word))
 
 
@@ -135,29 +145,31 @@ def _branch(args):
                              prune_degree=prune_degree)
 
 
-def _reversal_split(prefixes, ne: int):
-    """Keep one word of every pair {word, reversed word}.
+def _branches(ne: int, k: int, use_reversal: bool, prefix=()):
+    """Plan the kernel branches below `prefix` over `ne` edges.
 
-    A word and its reversal first differ at the word's first non-digon
-    edge, where one is Forward and the other Backward; the kept words are
-    those whose first non-digon edge is Forward (and the all-digon word,
-    its own reversal).  A prefix whose first non-digon state is Backward is
-    dropped, one whose first is Forward kept, and an all-digon prefix of
-    length k becomes D^j F for j = k..ne-1 plus D^ne.  Returns the kept
-    prefixes in search order and the number of leaves dropped."""
-    kept, skipped = [], 0
-    for p in prefixes:
-        first = next((s for s in p if s != _DIG), _DIG)
-        if first == _FWD:
-            kept.append(p)
-        elif first == _BWD:
-            skipped += 3 ** (ne - len(p))
-        else:
-            for j in range(len(p), ne):
-                kept.append((_DIG,) * j + (_FWD,))
-                skipped += 3 ** (ne - j - 1)  # the branch D^j B
-            kept.append((_DIG,) * ne)
-    return kept, skipped
+    Without `use_reversal` these are the 3^k prefixes of length k (k <= ne)
+    in search order.  With it, one word of every pair {word, reversed word}
+    is kept: the two first differ at the word's first non-digon edge, where
+    one is Forward and the other Backward, so the kept words are those whose
+    first non-digon edge is Forward, plus the all-digon word, its own
+    reversal.  A prefix whose first non-digon state is Backward is dropped;
+    a prefix is refined over Forward, Backward, Digon while it is shorter
+    than k, or while reversal fixes it (all digons) and it is shorter than
+    ne; every other prefix is a branch.  Returns the branches in search
+    order and the number of leaves dropped."""
+    first = next((s for s in prefix if s != DIG), DIG)
+    if use_reversal and first == BWD:
+        return [], 3 ** (ne - len(prefix))
+    if len(prefix) < k or (use_reversal and first == DIG and
+                           len(prefix) < ne):
+        kept, skipped = [], 0
+        for s in (FWD, BWD, DIG):
+            more, dropped = _branches(ne, k, use_reversal, prefix + (s,))
+            kept += more
+            skipped += dropped
+        return kept, skipped
+    return [prefix], 0
 
 
 def search_commutative_wdrd(g, *, graph_id: str | None = None,
@@ -174,23 +186,13 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     deterministic merge; `use_reversal` sweeps one word of every reversal
     pair and adds the reversed survivors, so `core()` is the same as
     without it."""
-    d = g.graph if isinstance(g, LabeledGraph) else g
-    if not d.is_symmetric():
-        raise NotSymmetricError("orientation search needs a graph")
+    d, edges = _orientable(g, max_edges)
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune must be one of {PRUNE_MODES}")
     if jobs < 1:
         raise BadJobsError(f"jobs must be at least 1, got {jobs}")
-    edges = _underlying_edges(d)
     ne = len(edges)
-    if ne > max_edges:
-        raise TooManyEdgesError(
-            f"{ne} edges exceed the cap {max_edges}; raise max_edges to confirm")
-    if ne > kernel.MAX_EDGES:
-        raise TooManyEdgesError(
-            f"kernel limit: at most {kernel.MAX_EDGES} edges")
-    if d.n > kernel.MAX_N:
-        raise TooLargeError(f"kernel limit: at most {kernel.MAX_N} vertices")
+    kernel.check_arguments(d.n, edges, ())
     if d.n > CANON_MAX_N:
         # survivors are canonicalised after the sweep; fail before it
         raise TooLargeError(
@@ -206,10 +208,7 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     k = 0
     while workers > 1 and 3 ** k < 4 * workers and k < ne:
         k += 1
-    prefixes = list(itertools.product((_FWD, _BWD, _DIG), repeat=k))
-    skipped_reversal = 0
-    if use_reversal:
-        prefixes, skipped_reversal = _reversal_split(prefixes, ne)
+    prefixes, skipped_reversal = _branches(ne, k, use_reversal)
     work = [(d.n, edges, p, prune_degree) for p in prefixes]
     if workers == 1:
         results = list(map(_branch, work))
@@ -217,7 +216,7 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch, work, chunksize=1))
 
-    stats = {k: 0 for k in kernel.STAT_KEYS}
+    stats = dict.fromkeys(kernel.STAT_KEYS, 0)
     words: list[bytes] = []
     for r in results:
         for k in kernel.STAT_KEYS:
@@ -239,9 +238,7 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     iso = tuple(c for c in classes if c.commutative)
     iso_nc = tuple(c for c in classes if not c.commutative)
 
-    prune_stats = {k: stats[k] for k in
-                   ("symmetric", "not_strongly_connected", "axiom",
-                    "skipped_degree")}
+    prune_stats = {k: stats[k] for k in kernel.STAT_KEYS if k != "examined"}
     prune_stats["skipped_reversal"] = skipped_reversal
     return SearchReport(
         graph_id=graph_id,
@@ -290,7 +287,8 @@ def _dedupe(survivors) -> tuple[FoundClass, ...]:
 
 
 def report_to_dict(r: SearchReport) -> dict:
-    """Stable JSON-ready serialization of a search report."""
+    """Stable JSON-ready serialization of a search report: one key per
+    field of SearchReport."""
 
     def cls_dict(c: FoundClass) -> dict:
         return {
@@ -302,18 +300,8 @@ def report_to_dict(r: SearchReport) -> dict:
             "labelled_count": c.labelled_count,
         }
 
-    return {
-        "graph_id": r.graph_id,
-        "n": r.n,
-        "edge_count": r.edge_count,
-        "total_candidates": r.total_candidates,
-        "examined": r.examined,
-        "wdrd_count": r.wdrd_count,
-        "iso_classes": [cls_dict(c) for c in r.iso_classes],
-        "noncommutative_count": r.noncommutative_count,
-        "noncommutative_classes": [cls_dict(c) for c in r.noncommutative_classes],
-        "prune_stats": dict(sorted(r.prune_stats.items())),
-        "prune": r.prune,
-        "jobs": r.jobs,
-        "use_reversal": r.use_reversal,
-    }
+    out = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+    for key in ("iso_classes", "noncommutative_classes"):
+        out[key] = [cls_dict(c) for c in out[key]]
+    out["prune_stats"] = dict(sorted(r.prune_stats.items()))
+    return out

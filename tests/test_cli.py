@@ -85,6 +85,22 @@ class TestCheck:
         assert all(entry["ok"] for entry in doc["local"]["local_counts"])
         assert doc["local"]["purity"] == [{"q": 2, "result": "pure"}]
 
+    def test_local_block_off_a_distance_regular_underlying_graph(
+            self, tmp_path, capsys):
+        """Cay(Z8,{1,2}) is a commutative WDRD whose underlying graph is not
+        distance-regular and whose (2,2)-pairs have two common neighbours."""
+        target = tmp_path / "c812.dgf"
+        invoke(capsys, "gen", "cayley", "8", "1,2", "--out", str(target))
+        code, out, _ = invoke(capsys, "check", str(target), "--local",
+                              "--expect", "commutative-wdrd")
+        assert code == 0
+        local = json.loads(out)["local"]
+        assert "local_counts" not in local
+        assert "not distance-regular" in local["note"]
+        assert local["mu_cases"] == {"not covered": 4}
+        assert local["purity"] == [{"q": 3, "result": "pure"},
+                                   {"q": 4, "result": "mixed"}]
+
     def test_byte_stable(self, tmp_path, capsys):
         target = tmp_path / "c12.dgf"
         invoke(capsys, "gen", "cayley", "6", "1,2", "--out", str(target))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wdrd import (
-    CayleySpec,
     IntersectionArray,
     NotDistanceRegular,
     are_isomorphic,
@@ -89,9 +88,6 @@ class TestCayley:
     def test_symmetric_four_cycle(self):
         d = cayley_cyclic(4, {1, 3})
         assert d.is_symmetric() and d.arc_count == 8
-
-    def test_cayley_spec_object(self):
-        assert cayley_cyclic(CayleySpec(6, {1, 4})) == cayley_cyclic(6, {1, 4})
 
     def test_vertex_transitive_degrees(self):
         d = cayley_cyclic(9, {1, 3, 7})

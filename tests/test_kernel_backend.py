@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from wdrd import _kernel_py, kernel
+from wdrd.errors import TooLargeError, TooManyEdgesError
 
 SRC = Path(kernel.__file__).resolve().parents[1]
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -92,6 +93,24 @@ def test_c_counters_are_the_stat_keys():
     assert names == [key.upper() for key in kernel.STAT_KEYS] + [""]
 
 
+def test_c_limits_are_the_kernel_limits():
+    source = kernel._SOURCE.read_text()
+    limits = dict(re.findall(r"#define (MAXN|MAXE) (\d+)", source))
+    assert limits == {"MAXN": str(kernel.MAX_N),
+                      "MAXE": str(kernel.MAX_EDGES)}
+
+
+def test_c_leaf_stages_are_the_leaf_stages():
+    """wdrd_leaf_stage returns an index into LEAF_STAGES."""
+    enum = re.search(r"enum\s*\{\s*(PASS\b[^}]*)\}",
+                     kernel._SOURCE.read_text())
+    assert enum is not None
+    names = [name.strip().lower() for name in enum.group(1).split(",")]
+    c_name = {"pass": None, "not_strong": "not_strongly_connected"}
+    assert [c_name.get(name, name) for name in names] == \
+        list(kernel.LEAF_STAGES)
+
+
 BAD_ARGUMENTS = {
     "no vertices": (0, []),
     "65 vertices": (65, []),
@@ -130,6 +149,16 @@ def test_bad_leaf_stage_arguments_are_rejected_before_the_c_call(args):
 def test_pure_kernel_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
         _kernel_py.search_run(*args)
+
+
+@pytest.mark.parametrize("case,error", [("65 vertices", TooLargeError),
+                                        ("40 edges", TooManyEdgesError)])
+def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
+    args = BAD_ARGUMENTS[case]
+    with pytest.raises(error, match="kernel limit"):
+        _kernel_py.search_run(*args)
+    with pytest.raises(error, match="kernel limit"):
+        kernel._run_compiled(NoLibrary(), *args)
 
 
 # Runs the parity cases through a kernel library built elsewhere, given as

@@ -39,11 +39,9 @@ BRANCHES = [
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("reversal", [False, True])
 def test_full_runs_agree(compiled, n, edges, prune, reversal):
-    """With `reversal`, on every branch of the reversal split, which runs
+    """With `reversal`, on every branch of the reversal plan, which runs
     prefixes up to the full word length."""
-    prefixes = [()]
-    if reversal:
-        prefixes, _ = search._reversal_split(prefixes, len(edges))
+    prefixes, _ = search._branches(len(edges), 0, reversal)
     for prefix in prefixes:
         a = _kernel_py.search_run(n, edges, prefix=prefix, prune_degree=prune)
         b = compiled(n, edges, prefix=prefix, prune_degree=prune)

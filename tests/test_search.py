@@ -151,8 +151,7 @@ class TestReversal:
     @pytest.mark.parametrize("ne,k", [(ne, k) for ne in range(5)
                                       for k in range(min(ne, 2) + 1)])
     def test_split_keeps_one_word_of_each_pair(self, ne, k):
-        prefixes = list(itertools.product((0, 1, 2), repeat=k))
-        kept, skipped = search._reversal_split(prefixes, ne)
+        kept, skipped = search._branches(ne, k, True)
         words = list(self.words(kept, ne))
         assert len(words) + skipped == 3 ** ne
         flip = {0: 1, 1: 0, 2: 2}
@@ -162,6 +161,12 @@ class TestReversal:
             set(itertools.product((0, 1, 2), repeat=ne))
         # the kept words come in the order of the unsplit search
         assert words == sorted(words)
+
+    @pytest.mark.parametrize("ne,k", [(ne, k) for ne in range(6)
+                                      for k in range(ne + 1)])
+    def test_without_reversal_the_plan_is_every_prefix(self, ne, k):
+        assert search._branches(ne, k, False) == \
+            (list(itertools.product((0, 1, 2), repeat=k)), 0)
 
     @pytest.mark.parametrize("graph,prune", [
         (complete_graph(3), "none"), (c4(), "none"), (johnson(4, 2), "degree"),
