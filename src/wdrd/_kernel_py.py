@@ -71,8 +71,6 @@ from __future__ import annotations
 from .digraph import _bfs
 from .errors import TooLargeError, TooManyEdgesError
 
-BACKEND = "pure"
-
 # Size limits of both kernels: one 64-bit adjacency mask per vertex in C,
 # and 3^|E| must fit in a signed 64-bit counter.
 MAX_N = 64

@@ -54,23 +54,28 @@ class WdrdReport:
 
 def wdrd_report(d: Digraph) -> WdrdReport:
     """Full weak distance-regularity report; never raises on bad candidates."""
-    sc = d.is_strongly_connected()
     non_symmetric = not d.is_symmetric()
-    if not sc:
+    try:
+        part = attached_partition(d)
+    except NotStronglyConnectedError:
         return WdrdReport(False, None, non_symmetric, False, False, None)
-    scheme = verify_association_scheme(attached_partition(d))
+    scheme = verify_association_scheme(part)
     valid = isinstance(scheme, AssociationScheme)
     is_wdrd = valid and non_symmetric
     commutative = bool(is_wdrd and is_commutative(scheme))
     return WdrdReport(True, scheme, non_symmetric, is_wdrd, commutative,
-                      type_set(d))
+                      _arc_types(part.classes))
 
 
 def type_set(d: Digraph) -> frozenset[int]:
-    """{q+1 : some arc has two-way distance (1, q)}."""
-    if not d.is_strongly_connected():
-        raise NotStronglyConnectedError("type set requires strong connectivity")
-    return frozenset(q + 1 for f, q in d.two_way_distance_set() if f == 1)
+    """{q+1 : some arc has two-way distance (1, q)}; NotStronglyConnectedError
+    unless `d` is strongly connected."""
+    return _arc_types(attached_partition(d).classes)
+
+
+def _arc_types(labels) -> frozenset[int]:
+    """The type set read off the two-way distance labels of a digraph."""
+    return frozenset(q + 1 for f, q in labels if f == 1)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ from .errors import (
 # length; kept out of every serialized format.
 INFINITY = 2**31 - 1
 
-# Largest vertex count `parse_dgf` accepts.  A digraph holds dense n x n
-# matrices (the distance matrix alone is 8 n^2 bytes, 128 MB here), so a
-# larger header is refused before anything is allocated.
+# Largest vertex count `parse_dgf` and the generators accept.  A digraph
+# holds dense n x n matrices (the distance matrix alone is 8 n^2 bytes,
+# 128 MB here), so a larger graph is refused before anything is allocated.
 DGF_MAX_N = 4096
 
 

@@ -8,6 +8,7 @@ arrays (`predicted_array`).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -15,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, _mask_bits
+from .digraph import DGF_MAX_N, Digraph, _mask_bits
 from .errors import (
     BadParametersError,
     NotConnectedError,
@@ -105,6 +106,16 @@ class LabeledGraph:
         return f"LabeledGraph({name}, n={self.graph.n})"
 
 
+def _check_size(name: str, m: int, k: int = 1) -> None:
+    """Refuse a graph on the C(m, k) k-subsets of an m-set (m vertices for
+    k = 1) when that is more than DGF_MAX_N, before any vertex is
+    enumerated or any n x n array allocated.  C(m, k) >= m for 0 < k < m,
+    so a large m is refused without expanding the binomial."""
+    if m > DGF_MAX_N or math.comb(m, k) > DGF_MAX_N:
+        raise BadParametersError(
+            f"{name} has more vertices than the limit {DGF_MAX_N}")
+
+
 def _adjacency_from_masks(masks, want: frozenset[int]) -> np.ndarray:
     nv = len(masks)
     adj = np.zeros((nv, nv), dtype=bool)
@@ -121,6 +132,7 @@ def johnson(n: int, e: int) -> LabeledGraph:
     intersection has e-1 points.  Requires n >= 2e and e >= 1."""
     if e < 1 or n < 2 * e:
         raise BadParametersError(f"johnson requires n >= 2e and e >= 1, got ({n}, {e})")
+    _check_size(f"J({n},{e})", n, e)
     if e == 1:
         warnings.warn("J(n,1) is a clique", stacklevel=2)
     masks = tuple(sorted(_subset_mask(c) for c in combinations(range(n), e)))
@@ -136,6 +148,7 @@ def folded_johnson(e: int) -> LabeledGraph:
     points.  Requires e >= 2 (a clique for e <= 3)."""
     if e < 2:
         raise BadParametersError(f"folded johnson requires e >= 2, got {e}")
+    _check_size(f"folded-J({2 * e},{e})", 2 * e - 1, e - 1)
     if e <= 3:
         warnings.warn("folded Johnson graph with e <= 3 is a clique", stacklevel=2)
     m = 2 * e
@@ -158,6 +171,7 @@ def cayley_cyclic(m: int, connection: Iterable[int]) -> Digraph:
     conn = frozenset(connection)
     if m < 2:
         raise BadParametersError(f"cyclic group order must be >= 2, got {m}")
+    _check_size(f"Cay(Z{m})", m)
     if not conn:
         raise BadParametersError("connection set must be nonempty")
     for s in conn:
@@ -174,6 +188,7 @@ def complete_graph(n: int) -> Digraph:
     """Complete graph K_n as a symmetric digraph."""
     if n < 1:
         raise BadParametersError(f"complete graph needs n >= 1, got {n}")
+    _check_size(f"K{n}", n)
     adj = ~np.eye(n, dtype=bool)
     return Digraph(n, adj)
 

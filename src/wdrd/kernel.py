@@ -4,14 +4,14 @@ The kernel exists twice: `_kernel_py.search_run`, the pure-Python reference,
 and `_kernel.c`, the same search in plain C.  On import this module
 compiles `_kernel.c` with the system C compiler, caches the shared library
 in the package's `__pycache__` under a name keyed by the SHA-256 of the
-source and the compile command, and loads it with ctypes.  Without a
-compiler, when the compile fails or when the cache directory is read-only
-it falls back to the pure kernel.  Set WDRD_PURE=1 to force the fallback.
-`BACKEND` names the selected kernel.  `backends()` and `leaf_stages()`
-give every available kernel's search and its leaf check, for tests that
-compare them.  The contract both kernels keep (state codes, size limits,
-counter keys, leaf stages, `check_arguments`) lives in `_kernel_py` and is
-re-exported here.
+source and the compile command, and loads it with ctypes.  With no library
+cached it falls back to the pure kernel when there is no compiler, when
+the compile fails or when the cache directory is read-only; nothing else
+picks the kernel.  `BACKEND` names the selected kernel and `search_run` is
+its search.  `backends()` and `leaf_stages()` give every available
+kernel's search and its leaf check, for tests that compare them.  The
+contract both kernels keep (state codes, size limits, counter keys, leaf
+stages, `check_arguments`) lives in `_kernel_py` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -123,17 +123,6 @@ def _leaf_stage_compiled(lib, n, out_masks, in_masks):
     return LEAF_STAGES[stage]
 
 
-def _select():
-    """(name, search_run) of the kernel this process uses."""
-    lib = None if os.environ.get("WDRD_PURE") else _compiled()
-    if lib is None:
-        return _kernel_py.BACKEND, _kernel_py.search_run
-    return "compiled", functools.partial(_run_compiled, lib)
-
-
-BACKEND, search_run = _select()
-
-
 def backends():
     """All available kernel backends, name -> search_run."""
     found = {"pure": _kernel_py.search_run}
@@ -150,3 +139,7 @@ def leaf_stages():
     if lib is not None:
         found["compiled"] = functools.partial(_leaf_stage_compiled, lib)
     return found
+
+
+BACKEND = "pure" if _compiled() is None else "compiled"
+search_run = backends()[BACKEND]

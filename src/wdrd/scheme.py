@@ -59,7 +59,7 @@ class RelationPartition:
     def __init__(self, n: int, classes: Sequence[Label], class_of: np.ndarray):
         self.n = n
         self.classes = tuple(classes)
-        class_of = np.ascontiguousarray(class_of, dtype=np.int16)
+        class_of = np.ascontiguousarray(class_of, dtype=np.int32)
         class_of.setflags(write=False)
         self.class_of = class_of
 

@@ -67,6 +67,14 @@ class TestWdrdReport:
         assert not rep.strongly_connected and rep.scheme is None
         assert not rep.is_wdrd and rep.type_set is None
 
+    def test_strong_connectivity_checked_once(self, cay12, monkeypatch):
+        calls = []
+        real = Digraph.is_strongly_connected
+        monkeypatch.setattr(Digraph, "is_strongly_connected",
+                            lambda d: calls.append(d) or real(d))
+        assert wdrd_report(cay12).type_set == {3, 4}
+        assert len(calls) == 1
+
 
 class TestTypeSet:
     def test_values(self, cay14, cay12):

@@ -7,6 +7,7 @@ import pytest
 from wdrd import Digraph, kernel
 from wdrd.cli import run
 from wdrd.digraph import DGF_MAX_N, format_dgf
+from test_scheme import wide_digraph
 from test_search import fake_sweep_with_digon_survivor
 
 
@@ -28,6 +29,11 @@ class TestGen:
         code, _, err = invoke(capsys, "gen", "johnson", "3", "2")
         assert code == 2
         assert "n >= 2e" in err
+
+    def test_oversize_generator_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "gen", "johnson", "24", "12")
+        assert code == 2 and out == ""
+        assert "J(24,12) has more vertices than the limit 4096" in err
 
     def test_labels_side_file(self, tmp_path, capsys):
         labels = tmp_path / "j.labels"
@@ -131,6 +137,16 @@ class TestScheme:
     def test_invalid_exit_one(self, tmp_path, capsys):
         target = tmp_path / "bad.dgf"
         target.write_text("n 3\n0 1\n1 0\n1 2\n2 0\n")
+        code, out, _ = invoke(capsys, "scheme", str(target))
+        assert code == 1
+        doc = json.loads(out)
+        assert not doc["valid"] and doc["axiom"] == 4
+
+    def test_more_classes_than_int16_ids_hold(self, tmp_path, capsys):
+        """36,315 two-way distance classes: the ids must not wrap, so the
+        axiom check runs and reports its witness."""
+        target = tmp_path / "wide.dgf"
+        target.write_text(format_dgf(wide_digraph()))
         code, out, _ = invoke(capsys, "scheme", str(target))
         assert code == 1
         doc = json.loads(out)

@@ -12,7 +12,7 @@ from wdrd import (
     johnson,
     predicted_array,
 )
-from wdrd.digraph import Digraph
+from wdrd.digraph import DGF_MAX_N, Digraph
 from wdrd.errors import BadParametersError, NotConnectedError, NotSymmetricError
 
 
@@ -207,3 +207,26 @@ def test_complete_graph():
     assert k4.is_symmetric() and k4.arc_count == 12
     with pytest.raises(BadParametersError):
         complete_graph(0)
+
+
+OVERSIZE = {
+    "J(15,7)": lambda: johnson(15, 7),
+    "J(4097,1)": lambda: johnson(DGF_MAX_N + 1, 1),
+    "J(10^7,5*10^6)": lambda: johnson(10 ** 7, 5 * 10 ** 6),
+    "folded-J(16,8)": lambda: folded_johnson(8),
+    "Cay(Z4097)": lambda: cayley_cyclic(DGF_MAX_N + 1, {1}),
+    "K4097": lambda: complete_graph(DGF_MAX_N + 1),
+}
+
+
+@pytest.mark.parametrize("make", OVERSIZE.values(), ids=OVERSIZE)
+def test_generators_refuse_more_vertices_than_the_limit(make):
+    """Each case but the huge Johnson graph is just above DGF_MAX_N
+    vertices (J(15,7) and folded-J(16,8) have 6,435).  All fail before
+    enumerating a vertex, the huge one without computing its binomial."""
+    with pytest.raises(BadParametersError, match="more vertices than the limit"):
+        make()
+
+
+def test_generators_accept_the_vertex_limit():
+    assert complete_graph(DGF_MAX_N).n == DGF_MAX_N

@@ -18,12 +18,11 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no C compiler on PATH")
 
 
-def backend_in_subprocess(**env):
-    full = {k: v for k, v in os.environ.items() if k != "WDRD_PURE"}
-    full.update(PYTHONPATH=str(SRC), **env)
+def backend_in_subprocess():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", "import wdrd.kernel as k; print(k.BACKEND)"],
-        env=full, capture_output=True, text=True, check=True, timeout=120)
+        env=env, capture_output=True, text=True, check=True, timeout=120)
     return out.stdout.strip()
 
 
@@ -37,10 +36,6 @@ def empty_cache(tmp_path, monkeypatch):
     kernel._compiled.cache_clear()
 
 
-def test_wdrd_pure_forces_pure_backend():
-    assert backend_in_subprocess(WDRD_PURE="1") == "pure"
-
-
 @needs_cc
 def test_compiled_backend_is_the_default():
     assert backend_in_subprocess() == "compiled"
@@ -51,8 +46,7 @@ def test_compile_failure_falls_back_to_pure(empty_cache, monkeypatch):
         raise subprocess.CalledProcessError(1, "cc")
 
     monkeypatch.setattr(kernel, "_build", failing_build)
-    assert kernel._select() == ("pure", _kernel_py.search_run)
-    assert "compiled" not in kernel.backends()
+    assert kernel.backends() == {"pure": _kernel_py.search_run}
 
 
 def test_unwritable_cache_falls_back_to_pure(tmp_path, empty_cache,
@@ -61,7 +55,18 @@ def test_unwritable_cache_falls_back_to_pure(tmp_path, empty_cache,
     blocker.write_text("")
     monkeypatch.setattr(kernel, "_CACHE", blocker / "cache")
     assert kernel._load() is None
-    assert kernel._select() == ("pure", _kernel_py.search_run)
+    assert kernel.backends() == {"pure": _kernel_py.search_run}
+
+
+def test_missing_compiler_falls_back_to_pure(empty_cache, monkeypatch):
+    """The fallback a machine without `cc` gets: the compile cannot start,
+    only the pure kernel is listed and the cache is left without a file."""
+    monkeypatch.setattr(kernel, "_COMPILE",
+                        (str(empty_cache.parent / "no-such-cc"),
+                         *kernel._COMPILE[1:]))
+    assert kernel._load() is None
+    assert kernel.backends() == {"pure": _kernel_py.search_run}
+    assert list(empty_cache.iterdir()) == []
 
 
 @needs_cc
@@ -189,8 +194,8 @@ def test_compiled_kernel_runs_clean_under_ubsan(tmp_path):
                     "-fno-sanitize-recover=all", "-shared", "-fPIC", "-o",
                     str(lib), str(kernel._SOURCE)], check=True,
                    capture_output=True)
-    env = {k: v for k, v in os.environ.items() if k != "WDRD_PURE"}
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(Path(__file__).parent)])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), str(Path(__file__).parent)]))
     out = subprocess.run([sys.executable, "-c", PARITY_SCRIPT, str(lib)],
                          env=env, capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr

@@ -7,7 +7,9 @@ import pytest
 
 from wdrd import _kernel_py
 from wdrd import kernel, search
-from wdrd.generators import complete_graph, johnson
+from wdrd.digraph import Digraph
+from wdrd.generators import cayley_cyclic, complete_graph, johnson
+from wdrd.search import report_to_dict, search_commutative_wdrd
 
 
 def edges_of(n, rnd, p=0.5):
@@ -94,3 +96,40 @@ def test_selected_backend_exposed():
     assert kernel.BACKEND in ("pure", "compiled")
     names = kernel.backends()
     assert "pure" in names
+
+
+# name -> (graph, prune) of the search-level parity runs
+SEARCHES = {
+    "K3": (complete_graph(3), "none"),
+    "C4": (cayley_cyclic(4, {1, 3}), "none"),
+    "P3": (Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 1)]), "none"),
+    "K5": (complete_graph(5), "degree"),
+    "J(4,2)": (johnson(4, 2), "degree"),
+    "Cay(Z6,{1,2,4,5})": (cayley_cyclic(6, {1, 2, 4, 5}), "degree"),
+}
+
+
+def search_with(monkeypatch, run, name, jobs, reversal):
+    graph, prune = SEARCHES[name]
+    monkeypatch.setattr(kernel, "search_run", run)
+    return report_to_dict(search_commutative_wdrd(
+        graph, graph_id=name, prune=prune, jobs=jobs, use_reversal=reversal))
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request):
+    """search_run of each kernel; the compiled one skips without cc."""
+    if request.param == "pure":
+        return _kernel_py.search_run
+    return request.getfixturevalue("compiled")
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+@pytest.mark.parametrize("reversal", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_reports_agree(monkeypatch, backend, name, reversal, jobs):
+    """The whole search, pool and merge included, reports the same on
+    every kernel and worker count as the pure kernel in one process."""
+    want = search_with(monkeypatch, _kernel_py.search_run, name, 1, reversal)
+    got = search_with(monkeypatch, backend, name, jobs, reversal)
+    assert got == {**want, "jobs": jobs}

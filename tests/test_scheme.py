@@ -40,6 +40,13 @@ def scheme_of(d):
     return s
 
 
+def wide_digraph() -> Digraph:
+    """The path 0 -> 1 -> ... -> 269 closed by the arcs 269 -> v, v < 268:
+    36,315 two-way distance classes, more than int16 ids can hold."""
+    arcs = [(i, i + 1) for i in range(269)] + [(269, v) for v in range(268)]
+    return Digraph.from_arcs(270, arcs)
+
+
 class TestAttachedPartition:
     def test_cay14_classes(self):
         part = attached_partition(cayley_cyclic(6, {1, 4}))
@@ -54,6 +61,12 @@ class TestAttachedPartition:
     def test_requires_strong_connectivity(self):
         with pytest.raises(NotStronglyConnectedError):
             attached_partition(Digraph.from_arcs(2, [(0, 1)]))
+
+    def test_class_ids_do_not_wrap(self):
+        part = attached_partition(wide_digraph())
+        assert len(part.classes) == 36315
+        assert part.class_of.min() == 0
+        assert part.class_of.max() == len(part.classes) - 1
 
     def test_symmetric_graph_gives_distance_partition(self):
         g = johnson(5, 2).graph
