@@ -26,7 +26,13 @@
    tensor check would reject, and counts as AXIOM like them.
 
    Limits: n <= 64 vertices (one 64-bit adjacency mask per vertex) and 39
-   edges (3^|E| must fit in a signed 64-bit counter). */
+   edges (3^|E| must fit in a signed 64-bit counter).
+
+   Thread safety: the file has no mutable static data.  Each call keeps
+   all of its state in its own calloc'd Ctx and writes only there and to
+   the caller's stats array and emit callback, so calls on different
+   arguments may run at once; `wdrd.search` runs the branches of one
+   search concurrently from threads. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -71,8 +77,16 @@ typedef struct {
     int touched[MAXN];
     int ref_arcs[MAXN];               /* -1 until the class has a reference */
     int ref_nnz[MAXN];                /* -1 until the class has a reference */
-    int refs[MAXN * MAXN * MAXN];     /* per class: dense c x c tally */
+    int refs[];                       /* per class: dense c x c tally; n^3
+                                         entries, as every class occurs in
+                                         row 0 and so c <= n */
 } Ctx;
+
+/* A zeroed Ctx with room for the tallies of n vertices, or NULL. */
+static Ctx *ctx_new(int n)
+{
+    return calloc(1, sizeof(Ctx) + sizeof(int) * n * n * n);
+}
 
 /* Breadth-first search from src over masks.  Writes the distance of each
    reached vertex into row (unless NULL) and the size of each distance layer
@@ -314,7 +328,7 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
                     const unsigned char *prefix, int prune_degree,
                     i64 *stats, emit_fn emit)
 {
-    Ctx *c = calloc(1, sizeof *c);
+    Ctx *c = ctx_new(n);
     int deg[MAXN] = {0}, regular = 1;
     if (!c)
         return -1;
@@ -348,7 +362,7 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
    out_m and in_m, as in leaf_stage(), or -1 when out of memory. */
 int wdrd_leaf_stage(int n, const u64 *out_m, const u64 *in_m)
 {
-    Ctx *c = calloc(1, sizeof *c);
+    Ctx *c = ctx_new(n);
     int stage;
     if (!c)
         return -1;

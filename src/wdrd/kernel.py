@@ -4,14 +4,16 @@ The kernel exists twice: `_kernel_py.search_run`, the pure-Python reference,
 and `_kernel.c`, the same search in plain C.  On import this module
 compiles `_kernel.c` with the system C compiler, caches the shared library
 in the package's `__pycache__` under a name keyed by the SHA-256 of the
-source and the compile command, and loads it with ctypes.  With no library
-cached it falls back to the pure kernel when there is no compiler, when
-the compile fails or when the cache directory is read-only; nothing else
-picks the kernel.  `BACKEND` names the selected kernel and `search_run` is
-its search.  `backends()` and `leaf_stages()` give every available
-kernel's search and its leaf check, for tests that compare them.  The
-contract both kernels keep (state codes, size limits, counter keys, leaf
-stages, `check_arguments`) lives in `_kernel_py` and is re-exported here.
+source and the compile command, and loads it with ctypes, which releases
+the GIL for the length of each kernel call; `wdrd.search` relies on that to
+run the compiled kernel's branches on threads.  With no library cached it
+falls back to the pure kernel when there is no compiler, when the compile
+fails or when the cache directory is read-only; nothing else picks the
+kernel.  `BACKEND` names the selected kernel and `search_run` is its
+search.  `backends()` and `leaf_stages()` give every available kernel's
+search and its leaf check, for tests that compare them.  The contract both
+kernels keep (state codes, size limits, counter keys, leaf stages,
+`check_arguments`) lives in `_kernel_py` and is re-exported here.
 """
 
 from __future__ import annotations

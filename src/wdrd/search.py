@@ -15,7 +15,10 @@ examined + skipped = 3^|E| exact.
 
 The search runs as a list of branches, each a fixed prefix of edge states
 handed to the kernel, all planned by `_branches`: the one branch () for a
-single worker, or the 3^k prefixes of length k under `jobs > 1`.
+single worker, or the 3^k prefixes of length k under `jobs > 1`.  Several
+workers run the branches on threads over the compiled kernel, whose ctypes
+call releases the GIL and keeps all state per call, and on processes over
+the pure kernel, which holds the GIL.
 `use_reversal` halves the sweep through the same planner, which drops the
 prefixes that reversal maps onto kept ones; the kernel itself knows no
 symmetry.  The state codes, kernel limits and counter keys this module
@@ -28,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import kernel
@@ -182,10 +185,10 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     Returns the deduplicated isomorphism classes (re-verified after the
     kernel pass, noncommutative ones apart) plus rejection statistics.
     `prune="degree"` enables the sound valency prune; `jobs > 1` splits the
-    edge-state space by fixed prefixes across processes with a
-    deterministic merge; `use_reversal` sweeps one word of every reversal
-    pair and adds the reversed survivors, so `core()` is the same as
-    without it."""
+    edge-state space by fixed prefixes, run on threads over the compiled
+    kernel and on processes over the pure one, with a deterministic merge;
+    `use_reversal` sweeps one word of every reversal pair and adds the
+    reversed survivors, so `core()` is the same as without it."""
     d, edges = _orientable(g, max_edges)
     if prune not in PRUNE_MODES:
         raise ValueError(f"prune must be one of {PRUNE_MODES}")
@@ -202,18 +205,20 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     prune_degree = prune == "degree"
 
     # More workers than usable CPUs only adds start-up cost; the report
-    # still records the requested `jobs`.  A pool gets at least four
-    # branches per worker.
+    # still records the requested `jobs`.  A pool gets at least eight
+    # branches per worker, which keeps the last branches short.
     workers = min(jobs, _usable_cpus())
     k = 0
-    while workers > 1 and 3 ** k < 4 * workers and k < ne:
+    while workers > 1 and 3 ** k < 8 * workers and k < ne:
         k += 1
     prefixes, skipped_reversal = _branches(ne, k, use_reversal)
     work = [(d.n, edges, p, prune_degree) for p in prefixes]
     if workers == 1:
         results = list(map(_branch, work))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        executor = (ThreadPoolExecutor if kernel.BACKEND == "compiled"
+                    else ProcessPoolExecutor)
+        with executor(max_workers=workers) as pool:
             results = list(pool.map(_branch, work, chunksize=1))
 
     stats = dict.fromkeys(kernel.STAT_KEYS, 0)

@@ -166,12 +166,15 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
         kernel._run_compiled(NoLibrary(), *args)
 
 
-# Runs the parity cases through a kernel library built elsewhere, given as
-# argv[1], and compares it with the pure kernel.
+# Runs the parity cases, the largest leaves and the threaded runs through a
+# kernel library built elsewhere, given as argv[1], and compares it with the
+# pure kernel.
 PARITY_SCRIPT = """
+import functools
 import sys
 from pathlib import Path
-from test_kernel_parity import BRANCHES, CASES
+from test_kernel_leaves import LEAVES
+from test_kernel_parity import BRANCHES, CASES, check_threaded_runs
 from wdrd import _kernel_py, kernel
 
 kernel._library_path = lambda: Path(sys.argv[1])
@@ -182,7 +185,19 @@ for n, edges, *prefix in CASES + BRANCHES:
         want = _kernel_py.search_run(n, edges, *prefix, prune_degree=prune)
         got = kernel._run_compiled(lib, n, edges, *prefix, prune_degree=prune)
         assert got == want, (n, edges, prefix, prune)
+for name, (n, out_m, in_m) in LEAVES.items():
+    want = _kernel_py.leaf_stage(n, out_m, in_m)
+    assert kernel._leaf_stage_compiled(lib, n, out_m, in_m) == want, name
+check_threaded_runs(functools.partial(kernel._run_compiled, lib))
 """
+
+
+def run_parity_script(lib, **env):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), str(Path(__file__).parent)]), **env)
+    return subprocess.run([sys.executable, "-c", PARITY_SCRIPT, str(lib)],
+                          env=env, capture_output=True, text=True,
+                          timeout=600)
 
 
 @needs_cc
@@ -194,8 +209,24 @@ def test_compiled_kernel_runs_clean_under_ubsan(tmp_path):
                     "-fno-sanitize-recover=all", "-shared", "-fPIC", "-o",
                     str(lib), str(kernel._SOURCE)], check=True,
                    capture_output=True)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), str(Path(__file__).parent)]))
-    out = subprocess.run([sys.executable, "-c", PARITY_SCRIPT, str(lib)],
-                         env=env, capture_output=True, text=True, timeout=600)
+    out = run_parity_script(lib)
+    assert out.returncode == 0, out.stderr
+
+
+@needs_cc
+def test_compiled_kernel_runs_clean_under_asan(tmp_path):
+    """An out-of-bounds access, such as a tally past the n-sized scratch,
+    aborts the subprocess.  The Python interpreter is not built with the
+    sanitizer, so its runtime is preloaded."""
+    runtime = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("no AddressSanitizer runtime")
+    lib = tmp_path / "_kernel_asan.so"
+    subprocess.run(["cc", "-O1", "-fsanitize=address",
+                    "-fno-omit-frame-pointer", "-shared", "-fPIC", "-o",
+                    str(lib), str(kernel._SOURCE)], check=True,
+                   capture_output=True)
+    out = run_parity_script(lib, LD_PRELOAD=runtime,
+                            ASAN_OPTIONS="detect_leaks=0")
     assert out.returncode == 0, out.stderr

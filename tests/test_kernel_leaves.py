@@ -61,6 +61,14 @@ PRUNED = {
     "K6 001122001": BRANCHES["K6 degree 001122001"][:3],
 }
 
+# name -> (n, out-masks, in-masks) of single leaves; on the directed
+# 64-cycle every pair is its own class, so nc = n = 64 and the intersection
+# tensor fills all 64^3 entries of the kernels' scratch
+LEAVES = {
+    "directed 64-cycle": (64, [1 << (v + 1) % 64 for v in range(64)],
+                          [1 << (v - 1) % 64 for v in range(64)]),
+}
+
 
 @functools.cache
 def leaves(name):
@@ -117,6 +125,13 @@ def test_each_leaf_fails_at_its_first_violated_condition(backend, name):
     expected = expected_stages(name)
     assert [stage(n, out_m, in_m) for out_m, in_m, _ in expected] == \
         [want for *_, want in expected]
+
+
+@pytest.mark.parametrize("name", LEAVES)
+def test_largest_leaves_agree_with_the_pure_kernel(compiled, name):
+    n, out_m, in_m = LEAVES[name]
+    assert kernel.leaf_stages()["compiled"](n, out_m, in_m) == \
+        _kernel_py.leaf_stage(n, out_m, in_m)
 
 
 def test_the_branches_reach_every_stage():

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -35,6 +37,27 @@ BRANCHES = [
     (6, search._underlying_edges(complete_graph(6)),
      (0, 0, 1, 1, 2, 2, 0, 0, 1)),
 ]
+
+# The nine length-2 prefix branches of J(4,2), run at once on threads.
+THREADED = [(6, search._underlying_edges(johnson(4, 2).graph), prefix)
+            for prefix in itertools.product((0, 1, 2), repeat=2)]
+
+
+def check_threaded_runs(run, rounds=4, threads=4):
+    """Run every THREADED branch `rounds` times on `threads` threads, with
+    a short thread switch interval, and check each result, stats and
+    survivor words, against a serial run."""
+    serial = [run(n, edges, prefix=prefix) for n, edges, prefix in THREADED]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            got = list(pool.map(lambda case: run(case[0], case[1],
+                                                 prefix=case[2]),
+                                THREADED * rounds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial * rounds
 
 
 @pytest.mark.parametrize("n,edges", CASES)
@@ -90,6 +113,12 @@ def test_random_graphs_agree(compiled):
             a = _kernel_py.search_run(n, edges, prune_degree=prune)
             b = compiled(n, edges, prune_degree=prune)
             assert a == b
+
+
+def test_compiled_kernel_runs_concurrently_on_threads(compiled):
+    """The C kernel keeps all state per call, so `wdrd.search` may run its
+    branches on threads."""
+    check_threaded_runs(compiled)
 
 
 def test_selected_backend_exposed():

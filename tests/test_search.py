@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import multiprocessing
 
 import pytest
 
@@ -244,13 +245,31 @@ class TestDeterminismAndParallel:
                 self.branches = len(work)
                 return map(fn, work)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+        # the executor the selected kernel runs its branches on
+        executor = ("ThreadPoolExecutor" if kernel.BACKEND == "compiled"
+                    else "ProcessPoolExecutor")
+        monkeypatch.setattr(search, executor, SerialPool)
         monkeypatch.setattr(search.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
         rep = search_commutative_wdrd(c4(), jobs=10**6)
         assert [(p.max_workers, p.branches) for p in pools] == [(3, 27)]
         assert rep.jobs == 10**6
         assert rep.core() == search_commutative_wdrd(c4()).core()
+
+    def test_compiled_kernel_branches_start_no_process(self, compiled,
+                                                      monkeypatch):
+        class NoProcesses:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        assert kernel.BACKEND == "compiled"
+        monkeypatch.setattr(search, "ProcessPoolExecutor", NoProcesses)
+        monkeypatch.setattr(search.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        g = johnson(4, 2)
+        rep = search_commutative_wdrd(g, jobs=2)
+        assert multiprocessing.active_children() == []
+        assert rep.core() == search_commutative_wdrd(g).core()
 
     def test_reversal_exploit_same_classes(self):
         g = complete_graph(3)
