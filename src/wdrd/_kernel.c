@@ -1,14 +1,23 @@
 /* Compiled orientation-search kernel.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the contract and for the soundness of the degree prune: the
-   search carries the largest digon degree dmax and the largest out-only
-   or in-only degree fmax of any vertex so far, and cuts a subtree when
-   dmax + 2 fmax > k, the common degree (-1 on an irregular graph, so that
-   the first edge cuts every branch).  One depth-first search
-   tries only prefix[depth] at the depths below the prefix length and
-   emits every weakly distance-regular word it finds; the kernel knows
-   nothing of arc reversal, and `wdrd.search` classifies the survivors.
+   module for the contract and for the soundness of the degree prune and
+   of the bulk counts.  The search carries the largest digon degree dmax
+   and the largest out-only or in-only degree fmax of any vertex so far.
+   With the degree prune it cuts a subtree when dmax + 2 fmax > k, the
+   common degree (-1 on an irregular graph, so that the first edge cuts
+   every branch).  Without it, a node past that bound with a non-digon
+   edge is doomed: no leaf below it is weakly distance-regular or
+   symmetric, so strong connectivity alone decides whether a leaf counts
+   as NOT_STRONGLY_CONNECTED or AXIOM, and adding arcs never breaks it.
+   settle() counts the whole subtree of a doomed node at depth >= np at
+   once when its arcs are already strongly connected (AXIOM), or when they
+   are not even with every remaining edge as a digon
+   (NOT_STRONGLY_CONNECTED), and a doomed leaf gets only strong().  One
+   depth-first search tries only prefix[depth] at the depths below the
+   prefix length and emits every weakly distance-regular word it finds;
+   the kernel knows nothing of arc reversal, and `wdrd.search` classifies
+   the survivors.
    `wdrd.kernel` compiles this file with the system C compiler, loads it
    with ctypes and validates every argument before calling
    `wdrd_search_run`.
@@ -63,6 +72,8 @@ typedef struct {
     u64 out_m[MAXN], in_m[MAXN];
     int dd[MAXN], oo[MAXN], ii[MAXN]; /* digon, out-only, in-only degrees */
     i64 pow3[MAXE + 1];
+    u64 rest[MAXE + 1][MAXN];         /* rest[d][x]: x's neighbours over
+                                         edges d.. (none at d = ne) */
     unsigned char states[MAXE];
     i64 *stats;
     emit_fn emit;
@@ -86,6 +97,12 @@ typedef struct {
 static Ctx *ctx_new(int n)
 {
     return calloc(1, sizeof(Ctx) + sizeof(int) * n * n * n);
+}
+
+/* The set of all n vertices. */
+static inline u64 vertex_set(int n)
+{
+    return n == 64 ? ~(u64)0 : ((u64)1 << n) - 1;
 }
 
 /* Breadth-first search from src over masks.  Writes the distance of each
@@ -223,7 +240,7 @@ static int constant_tensor(Ctx *c, int nc)
    are at most n - 1 <= 63, which keeps class keys below 64 * 64. */
 static int leaf_stage(Ctx *c)
 {
-    u64 full = c->n == 64 ? ~(u64)0 : ((u64)1 << c->n) - 1;
+    u64 full = vertex_set(c->n);
     int nc;
     if (bfs(c->out_m, 0, c->dist, c->lay_out, NULL) != full
             || bfs(c->in_m, 0, NULL, c->lay_in, NULL) != full)
@@ -242,11 +259,31 @@ static int leaf_stage(Ctx *c)
     return constant_tensor(c, nc) ? PASS : TENSOR;
 }
 
-static void check_leaf(Ctx *c, int nondigon)
+/* Whether the oriented arcs, with each edge of `extra` added both ways,
+   form a strongly connected digraph: the forward and the backward search
+   from vertex 0 both reach every vertex. */
+static int strong(const Ctx *c, const u64 *extra)
+{
+    u64 out_m[MAXN], in_m[MAXN];
+    for (int v = 0; v < c->n; v++) {
+        out_m[v] = c->out_m[v] | extra[v];
+        in_m[v] = c->in_m[v] | extra[v];
+    }
+    return bfs(out_m, 0, NULL, NULL, NULL) == vertex_set(c->n)
+        && bfs(in_m, 0, NULL, NULL, NULL) == vertex_set(c->n);
+}
+
+/* A doomed leaf is neither symmetric nor weakly distance-regular, so only
+   strong connectivity decides its counter. */
+static void check_leaf(Ctx *c, int nondigon, int doomed)
 {
     c->stats[EXAMINED]++;
     if (!nondigon) {
         c->stats[SYMMETRIC]++;
+        return;
+    }
+    if (doomed) {
+        c->stats[strong(c, c->rest[c->ne]) ? AXIOM : NOT_STRONGLY_CONNECTED]++;
         return;
     }
     switch (leaf_stage(c)) {
@@ -290,14 +327,39 @@ static inline int max(int a, int b)
     return a > b ? a : b;
 }
 
+/* Count the whole subtree of a doomed node at depth >= np, whose leaves
+   each count as AXIOM or NOT_STRONGLY_CONNECTED, when strong connectivity
+   is already settled: the oriented arcs are strongly connected, or they
+   are not even with every remaining edge added as a digon.  Returns
+   whether it counted. */
+static int settle(Ctx *c, int depth)
+{
+    int slot;
+    if (strong(c, c->rest[c->ne]))
+        slot = AXIOM;
+    else if (!strong(c, c->rest[depth]))
+        slot = NOT_STRONGLY_CONNECTED;
+    else
+        return 0;
+    c->stats[EXAMINED] += c->pow3[c->ne - depth];
+    c->stats[slot] += c->pow3[c->ne - depth];
+    return 1;
+}
+
 /* dmax and fmax: the largest digon and the largest out-only or in-only
-   degree of any vertex in the edges oriented so far. */
+   degree of any vertex in the edges oriented so far.  A node is doomed
+   when dmax + 2 fmax > k and it has a non-digon edge.  The degree prune
+   cuts such a node before the call, so only the unpruned search meets
+   one. */
 static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
 {
+    int doomed = nondigon && dmax + 2 * fmax > c->k;
     if (depth == c->ne) {
-        check_leaf(c, nondigon);
+        check_leaf(c, nondigon, doomed);
         return;
     }
+    if (doomed && depth >= c->np && settle(c, depth))
+        return;
     /* a fixed state: pruning it cuts the whole branch */
     int fixed = depth < c->np;
     int lo = fixed ? c->prefix[depth] : FWD, hi = fixed ? lo : DIG;
@@ -306,17 +368,13 @@ static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
     for (int s = lo; s <= hi; s++) {
         orient(c, depth, s, 1);
         c->states[depth] = (unsigned char)s;
-        if (!c->prune) {
-            dfs(c, depth + 1, nondigon + (s != DIG), 0, 0);
-        } else {
-            int dm = max(dmax, max(c->dd[u], c->dd[v]));
-            int fm = max(max(fmax, max(c->oo[u], c->ii[u])),
-                         max(c->oo[v], c->ii[v]));
-            if (dm + 2 * fm > c->k)
-                c->stats[SKIPPED_DEGREE] += rem;
-            else
-                dfs(c, depth + 1, nondigon + (s != DIG), dm, fm);
-        }
+        int dm = max(dmax, max(c->dd[u], c->dd[v]));
+        int fm = max(max(fmax, max(c->oo[u], c->ii[u])),
+                     max(c->oo[v], c->ii[v]));
+        if (c->prune && dm + 2 * fm > c->k)
+            c->stats[SKIPPED_DEGREE] += rem;
+        else
+            dfs(c, depth + 1, nondigon + (s != DIG), dm, fm);
         orient(c, depth, s, 0);
     }
 }
@@ -346,6 +404,11 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
         deg[c->eu[i]]++;
         deg[c->ev[i]]++;
         c->pow3[i + 1] = 3 * c->pow3[i];
+    }
+    for (int i = ne - 1; i >= 0; i--) {
+        memcpy(c->rest[i], c->rest[i + 1], sizeof(u64) * n);
+        c->rest[i][c->eu[i]] |= (u64)1 << c->ev[i];
+        c->rest[i][c->ev[i]] |= (u64)1 << c->eu[i];
     }
     /* An irregular graph carries no scheme: with k = -1 the first edge
        cuts every branch in pruned mode. */

@@ -11,7 +11,7 @@ both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
 (tests/test_kernel_backend.py checks the C side).  It holds the edge-state
 codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the counter
 keys STAT_KEYS, the leaf stages LEAF_STAGES and `check_arguments`.
-`search_run(n, edges, prefix=(), prune_degree=False)` visits the
+`search_run(n, edges, prefix=(), prune_degree=False)` covers the
 3^(|E| - len(prefix)) completions of `prefix` in one depth-first search,
 which tries only `prefix[depth]` at the depths below len(prefix).  It
 returns the counters of STAT_KEYS, which account for every leaf of the
@@ -64,6 +64,25 @@ target (d, (k - d) / 2) stays reachable iff d >= dmax and
 (k - d) / 2 >= fmax: the d in [dmax, k - 2 fmax] with d = k (mod 2).  The
 top one, k - 2 fmax, has the parity of k, so some target stays exactly
 when dmax + 2 fmax <= k.
+
+The unpruned search carries dmax and fmax as well, and counts whole
+subtrees at once.  Call a node doomed when dmax + 2 fmax > k and one of
+its edges is not a digon.  No leaf below a doomed node is weakly
+distance-regular, since by the argument above it reaches no degree target,
+and none is symmetric, since the non-digon edge stays.  So the leaf
+pipeline counts each of those leaves as `not_strongly_connected` or as
+`axiom`, and strong connectivity alone decides which.  Adding arcs never
+breaks strong connectivity, so at a doomed node at depth >= len(prefix)
+the search adds 3^(|E| - depth) to `examined` and to `axiom` when the arcs
+oriented so far are already strongly connected, and to `examined` and to
+`not_strongly_connected` when they are not even with every remaining edge
+added as a digon, the largest completion.  Otherwise it descends, and a
+doomed leaf gets only the two BFS from vertex 0.  The counters and
+survivors are those of the leaf-by-leaf sweep.  The non-digon edge
+matters: on an irregular graph (k = -1) every node is past the bound, and
+the symmetric all-digon leaf lies below the nodes whose edges are all
+digons.  The degree prune cuts a doomed node before visiting it, so only
+the unpruned search meets one.
 """
 
 from __future__ import annotations
@@ -235,9 +254,33 @@ def search_run(n, edges, prefix=(), prune_degree=False):
             oo[u] += d
             ii[v] += d
 
-    def check_leaf(nondigon):
+    # rest[d][x]: x's neighbours over edges d.. (none at d = ne)
+    rest = [[0] * n for _ in range(ne + 1)]
+    for d in range(ne - 1, -1, -1):
+        rest[d] = rest[d + 1][:]
+        u, v = edges[d]
+        rest[d][u] |= 1 << v
+        rest[d][v] |= 1 << u
+    full = (1 << n) - 1
+
+    def strong(extra=None):
+        """Whether the oriented arcs, with each edge of `extra` added both
+        ways, form a strongly connected digraph: the forward and the
+        backward search from vertex 0 both reach every vertex."""
+        for masks in (out_m, in_m):
+            if extra is not None:
+                masks = [m | e for m, e in zip(masks, extra)]
+            if _bfs(masks, 0)[0] != full:
+                return False
+        return True
+
+    def check_leaf(nondigon, past_bound):
         if nondigon == 0:
             stats["symmetric"] += 1
+            return
+        if past_bound:  # doomed: not weakly distance-regular
+            stats["axiom" if strong()
+                  else "not_strongly_connected"] += 1
             return
         stage = leaf_stage(n, out_m, in_m)
         if stage is None:
@@ -247,12 +290,32 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         else:
             stats["axiom"] += 1
 
+    def settle(depth):
+        """Count the subtree of a doomed node at depth >= len(prefix) in
+        bulk when strong connectivity is already settled; returns whether
+        it counted."""
+        if strong():
+            key = "axiom"
+        elif not strong(rest[depth]):
+            key = "not_strongly_connected"
+        else:
+            return False
+        stats["examined"] += 3 ** (ne - depth)
+        stats[key] += 3 ** (ne - depth)
+        return True
+
     def dfs(depth, nondigon, dmax, fmax):
         """dmax and fmax: the largest digon and the largest out-only or
-        in-only degree of any vertex in the edges oriented so far."""
+        in-only degree of any vertex in the edges oriented so far.  The
+        node is doomed when dmax + 2 fmax > k and it has a non-digon edge;
+        the degree prune cuts such a node before the call.  The bound is
+        tested first: it is false on every node of a pruned search."""
         if depth == ne:
             stats["examined"] += 1
-            check_leaf(nondigon)
+            check_leaf(nondigon, dmax + 2 * fmax > k)
+            return
+        if (dmax + 2 * fmax > k and nondigon and depth >= np_
+                and settle(depth)):
             return
         if depth < np_:  # a fixed state: pruning it cuts the whole branch
             choices, rem_leaves = prefix[depth:depth + 1], branch_leaves
@@ -262,15 +325,12 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         for s in choices:
             orient(depth, s, 1)
             states[depth] = s
-            if not prune_degree:
-                dfs(depth + 1, nondigon + (s != DIG), 0, 0)
+            dm = max(dmax, dd[u], dd[v])
+            fm = max(fmax, oo[u], ii[u], oo[v], ii[v])
+            if prune_degree and dm + 2 * fm > k:
+                stats["skipped_degree"] += rem_leaves
             else:
-                dm = max(dmax, dd[u], dd[v])
-                fm = max(fmax, oo[u], ii[u], oo[v], ii[v])
-                if dm + 2 * fm > k:
-                    stats["skipped_degree"] += rem_leaves
-                else:
-                    dfs(depth + 1, nondigon + (s != DIG), dm, fm)
+                dfs(depth + 1, nondigon + (s != DIG), dm, fm)
             orient(depth, s, -1)
 
     dfs(0, 0, 0, 0)

@@ -1,12 +1,16 @@
 """Exhaustive orientation search over a prescribed underlying graph.
 
 Every edge of the input graph takes one of three states (Forward, Backward,
-Digon); the kernel checks the 3^|E| resulting digraphs for being weakly
-distance-regular, with a fixed filter order (all-digon shortcut, strong
-connectivity, scheme axioms).  Survivors are re-verified independently,
-which also decides whether each is commutative, deduplicated by canonical
-form and reported in canonical-form order, so single-threaded and parallel
-runs emit byte-identical class lists.
+Digon), and the kernel accounts for each of the 3^|E| resulting digraphs.
+It checks the all-digon digraph and each digraph whose degrees allow a
+scheme for being weakly distance-regular, with a fixed filter order
+(all-digon shortcut, strong connectivity, scheme axioms).  Every other
+digraph is not strongly connected or breaks an axiom, and the kernel
+tells which by strong connectivity alone, often for a whole subtree at
+once (see `_kernel_py`).  Survivors are re-verified independently, which
+also decides whether each is commutative, deduplicated by canonical form
+and reported in canonical-form order, so single-threaded and parallel runs
+emit byte-identical class lists.
 
 The optional degree prune cuts subtrees that cannot carry constant
 digon/out/in valencies (necessary for any association scheme) and never

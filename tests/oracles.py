@@ -14,12 +14,14 @@ BIG = 10**6
 
 
 def floyd_warshall(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    dist = np.full((n, n), BIG, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
+    """Distances of the digraph with adjacency matrix `adj`, BIG where no
+    path exists; on a stack (..., n, n), of each digraph in it."""
+    n = adj.shape[-1]
+    dist = np.full(adj.shape, BIG, dtype=np.int64)
+    dist[..., range(n), range(n)] = 0
     dist[adj] = 1
     for k in range(n):
-        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+        dist = np.minimum(dist, dist[..., :, k:k + 1] + dist[..., k:k + 1, :])
     return dist
 
 
@@ -124,6 +126,95 @@ def degree_prune_by_words(n, edges, prefix=()):
         else:
             examined += 1
     return examined, skipped, 1 + len(visited)
+
+
+def full_sweep_by_words(n, edges, prefix=()):
+    """(examined, symmetric, not_strongly_connected, axiom, nodes) of the
+    unpruned branch `prefix`, decided word by word with the bulk rule.
+
+    A prefix of t states is doomed when it has a non-digon edge and leaves
+    no degree target (the table of `degree_prune_by_words`).  A doomed
+    prefix with len(prefix) <= t < |E| is settled when its arcs are
+    strongly connected (its words count as `axiom`) or when they are not
+    even with every later edge added both ways (`not_strongly_connected`).
+    A word with no settled prefix is counted at its leaf: `symmetric` when
+    every state is a digon, by strong connectivity when it is doomed, and
+    otherwise by `leaf_stage_by_matrices` (a survivor when that finds no
+    violation).  `nodes` counts the root and every distinct prefix, leaves
+    included, none of whose shorter prefixes is settled.  Strong
+    connectivity comes from `floyd_warshall`, run once per distinct prefix
+    on a stack of adjacency matrices."""
+    m, fixed = len(edges), len(prefix)
+    free = np.indices((3,) * (m - fixed), dtype=np.int8)
+    free = free.reshape(m - fixed, -1).T
+    words = np.hstack([np.tile(np.asarray(prefix, dtype=np.int8),
+                               (len(free), 1)), free])
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    k = int(deg[0])
+    targets = [(d, (k - d) // 2) for d in range(k + 1) if (k - d) % 2 == 0]
+    if (deg != k).any():
+        targets = []
+
+    def strong(adj):
+        return np.concatenate([
+            (floyd_warshall(adj[i:i + 4096]) < BIG).all(axis=(-2, -1))
+            for i in range(0, len(adj), 4096)] or [np.zeros(0, bool)])
+
+    count = len(words)
+    adj = np.zeros((count, n, n), dtype=bool)   # arcs of the first t states
+    digon, out_only, in_only = (np.zeros((count, n), dtype=np.int16)
+                                for _ in range(3))
+    nondigon = np.zeros(count, dtype=np.int16)
+    code = np.zeros(count, dtype=np.int64)       # the first t states, base 3
+    # words of a prefix settled as `axiom` / as `not_strongly_connected`
+    to_axiom, to_nsc = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    nodes = 0
+    for t in range(m + 1):
+        alive = ~(to_axiom | to_nsc)
+        nodes += len(np.unique(code[alive]))
+        # every vertex's degrees are at most (d, f) when the largest are
+        dmax, fmax = digon.max(1), np.maximum(out_only, in_only).max(1)
+        doomed = nondigon > 0
+        for d, f in targets:
+            doomed &= (dmax > d) | (fmax > f)
+        if t == m:
+            break
+        if t >= fixed:
+            ask = np.flatnonzero(alive & doomed)
+            _, first, back = np.unique(code[ask], return_index=True,
+                                       return_inverse=True)
+            low = adj[ask[first]]
+            high = low.copy()
+            for u, v in edges[t:]:
+                high[:, u, v] = high[:, v, u] = True
+            low, high = strong(low)[back], strong(high)[back]
+            to_axiom[ask[low]] = True
+            to_nsc[ask[~low & ~high]] = True
+        u, v = edges[t]
+        s = words[:, t]
+        adj[:, u, v] |= s != 1
+        adj[:, v, u] |= s != 0
+        digon[:, u] += s == 2
+        digon[:, v] += s == 2
+        out_only[:, u] += s == 0
+        in_only[:, v] += s == 0
+        out_only[:, v] += s == 1
+        in_only[:, u] += s == 1
+        nondigon += s != 2
+        code = code * 3 + s
+    symmetric = int((alive & (nondigon == 0)).sum())
+    at_leaf = np.flatnonzero(alive & doomed)
+    connected = int(strong(adj[at_leaf]).sum())
+    nsc = int(to_nsc.sum()) + len(at_leaf) - connected
+    axiom = int(to_axiom.sum()) + connected
+    for i in np.flatnonzero(alive & ~doomed & (nondigon > 0)):
+        stage = leaf_stage_by_matrices(adj[i])
+        nsc += stage == "not_strongly_connected"
+        axiom += stage not in (None, "not_strongly_connected")
+    return count, symmetric, nsc, axiom, nodes
 
 
 def search_by_brute_force(graph, enumerate_orientations, wdrd_report,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,7 @@ class TestSearch:
     def test_timing_goes_to_stderr(self, capsys):
         _, out, err = invoke(capsys, "search", "--graph", "complete", "2")
         assert "took" in err and "took" not in out
+        assert re.search(r"took \d+\.\d ms$", err.strip())
 
     def test_edge_cap_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "search", "--graph", "johnson", "4", "2",

@@ -166,14 +166,14 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
         kernel._run_compiled(NoLibrary(), *args)
 
 
-# Runs the parity cases, the largest leaves and the threaded runs through a
-# kernel library built elsewhere, given as argv[1], and compares it with the
-# pure kernel.
+# Runs the parity cases, two unpruned branches that the bulk counts settle,
+# the largest leaves and the threaded runs through a kernel library built
+# elsewhere, given as argv[1], and compares it with the pure kernel.
 PARITY_SCRIPT = """
 import functools
 import sys
 from pathlib import Path
-from test_kernel_leaves import LEAVES
+from test_kernel_leaves import FULL, LEAVES
 from test_kernel_parity import BRANCHES, CASES, check_threaded_runs
 from wdrd import _kernel_py, kernel
 
@@ -185,6 +185,9 @@ for n, edges, *prefix in CASES + BRANCHES:
         want = _kernel_py.search_run(n, edges, *prefix, prune_degree=prune)
         got = kernel._run_compiled(lib, n, edges, *prefix, prune_degree=prune)
         assert got == want, (n, edges, prefix, prune)
+for name in ("J(4,2) 01", "K4 minus an edge"):
+    want = _kernel_py.search_run(*FULL[name])
+    assert kernel._run_compiled(lib, *FULL[name]) == want, name
 for name, (n, out_m, in_m) in LEAVES.items():
     want = _kernel_py.leaf_stage(n, out_m, in_m)
     assert kernel._leaf_stage_compiled(lib, n, out_m, in_m) == want, name

@@ -14,19 +14,28 @@ search nodes must be the counts of `oracles.degree_prune_by_words`, which
 decides each word by the rule of a table of degree targets.  Leaf counts
 alone cannot see a prune that cuts later than it could (leaving out the
 in-only degrees, say): at a leaf every vertex's degrees sum to k, which
-makes any such rule cut the same words."""
+makes any such rule cut the same words.
+
+The unpruned search counts the subtree of a doomed node in bulk once
+strong connectivity is settled, and runs only the connectivity test at a
+doomed leaf.  On a few unpruned branches, the counters and the number of
+search nodes of both kernels must be those of
+`oracles.full_sweep_by_words`, which applies that rule word by word, and
+the full leaf pipeline must run only on the non-symmetric leaves that the
+degree prune keeps."""
 
 import ctypes
 import functools
 import itertools
 import subprocess
-import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import (degree_prune_by_words, leaf_stage_by_matrices,
-                     rows_to_masks_by_bits)
+from oracles import (degree_prune_by_words, full_sweep_by_words,
+                     leaf_stage_by_matrices, rows_to_masks_by_bits)
 from wdrd import _kernel_py, kernel
 from wdrd.analysis import wdrd_report
 from wdrd.generators import complete_graph, johnson
@@ -59,6 +68,22 @@ PRUNED = {
     "P3 centred at 0": (3, [(0, 1), (0, 2)], ()),
     "J(4,2) 0122": BRANCHES["J(4,2) 0122"][:3],
     "K6 001122001": BRANCHES["K6 degree 001122001"][:3],
+}
+
+# name -> (n, edges, prefix) of the unpruned branches checked against the
+# bulk rule; K4 minus an edge is irregular, so every node with a non-digon
+# edge is doomed
+FULL = {
+    "K4 minus an edge": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], ()),
+    "K4": (4, K4, ()),
+    "C4": PRUNED["C4"],
+    "P3": PRUNED["P3"],
+    "3-prism": PRUNED["3-prism"],
+    "two triangles": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                      ()),
+    "J(4,2)": (6, J42, ()),
+    "J(4,2) 01": (6, J42, (0, 1)),
+    "J(4,2) 0122": (6, J42, (0, 1, 2, 2)),
 }
 
 # name -> (n, out-masks, in-masks) of single leaves; on the directed
@@ -151,56 +176,95 @@ def test_some_k4_leaves_fail_only_at_the_in_layers():
                zip(non_symmetric("K4"), expected_stages("K4"))) == 12
 
 
-def pure_pruned_run(n, edges, prefix):
-    """(stats, calls of dfs) of a degree-pruned run of the pure kernel."""
-    calls = 0
+@functools.cache
+def counting_pure_kernel():
+    """A copy of `_kernel_py` with a counter added at the top of dfs() and
+    one at the top of leaf_stage()."""
+    source = Path(_kernel_py.__file__).read_text()
+    heads = {"dfs": "    def dfs(depth, nondigon, dmax, fmax):\n",
+             "leaf_stage": "def leaf_stage(n, out_m, in_m):\n"}
+    for name, head in heads.items():
+        assert source.count(head) == 1, "the kernel changed; update this copy"
+        body = " " * (head.index("def") + 4)
+        source = source.replace(head, f"{head}{body}CALLS[{name!r}] += 1\n")
+    module = types.ModuleType("wdrd._kernel_py_counting")
+    module.__package__ = "wdrd"
+    module.CALLS = dict.fromkeys(heads, 0)
+    exec(compile(source, _kernel_py.__file__, "exec"), module.__dict__)
+    return module
 
-    def count(frame, event, arg):
-        nonlocal calls
-        code = frame.f_code
-        calls += (event == "call" and code.co_name == "dfs"
-                  and code.co_filename == _kernel_py.__file__)
 
-    sys.setprofile(count)
-    try:
-        stats = _kernel_py.search_run(n, edges, prefix, prune_degree=True)
-    finally:
-        sys.setprofile(None)
-    return stats, calls
+def pure_pruned_run(n, edges, prefix, prune):
+    """(stats, calls of dfs, calls of leaf_stage) of a run of the pure
+    kernel."""
+    module = counting_pure_kernel()
+    module.CALLS.update(dfs=0, leaf_stage=0)
+    stats = module.search_run(n, edges, prefix, prune_degree=prune)
+    return stats, module.CALLS["dfs"], module.CALLS["leaf_stage"]
 
 
 @pytest.fixture(scope="module")
 def compiled_pruned_run(tmp_path_factory):
     """The compiled twin of `pure_pruned_run`: a build of `_kernel.c` with
-    a counter added at the top of dfs()."""
+    a counter added at the top of dfs() and one at the top of
+    leaf_stage()."""
     source = kernel._SOURCE.read_text()
-    head = ("static void dfs(Ctx *c, int depth, int nondigon, int dmax, "
-            "int fmax)\n{\n")
-    assert source.count(head) == 1, "dfs() changed; update this fixture"
+    heads = {"wdrd_nodes": "static void dfs(Ctx *c, int depth, int nondigon, "
+                           "int dmax, int fmax)\n{\n",
+             "wdrd_pipelines": "static int leaf_stage(Ctx *c)\n{\n"}
+    for counter, head in heads.items():
+        assert source.count(head) == 1, "kernel changed; update this fixture"
+        source = source.replace(head, f"long {counter};\n\n{head}"
+                                      f"    {counter}++;\n")
     build = tmp_path_factory.mktemp("counting")
-    (build / "kernel.c").write_text(source.replace(
-        head, "long wdrd_nodes;\n\n" + head + "    wdrd_nodes++;\n"))
+    (build / "kernel.c").write_text(source)
     subprocess.run([*kernel._COMPILE, "-o", str(build / "kernel.so"),
                     str(build / "kernel.c")], check=True, capture_output=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_library_path", lambda: build / "kernel.so")
         lib = kernel._load()
-    nodes = ctypes.c_long.in_dll(lib, "wdrd_nodes")
+    counters = [ctypes.c_long.in_dll(lib, counter) for counter in heads]
 
-    def run(n, edges, prefix):
-        nodes.value = 0
-        stats = kernel._run_compiled(lib, n, edges, prefix, prune_degree=True)
-        return stats, nodes.value
+    def run(n, edges, prefix, prune):
+        for counter in counters:
+            counter.value = 0
+        stats = kernel._run_compiled(lib, n, edges, prefix, prune_degree=prune)
+        return (stats, *(counter.value for counter in counters))
 
     return run
 
 
+@pytest.fixture
+def counted_run(request, backend):
+    """`pure_pruned_run` or `compiled_pruned_run`, as `backend` says."""
+    if backend == "pure":
+        return pure_pruned_run
+    return request.getfixturevalue("compiled_pruned_run")
+
+
 @pytest.mark.parametrize("name", PRUNED)
-def test_degree_prune_cuts_where_the_target_table_cuts(request, backend,
-                                                      name):
+def test_degree_prune_cuts_where_the_target_table_cuts(counted_run, name):
     n, edges, prefix = PRUNED[name]
-    run = (pure_pruned_run if backend == "pure"
-           else request.getfixturevalue("compiled_pruned_run"))
-    got, nodes = run(n, edges, prefix)
+    got, nodes, _ = counted_run(n, edges, prefix, True)
     assert (got["examined"], got["skipped_degree"], nodes) == \
         degree_prune_by_words(n, edges, prefix)
+
+
+@functools.cache
+def full_sweep(name):
+    """The counts of the unpruned branch `name` under the bulk rule."""
+    return full_sweep_by_words(*FULL[name])
+
+
+@pytest.mark.parametrize("name", FULL)
+def test_full_sweep_counts_in_bulk_where_the_rule_settles(backend,
+                                                         counted_run, name):
+    n, edges, prefix = FULL[name]
+    got, nodes, pipelines = counted_run(n, edges, prefix, False)
+    assert (*(got[key] for key in ("examined", "symmetric",
+                                   "not_strongly_connected", "axiom")),
+            nodes) == full_sweep(name)
+    kept = kernel.backends()[backend](n, edges, prefix, prune_degree=True)
+    assert pipelines == kept["examined"] - kept["symmetric"]
+    if name == "J(4,2)":
+        assert nodes <= 200_000 and pipelines < 100
