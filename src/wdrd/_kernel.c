@@ -1,19 +1,13 @@
 /* Compiled orientation-search kernel.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the contract and for the soundness of the degree prune and
-   of the bulk counts.  The search carries the largest digon degree dmax
-   and the largest out-only or in-only degree fmax of any vertex so far.
-   With the degree prune it cuts a subtree when dmax + 2 fmax > k, the
-   common degree (-1 on an irregular graph, so that the first edge cuts
-   every branch).  Without it, a node past that bound with a non-digon
-   edge is doomed: no leaf below it is weakly distance-regular or
-   symmetric, so strong connectivity alone decides whether a leaf counts
-   as NOT_STRONGLY_CONNECTED or AXIOM, and adding arcs never breaks it.
-   settle() counts the whole subtree of a doomed node at depth >= np at
-   once when its arcs are already strongly connected (AXIOM), or when they
-   are not even with every remaining edge as a digon
-   (NOT_STRONGLY_CONNECTED), and a doomed leaf gets only strong().  One
+   module for the contract, for the soundness of the degree prune and for
+   the rule by which settle() counts every doomed node, leaves included.
+   The search carries the largest digon degree dmax and the largest
+   out-only or in-only degree fmax of any vertex so far.  With the degree
+   prune it cuts a subtree when dmax + 2 fmax > k, the common degree (-1
+   on an irregular graph, so that the first edge cuts every branch);
+   without it, a node past that bound with a non-digon edge is doomed.  One
    depth-first search tries only prefix[depth] at the depths below the
    prefix length and emits every weakly distance-regular word it finds;
    the kernel knows nothing of arc reversal, and `wdrd.search` classifies
@@ -273,17 +267,13 @@ static int strong(const Ctx *c, const u64 *extra)
         && bfs(in_m, 0, NULL, NULL, NULL) == vertex_set(c->n);
 }
 
-/* A doomed leaf is neither symmetric nor weakly distance-regular, so only
-   strong connectivity decides its counter. */
-static void check_leaf(Ctx *c, int nondigon, int doomed)
+/* Count a leaf that no settle() decided: symmetric, or through the leaf
+   pipeline. */
+static void check_leaf(Ctx *c, int nondigon)
 {
     c->stats[EXAMINED]++;
     if (!nondigon) {
         c->stats[SYMMETRIC]++;
-        return;
-    }
-    if (doomed) {
-        c->stats[strong(c, c->rest[c->ne]) ? AXIOM : NOT_STRONGLY_CONNECTED]++;
         return;
     }
     switch (leaf_stage(c)) {
@@ -330,14 +320,15 @@ static inline int max(int a, int b)
 /* Count the whole subtree of a doomed node at depth >= np, whose leaves
    each count as AXIOM or NOT_STRONGLY_CONNECTED, when strong connectivity
    is already settled: the oriented arcs are strongly connected, or they
-   are not even with every remaining edge added as a digon.  Returns
-   whether it counted. */
+   are not even with every remaining edge added as a digon.  At a leaf no
+   edge remains and one of the two holds, so the second test is skipped.
+   Returns whether it counted. */
 static int settle(Ctx *c, int depth)
 {
     int slot;
     if (strong(c, c->rest[c->ne]))
         slot = AXIOM;
-    else if (!strong(c, c->rest[depth]))
+    else if (depth == c->ne || !strong(c, c->rest[depth]))
         slot = NOT_STRONGLY_CONNECTED;
     else
         return 0;
@@ -353,13 +344,13 @@ static int settle(Ctx *c, int depth)
    one. */
 static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
 {
-    int doomed = nondigon && dmax + 2 * fmax > c->k;
+    if (nondigon && dmax + 2 * fmax > c->k && depth >= c->np
+            && settle(c, depth))
+        return;
     if (depth == c->ne) {
-        check_leaf(c, nondigon, doomed);
+        check_leaf(c, nondigon);
         return;
     }
-    if (doomed && depth >= c->np && settle(c, depth))
-        return;
     /* a fixed state: pruning it cuts the whole branch */
     int fixed = depth < c->np;
     int lo = fixed ? c->prefix[depth] : FWD, hi = fixed ? lo : DIG;

@@ -72,17 +72,18 @@ distance-regular, since by the argument above it reaches no degree target,
 and none is symmetric, since the non-digon edge stays.  So the leaf
 pipeline counts each of those leaves as `not_strongly_connected` or as
 `axiom`, and strong connectivity alone decides which.  Adding arcs never
-breaks strong connectivity, so at a doomed node at depth >= len(prefix)
-the search adds 3^(|E| - depth) to `examined` and to `axiom` when the arcs
-oriented so far are already strongly connected, and to `examined` and to
-`not_strongly_connected` when they are not even with every remaining edge
-added as a digon, the largest completion.  Otherwise it descends, and a
-doomed leaf gets only the two BFS from vertex 0.  The counters and
-survivors are those of the leaf-by-leaf sweep.  The non-digon edge
-matters: on an irregular graph (k = -1) every node is past the bound, and
-the symmetric all-digon leaf lies below the nodes whose edges are all
-digons.  The degree prune cuts a doomed node before visiting it, so only
-the unpruned search meets one.
+breaks strong connectivity, so `settle` decides a doomed node at depth
+>= len(prefix), leaf or not: it adds 3^(|E| - depth) to `examined` and to
+`axiom` when the arcs oriented so far are already strongly connected, and
+to `examined` and to `not_strongly_connected` when they are not even with
+every remaining edge added as a digon, the largest completion.  Otherwise
+the search descends.  At a leaf no edge remains, so the second test only
+negates the first; `settle` skips it and counts the leaf (3^0 = 1) either
+way.  The counters and survivors are those of the leaf-by-leaf sweep.  The
+non-digon edge matters: on an irregular graph (k = -1) every node is past
+the bound, and the symmetric all-digon leaf lies below the nodes whose
+edges are all digons.  The degree prune cuts a doomed node before visiting
+it, so only the unpruned search meets one.
 """
 
 from __future__ import annotations
@@ -274,13 +275,9 @@ def search_run(n, edges, prefix=(), prune_degree=False):
                 return False
         return True
 
-    def check_leaf(nondigon, past_bound):
+    def check_leaf(nondigon):
         if nondigon == 0:
             stats["symmetric"] += 1
-            return
-        if past_bound:  # doomed: not weakly distance-regular
-            stats["axiom" if strong()
-                  else "not_strongly_connected"] += 1
             return
         stage = leaf_stage(n, out_m, in_m)
         if stage is None:
@@ -292,11 +289,11 @@ def search_run(n, edges, prefix=(), prune_degree=False):
 
     def settle(depth):
         """Count the subtree of a doomed node at depth >= len(prefix) in
-        bulk when strong connectivity is already settled; returns whether
-        it counted."""
+        bulk when strong connectivity is already settled, as it always is
+        at a leaf; returns whether it counted."""
         if strong():
             key = "axiom"
-        elif not strong(rest[depth]):
+        elif depth == ne or not strong(rest[depth]):
             key = "not_strongly_connected"
         else:
             return False
@@ -310,12 +307,12 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         node is doomed when dmax + 2 fmax > k and it has a non-digon edge;
         the degree prune cuts such a node before the call.  The bound is
         tested first: it is false on every node of a pruned search."""
-        if depth == ne:
-            stats["examined"] += 1
-            check_leaf(nondigon, dmax + 2 * fmax > k)
-            return
         if (dmax + 2 * fmax > k and nondigon and depth >= np_
                 and settle(depth)):
+            return
+        if depth == ne:
+            stats["examined"] += 1
+            check_leaf(nondigon)
             return
         if depth < np_:  # a fixed state: pruning it cuts the whole branch
             choices, rem_leaves = prefix[depth:depth + 1], branch_leaves

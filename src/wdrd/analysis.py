@@ -11,7 +11,6 @@ over the intersection tensor, arc purity, and the five-case taxonomy of
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -98,6 +97,8 @@ def classify_common_neighbour(d: Digraph, x: int, z: int, y: int) -> PathClass:
     """Classify common neighbour y of an underlying pair (x, z) at distance
     one or two.  A neighbour joined to both x and z by digons reports as the
     forward pure path C1 with p = 1 (the C2 reading coincides there)."""
+    for v in (x, z, y):
+        d._check_vertex(v)
     und = d.underlying_graph()
     du = und.distance_matrix()
     if x == z or int(du[x, z]) not in (1, 2):
@@ -214,8 +215,12 @@ def mu_case(d: Digraph, x: int, z: int) -> MuCase:
       5: two pure paths + two non-paths   ((1,p),(1,p)), ((p,1),(p,1)),
                                           ((1,r),(r,1)), ((r,1),(1,r))
 
-    Raises MuCaseMatchError when no template (or more than one) matches.
+    with p < q in case 3 and p, r >= 2 in cases 4 and 5.  The parameters
+    range over the distances that occur in the pattern.  Raises
+    MuCaseMatchError when no template (or more than one) matches.
     """
+    d._check_vertex(x)
+    d._check_vertex(z)
     if d.is_symmetric():
         raise NotType22Error(
             "symmetric digraph: not a weakly distance-regular candidate")
@@ -228,43 +233,34 @@ def mu_case(d: Digraph, x: int, z: int) -> MuCase:
     if len(common) != 4:
         raise BadMuSizeError(
             f"pair ({x}, {z}) has {len(common)} common neighbours, need 4")
-    pats = Counter()
-    for y in common:
-        pats[((int(dist[x, y]), int(dist[y, x])),
-              (int(dist[y, z]), int(dist[z, y])))] += 1
-
-    digon = ((1, 1), (1, 1))
-    matches: list[MuCase] = []
-    if pats == Counter({digon: 4}):
-        matches.append(MuCase(1, ()))
-    if pats == Counter({((1, 2), (1, 2)): 2, ((2, 1), (2, 1)): 2}):
-        matches.append(MuCase(2, ()))
-    fwd_mixed = [(a[1], b[1]) for a, b in pats.elements()
-                 if a[0] == 1 and b[0] == 1 and a[1] != b[1]]
-    if len(fwd_mixed) == 2:
-        p, q = fwd_mixed[0]
-        if fwd_mixed[1] == (q, p):
-            want = Counter({((1, p), (1, q)): 1, ((1, q), (1, p)): 1,
-                            ((p, 1), (q, 1)): 1, ((q, 1), (p, 1)): 1})
-            if pats == want:
-                matches.append(MuCase(3, (min(p, q), max(p, q))))
-    non_paths = [(a, b) for a, b in pats.elements()
-                 if a[0] == 1 and a[1] >= 2 and b[1] == 1 and b[0] >= 2]
-    if len(non_paths) == 1:
-        r = non_paths[0][0][1]
-        if non_paths[0][1][0] == r:
-            if pats == Counter({digon: 2, ((1, r), (r, 1)): 1,
-                                ((r, 1), (1, r)): 1}):
-                matches.append(MuCase(4, (r,)))
-            pure_fwd = [a[1] for a, b in pats.elements()
-                        if a[0] == 1 and a == b and a[1] >= 2]
-            if len(pure_fwd) == 1:
-                p = pure_fwd[0]
-                if pats == Counter({((1, p), (1, p)): 1, ((p, 1), (p, 1)): 1,
-                                    ((1, r), (r, 1)): 1, ((r, 1), (1, r)): 1}):
-                    matches.append(MuCase(5, (p, r)))
+    pats = sorted(((int(dist[x, y]), int(dist[y, x])),
+                   (int(dist[y, z]), int(dist[z, y]))) for y in common)
+    dists = sorted({t for pair in pats for two_way in pair for t in two_way})
+    matches = [case for case, want in _mu_templates(dists)
+               if pats == sorted(want)]
     if len(matches) != 1:
         raise MuCaseMatchError(
-            f"pattern {sorted(pats.elements())} matches "
+            f"pattern {pats} matches "
             f"{[m.case for m in matches] or 'no'} case template(s)")
     return matches[0]
+
+
+def _mu_templates(dists):
+    """(MuCase, pattern as a list) of the five templates of `mu_case`, with
+    every parameter taken from `dists`."""
+    digon = ((1, 1), (1, 1))
+    yield MuCase(1, ()), [digon] * 4
+    yield MuCase(2, ()), [((1, 2), (1, 2))] * 2 + [((2, 1), (2, 1))] * 2
+    for p in dists:
+        for q in dists:
+            if p < q:
+                yield MuCase(3, (p, q)), [((1, p), (1, q)), ((1, q), (1, p)),
+                                          ((p, 1), (q, 1)), ((q, 1), (p, 1))]
+    for r in dists:
+        if r >= 2:
+            non_paths = [((1, r), (r, 1)), ((r, 1), (1, r))]
+            yield MuCase(4, (r,)), [digon, digon, *non_paths]
+            for p in dists:
+                if p >= 2:
+                    yield MuCase(5, (p, r)), [((1, p), (1, p)),
+                                              ((p, 1), (p, 1)), *non_paths]

@@ -116,7 +116,11 @@ def _orientable(g, max_edges: int):
 
 
 def word_to_digraph(n: int, edges, word: bytes) -> Digraph:
-    """Rebuild the digraph encoded by an edge-state word."""
+    """Rebuild the digraph encoded by an edge-state word: one state 0, 1
+    or 2 per edge, ValueError otherwise."""
+    if len(word) != len(edges) or any(s not in (FWD, BWD, DIG) for s in word):
+        raise ValueError(f"need one state 0, 1 or 2 for each of "
+                         f"{len(edges)} edges, got {list(word)}")
     arcs = []
     for (u, v), s in zip(edges, word):
         if s == FWD:

@@ -21,10 +21,12 @@ from wdrd.analysis import MuCase
 from wdrd.errors import (
     BadDistanceError,
     BadMuSizeError,
+    MuCaseMatchError,
     NotCommonNeighbourError,
     NotStronglyConnectedError,
     NotType22Error,
     UnderlyingNotDistanceRegularError,
+    VertexOutOfRangeError,
 )
 
 
@@ -127,6 +129,12 @@ class TestClassifyCommonNeighbour:
         with pytest.raises(BadDistanceError):
             classify_common_neighbour(cay14, 0, 0, 1)
 
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_vertices_checked_first(self, cay14, bad):
+        for args in ((bad, 2, 1), (0, bad, 1), (0, 2, bad)):
+            with pytest.raises(VertexOutOfRangeError):
+                classify_common_neighbour(cay14, *args)
+
 
 class TestLocalCounts:
     def test_reference_values(self, cay14, cay12):
@@ -191,18 +199,41 @@ class TestMuCase:
             mu_case(c4, 0, 2)
 
     def test_case_one_on_double_cover_style_digraph(self):
-        # C6(1,2) circulant as graph plus orientation: all-digon mu-graphs
-        # exercise case 1 via the octahedron with one arc flipped is messy;
-        # use a digon-rich digraph instead: octahedron with one antipodal
-        # pair joined by directed 4-cycles stays out of scope, so check the
-        # template matcher directly on a crafted digraph.
+        # two digon 4-cycles through the pair (0, 1) and two single arcs
         arcs = []
-        # two digon 4-cycles sharing antipodal pair (0,1): vertices 2..5
         for u, v in [(0, 2), (2, 1), (1, 3), (3, 0), (0, 4), (4, 1), (1, 5), (5, 0)]:
             arcs.append((u, v))
             arcs.append((v, u))
         d = Digraph.from_arcs(6, arcs + [(2, 3), (4, 5)])
-        if d.two_way_distance(0, 1) == (2, 2) and \
-                len(d.underlying_graph().common_neighbours(0, 1)) == 4:
-            mc = mu_case(d, 0, 1)
-            assert mc.case in (1, 4)
+        assert mu_case(d, 0, 1) == MuCase(1, ())
+
+    # orientations of the octahedron J(4,2) whose antipodal pair (0, 5)
+    # has two-way distance (2, 2); all are strongly connected
+    def test_case_two(self):
+        d = Digraph.from_arcs(6, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 5), (2, 4),
+                                  (2, 5), (3, 0), (3, 1), (3, 4), (4, 0), (4, 2),
+                                  (5, 3), (5, 4)])
+        assert mu_case(d, 0, 5) == MuCase(2, ())
+
+    def test_case_four(self):
+        d = Digraph.from_arcs(6, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 0),
+                                  (2, 4), (2, 5), (3, 0), (3, 4), (3, 5), (4, 0),
+                                  (4, 5), (5, 1), (5, 3), (5, 4)])
+        assert mu_case(d, 0, 5) == MuCase(4, (2,))
+
+    def test_case_five(self):
+        d = Digraph.from_arcs(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (2, 5),
+                                  (3, 0), (3, 4), (4, 0), (4, 5), (5, 1), (5, 3)])
+        assert mu_case(d, 0, 5) == MuCase(5, (2, 2))
+
+    def test_no_template(self):
+        d = Digraph.from_arcs(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 5),
+                                  (2, 4), (2, 5), (3, 4), (3, 5), (4, 0), (5, 4)])
+        with pytest.raises(MuCaseMatchError, match="matches no case"):
+            mu_case(d, 0, 5)
+
+    @pytest.mark.parametrize("bad", [6, -1, -6])
+    def test_vertices_checked_first(self, cay12, bad):
+        for x, z in ((bad, 0), (0, bad), (bad, 2)):
+            with pytest.raises(VertexOutOfRangeError):
+                mu_case(cay12, x, z)

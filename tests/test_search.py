@@ -349,6 +349,13 @@ class TestSoundness:
         d = word_to_digraph(3, edges, bytes([0, 1, 2]))
         assert sorted(d.arcs()) == [(0, 1), (1, 2), (2, 0), (2, 1)]
 
+    @pytest.mark.parametrize("word", [b"\x00", b"\x00\x01\x02", b"\x07\x05",
+                                      b"\x00\x03"],
+                             ids=["short", "long", "state 7", "state 3"])
+    def test_word_to_digraph_rejects_bad_words(self, word):
+        with pytest.raises(ValueError, match="one state 0, 1 or 2"):
+            word_to_digraph(3, [(0, 1), (1, 2)], word)
+
     def test_johnson42_pruned_smoke(self):
         """Small but real: the degree-pruned octahedron search already
         produces the two classified digraphs."""
