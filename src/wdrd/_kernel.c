@@ -2,16 +2,14 @@
 
    Same contract and identical output as `_kernel_py.search_run`; see that
    module for the contract, for the soundness of the degree prune and for
-   the rule by which settle() counts every doomed node, leaves included.
-   The search carries the largest digon degree dmax and the largest
-   out-only or in-only degree fmax of any vertex so far.  With the degree
-   prune it cuts a subtree when dmax + 2 fmax > k, the common degree (-1
-   on an irregular graph, so that the first edge cuts every branch);
-   without it, a node past that bound with a non-digon edge is doomed.  One
-   depth-first search tries only prefix[depth] at the depths below the
-   prefix length and emits every weakly distance-regular word it finds;
-   the kernel knows nothing of arc reversal, and `wdrd.search` classifies
-   the survivors.
+   the rule by which cut() decides a child past the degree bound before it
+   is visited.  The search carries the largest digon degree dmax and the
+   largest out-only or in-only degree fmax of any vertex so far; the bound
+   is dmax + 2 fmax > k, the common degree (-1 on an irregular graph, so
+   that the first edge passes it on every branch).  One depth-first search
+   tries only prefix[depth] at the depths below the prefix length and
+   emits every weakly distance-regular word it finds; the kernel knows
+   nothing of arc reversal, and `wdrd.search` classifies the survivors.
    `wdrd.kernel` compiles this file with the system C compiler, loads it
    with ctypes and validates every argument before calling
    `wdrd_search_run`.
@@ -267,7 +265,7 @@ static int strong(const Ctx *c, const u64 *extra)
         && bfs(in_m, 0, NULL, NULL, NULL) == vertex_set(c->n);
 }
 
-/* Count a leaf that no settle() decided: symmetric, or through the leaf
+/* Count a leaf that cut() did not decide: symmetric, or through the leaf
    pipeline. */
 static void check_leaf(Ctx *c, int nondigon)
 {
@@ -288,28 +286,28 @@ static void check_leaf(Ctx *c, int nondigon)
     }
 }
 
-/* Set (on) or clear the arcs of edge `depth` in state s. */
-static void orient(Ctx *c, int depth, int s, int on)
+/* Add (d = 1) or remove (d = -1) the arcs of edge `depth` in state s.
+   Toggling the bits is safe because the graph is simple: no other edge
+   owns them. */
+static inline void orient(Ctx *c, int depth, int s, int d)
 {
-    int u = c->eu[depth], v = c->ev[depth], d = on ? 1 : -1;
+    int u = c->eu[depth], v = c->ev[depth];
     if (s == BWD) {
         int t = u;
         u = v;
         v = t;
     }
-#define SET(m, b) ((m) = on ? (m) | ((u64)1 << (b)) : (m) & ~((u64)1 << (b)))
-    SET(c->out_m[u], v);
-    SET(c->in_m[v], u);
+    c->out_m[u] ^= (u64)1 << v;
+    c->in_m[v] ^= (u64)1 << u;
     if (s == DIG) {
-        SET(c->out_m[v], u);
-        SET(c->in_m[u], v);
+        c->out_m[v] ^= (u64)1 << u;
+        c->in_m[u] ^= (u64)1 << v;
         c->dd[u] += d;
         c->dd[v] += d;
     } else {
         c->oo[u] += d;
         c->ii[v] += d;
     }
-#undef SET
 }
 
 static inline int max(int a, int b)
@@ -317,44 +315,39 @@ static inline int max(int a, int b)
     return a > b ? a : b;
 }
 
-/* Count the whole subtree of a doomed node at depth >= np, whose leaves
-   each count as AXIOM or NOT_STRONGLY_CONNECTED, when strong connectivity
-   is already settled: the oriented arcs are strongly connected, or they
-   are not even with every remaining edge added as a digon.  At a leaf no
-   edge remains and one of the two holds, so the second test is skipped.
+/* Count the `leaves` leaves of a child at `depth` past the degree bound
+   without visiting it: as SKIPPED_DEGREE under the prune, otherwise as
+   AXIOM or NOT_STRONGLY_CONNECTED once strong connectivity is settled.
    Returns whether it counted. */
-static int settle(Ctx *c, int depth)
+static int cut(Ctx *c, int depth, i64 leaves)
 {
     int slot;
+    if (c->prune) {
+        c->stats[SKIPPED_DEGREE] += leaves;
+        return 1;
+    }
     if (strong(c, c->rest[c->ne]))
         slot = AXIOM;
     else if (depth == c->ne || !strong(c, c->rest[depth]))
         slot = NOT_STRONGLY_CONNECTED;
     else
         return 0;
-    c->stats[EXAMINED] += c->pow3[c->ne - depth];
-    c->stats[slot] += c->pow3[c->ne - depth];
+    c->stats[EXAMINED] += leaves;
+    c->stats[slot] += leaves;
     return 1;
 }
 
 /* dmax and fmax: the largest digon and the largest out-only or in-only
-   degree of any vertex in the edges oriented so far.  A node is doomed
-   when dmax + 2 fmax > k and it has a non-digon edge.  The degree prune
-   cuts such a node before the call, so only the unpruned search meets
-   one. */
+   degree of any vertex in the edges oriented so far. */
 static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
 {
-    if (nondigon && dmax + 2 * fmax > c->k && depth >= c->np
-            && settle(c, depth))
-        return;
     if (depth == c->ne) {
         check_leaf(c, nondigon);
         return;
     }
-    /* a fixed state: pruning it cuts the whole branch */
     int fixed = depth < c->np;
     int lo = fixed ? c->prefix[depth] : FWD, hi = fixed ? lo : DIG;
-    i64 rem = c->pow3[c->ne - (fixed ? c->np : depth + 1)];
+    i64 leaves = c->pow3[c->ne - max(depth + 1, c->np)];
     int u = c->eu[depth], v = c->ev[depth];
     for (int s = lo; s <= hi; s++) {
         orient(c, depth, s, 1);
@@ -362,11 +355,11 @@ static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
         int dm = max(dmax, max(c->dd[u], c->dd[v]));
         int fm = max(max(fmax, max(c->oo[u], c->ii[u])),
                      max(c->oo[v], c->ii[v]));
-        if (c->prune && dm + 2 * fm > c->k)
-            c->stats[SKIPPED_DEGREE] += rem;
-        else
-            dfs(c, depth + 1, nondigon + (s != DIG), dm, fm);
-        orient(c, depth, s, 0);
+        int nd = nondigon + (s != DIG);
+        if (!(dm + 2 * fm > c->k && (c->prune || nd)
+              && cut(c, depth + 1, leaves)))
+            dfs(c, depth + 1, nd, dm, fm);
+        orient(c, depth, s, -1);
     }
 }
 

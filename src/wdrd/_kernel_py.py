@@ -71,19 +71,23 @@ its edges is not a digon.  No leaf below a doomed node is weakly
 distance-regular, since by the argument above it reaches no degree target,
 and none is symmetric, since the non-digon edge stays.  So the leaf
 pipeline counts each of those leaves as `not_strongly_connected` or as
-`axiom`, and strong connectivity alone decides which.  Adding arcs never
-breaks strong connectivity, so `settle` decides a doomed node at depth
->= len(prefix), leaf or not: it adds 3^(|E| - depth) to `examined` and to
-`axiom` when the arcs oriented so far are already strongly connected, and
-to `examined` and to `not_strongly_connected` when they are not even with
-every remaining edge added as a digon, the largest completion.  Otherwise
-the search descends.  At a leaf no edge remains, so the second test only
-negates the first; `settle` skips it and counts the leaf (3^0 = 1) either
-way.  The counters and survivors are those of the leaf-by-leaf sweep.  The
-non-digon edge matters: on an irregular graph (k = -1) every node is past
-the bound, and the symmetric all-digon leaf lies below the nodes whose
-edges are all digons.  The degree prune cuts a doomed node before visiting
-it, so only the unpruned search meets one.
+`axiom`, and strong connectivity alone decides which.
+
+One function, `cut`, decides a child past the bound (dmax + 2 fmax > k,
+tested once per child) before the search visits it, when the prune is on
+or the child is doomed.  Under the prune it adds the child's leaves to
+`skipped_degree`.  Otherwise it adds them to `examined`, and to `axiom`
+when the arcs oriented so far are strongly connected or to
+`not_strongly_connected` when they are not even with every remaining edge
+added as a digon (adding arcs never breaks strong connectivity); when
+neither holds, the search descends.  A child at depth d has
+3^(|E| - max(d, len(prefix))) leaves.  The tests are sound inside the
+prefix too, since its completions are among those they cover.  At a leaf
+no edge remains, so the second test only negates the first; `cut` skips it
+there and so decides every doomed leaf.  The counters and survivors are
+those of the leaf-by-leaf sweep.  The non-digon edge matters: on an
+irregular graph (k = -1) every node is past the bound, and the symmetric
+all-digon leaf lies below the nodes whose edges are all digons.
 """
 
 from __future__ import annotations
@@ -228,7 +232,6 @@ def search_run(n, edges, prefix=(), prune_degree=False):
     # An irregular graph carries no scheme: with k = -1 the first edge cuts
     # every branch in pruned mode.
     k = deg[0] if all(x == deg[0] for x in deg) else -1
-    branch_leaves = 3 ** (ne - np_)
 
     states = bytearray(ne)
     out_m = [0] * n
@@ -287,47 +290,42 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         else:
             stats["axiom"] += 1
 
-    def settle(depth):
-        """Count the subtree of a doomed node at depth >= len(prefix) in
-        bulk when strong connectivity is already settled, as it always is
-        at a leaf; returns whether it counted."""
+    def cut(depth, leaves):
+        """Count the `leaves` leaves of a child at `depth` past the degree
+        bound without visiting it, as the module docstring says; returns
+        whether it counted."""
+        if prune_degree:
+            stats["skipped_degree"] += leaves
+            return True
         if strong():
             key = "axiom"
         elif depth == ne or not strong(rest[depth]):
             key = "not_strongly_connected"
         else:
             return False
-        stats["examined"] += 3 ** (ne - depth)
-        stats[key] += 3 ** (ne - depth)
+        stats["examined"] += leaves
+        stats[key] += leaves
         return True
 
     def dfs(depth, nondigon, dmax, fmax):
         """dmax and fmax: the largest digon and the largest out-only or
-        in-only degree of any vertex in the edges oriented so far.  The
-        node is doomed when dmax + 2 fmax > k and it has a non-digon edge;
-        the degree prune cuts such a node before the call.  The bound is
-        tested first: it is false on every node of a pruned search."""
-        if (dmax + 2 * fmax > k and nondigon and depth >= np_
-                and settle(depth)):
-            return
+        in-only degree of any vertex in the edges oriented so far."""
         if depth == ne:
             stats["examined"] += 1
             check_leaf(nondigon)
             return
-        if depth < np_:  # a fixed state: pruning it cuts the whole branch
-            choices, rem_leaves = prefix[depth:depth + 1], branch_leaves
-        else:
-            choices, rem_leaves = (FWD, BWD, DIG), 3 ** (ne - depth - 1)
+        choices = prefix[depth:depth + 1] if depth < np_ else (FWD, BWD, DIG)
+        leaves = 3 ** (ne - max(depth + 1, np_))
         u, v = edges[depth]
         for s in choices:
             orient(depth, s, 1)
             states[depth] = s
             dm = max(dmax, dd[u], dd[v])
             fm = max(fmax, oo[u], ii[u], oo[v], ii[v])
-            if prune_degree and dm + 2 * fm > k:
-                stats["skipped_degree"] += rem_leaves
-            else:
-                dfs(depth + 1, nondigon + (s != DIG), dm, fm)
+            nd = nondigon + (s != DIG)
+            if not (dm + 2 * fm > k and (prune_degree or nd)
+                    and cut(depth + 1, leaves)):
+                dfs(depth + 1, nd, dm, fm)
             orient(depth, s, -1)
 
     dfs(0, 0, 0, 0)

@@ -96,9 +96,12 @@ class PathClass:
 def classify_common_neighbour(d: Digraph, x: int, z: int, y: int) -> PathClass:
     """Classify common neighbour y of an underlying pair (x, z) at distance
     one or two.  A neighbour joined to both x and z by digons reports as the
-    forward pure path C1 with p = 1 (the C2 reading coincides there)."""
+    forward pure path C1 with p = 1 (the C2 reading coincides there).
+    NotStronglyConnectedError unless `d` is strongly connected."""
     for v in (x, z, y):
         d._check_vertex(v)
+    if not d.is_strongly_connected():
+        raise NotStronglyConnectedError("digraph not strongly connected")
     und = d.underlying_graph()
     du = und.distance_matrix()
     if x == z or int(du[x, z]) not in (1, 2):
@@ -217,10 +220,13 @@ def mu_case(d: Digraph, x: int, z: int) -> MuCase:
 
     with p < q in case 3 and p, r >= 2 in cases 4 and 5.  The parameters
     range over the distances that occur in the pattern.  Raises
+    NotStronglyConnectedError unless `d` is strongly connected, and
     MuCaseMatchError when no template (or more than one) matches.
     """
     d._check_vertex(x)
     d._check_vertex(z)
+    if not d.is_strongly_connected():
+        raise NotStronglyConnectedError("digraph not strongly connected")
     if d.is_symmetric():
         raise NotType22Error(
             "symmetric digraph: not a weakly distance-regular candidate")

@@ -132,18 +132,20 @@ def full_sweep_by_words(n, edges, prefix=()):
     """(examined, symmetric, not_strongly_connected, axiom, nodes) of the
     unpruned branch `prefix`, decided word by word with the bulk rule.
 
-    A prefix of t states is doomed when it has a non-digon edge and leaves
-    no degree target (the table of `degree_prune_by_words`).  A doomed
-    prefix with len(prefix) <= t < |E| is settled when its arcs are
-    strongly connected (its words count as `axiom`) or when they are not
-    even with every later edge added both ways (`not_strongly_connected`).
-    A word with no settled prefix is counted at its leaf: `symmetric` when
-    every state is a digon, by strong connectivity when it is doomed, and
-    otherwise by `leaf_stage_by_matrices` (a survivor when that finds no
-    violation).  `nodes` counts the root and every distinct prefix, leaves
-    included, none of whose shorter prefixes is settled.  Strong
-    connectivity comes from `floyd_warshall`, run once per distinct prefix
-    on a stack of adjacency matrices."""
+    A prefix of t >= 1 states is doomed when it has a non-digon edge and
+    leaves no degree target (the table of `degree_prune_by_words`).  A
+    doomed prefix, inside the branch prefix or not, is settled when its
+    arcs are strongly connected (its words count as `axiom`) or when they
+    are not even with every later edge added both ways
+    (`not_strongly_connected`); at t = |E| no edge is left, so the second
+    test negates the first and every doomed word settles.  A word with no
+    settled prefix is counted at its leaf: `symmetric` when every state is
+    a digon, and otherwise by `leaf_stage_by_matrices` (a survivor when
+    that finds no violation).  `nodes` counts the root and every distinct
+    prefix, leaves included, that neither it nor any shorter prefix
+    settled: a search that decides a child before visiting it never visits
+    a settled prefix.  Strong connectivity comes from `floyd_warshall`, run
+    once per distinct prefix on a stack of adjacency matrices."""
     m, fixed = len(edges), len(prefix)
     free = np.indices((3,) * (m - fixed), dtype=np.int8)
     free = free.reshape(m - fixed, -1).T
@@ -173,26 +175,25 @@ def full_sweep_by_words(n, edges, prefix=()):
     to_axiom, to_nsc = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     nodes = 0
     for t in range(m + 1):
-        alive = ~(to_axiom | to_nsc)
-        nodes += len(np.unique(code[alive]))
         # every vertex's degrees are at most (d, f) when the largest are
         dmax, fmax = digon.max(1), np.maximum(out_only, in_only).max(1)
         doomed = nondigon > 0
         for d, f in targets:
             doomed &= (dmax > d) | (fmax > f)
+        ask = np.flatnonzero(~(to_axiom | to_nsc) & doomed)
+        _, first, back = np.unique(code[ask], return_index=True,
+                                   return_inverse=True)
+        low = adj[ask[first]]
+        high = low.copy()
+        for u, v in edges[t:]:
+            high[:, u, v] = high[:, v, u] = True
+        low, high = strong(low)[back], strong(high)[back]
+        to_axiom[ask[low]] = True
+        to_nsc[ask[~low & ~high]] = True
+        alive = ~(to_axiom | to_nsc)
+        nodes += len(np.unique(code[alive]))
         if t == m:
             break
-        if t >= fixed:
-            ask = np.flatnonzero(alive & doomed)
-            _, first, back = np.unique(code[ask], return_index=True,
-                                       return_inverse=True)
-            low = adj[ask[first]]
-            high = low.copy()
-            for u, v in edges[t:]:
-                high[:, u, v] = high[:, v, u] = True
-            low, high = strong(low)[back], strong(high)[back]
-            to_axiom[ask[low]] = True
-            to_nsc[ask[~low & ~high]] = True
         u, v = edges[t]
         s = words[:, t]
         adj[:, u, v] |= s != 1
@@ -206,11 +207,8 @@ def full_sweep_by_words(n, edges, prefix=()):
         nondigon += s != 2
         code = code * 3 + s
     symmetric = int((alive & (nondigon == 0)).sum())
-    at_leaf = np.flatnonzero(alive & doomed)
-    connected = int(strong(adj[at_leaf]).sum())
-    nsc = int(to_nsc.sum()) + len(at_leaf) - connected
-    axiom = int(to_axiom.sum()) + connected
-    for i in np.flatnonzero(alive & ~doomed & (nondigon > 0)):
+    nsc, axiom = int(to_nsc.sum()), int(to_axiom.sum())
+    for i in np.flatnonzero(alive & (nondigon > 0)):
         stage = leaf_stage_by_matrices(adj[i])
         nsc += stage == "not_strongly_connected"
         axiom += stage not in (None, "not_strongly_connected")

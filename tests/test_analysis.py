@@ -28,6 +28,14 @@ from wdrd.errors import (
     UnderlyingNotDistanceRegularError,
     VertexOutOfRangeError,
 )
+from wdrd.search import _underlying_edges, word_to_digraph
+
+
+def johnson42_orientation(word):
+    """The orientation of J(4,2) with edge states `word` over its edges in
+    lexicographic order."""
+    g = johnson(4, 2).graph
+    return word_to_digraph(g.n, _underlying_edges(g), bytes(word))
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +143,13 @@ class TestClassifyCommonNeighbour:
             with pytest.raises(VertexOutOfRangeError):
                 classify_common_neighbour(cay14, *args)
 
+    def test_requires_connectivity(self):
+        # every edge forward: no path leads back to vertex 0, and the no-path
+        # distance must not become a case parameter
+        d = johnson42_orientation([0] * 12)
+        with pytest.raises(NotStronglyConnectedError):
+            classify_common_neighbour(d, 0, 1, 2)
+
 
 class TestLocalCounts:
     def test_reference_values(self, cay14, cay12):
@@ -237,3 +252,10 @@ class TestMuCase:
         for x, z in ((bad, 0), (0, bad), (bad, 2)):
             with pytest.raises(VertexOutOfRangeError):
                 mu_case(cay12, x, z)
+
+    def test_requires_connectivity(self):
+        # (0, 5) has two-way distance (2, 2), but some pairs have no path
+        d = johnson42_orientation([0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 1])
+        assert d.two_way_distance(0, 5) == (2, 2)
+        with pytest.raises(NotStronglyConnectedError):
+            mu_case(d, 0, 5)
