@@ -1,15 +1,19 @@
 /* Compiled orientation-search kernel.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the contract, for the soundness of the degree prune and for
-   the rule by which cut() decides a child past the degree bound before it
-   is visited.  The search carries the largest digon degree dmax and the
-   largest out-only or in-only degree fmax of any vertex so far; the bound
-   is dmax + 2 fmax > k, the common degree (-1 on an irregular graph, so
-   that the first edge passes it on every branch).  One depth-first search
-   tries only prefix[depth] at the depths below the prefix length and
-   emits every weakly distance-regular word it finds; the kernel knows
-   nothing of arc reversal, and `wdrd.search` classifies the survivors.
+   module for the contract, for the soundness of the degree prune, for the
+   closure lemma behind not_strong() and for the identities that give the
+   unpruned counters.  Both modes run one degree-pruned depth-first search.
+   It carries the largest digon degree dmax and the largest out-only or
+   in-only degree fmax of any vertex so far; cut() skips a child past the
+   bound dmax + 2 fmax > k, the common degree (-1 on an irregular graph,
+   so that the first edge passes it on every branch).  The search tries
+   only prefix[depth] at the depths below the prefix length and emits
+   every weakly distance-regular word it finds; the kernel knows nothing
+   of arc reversal, and `wdrd.search` classifies the survivors.  An
+   unpruned call then replaces the counters by unpruned_counters(), from
+   the survivors and the count of not_strong(), whose memo grows in its
+   Ctx up to MEMO_BYTES.
    `wdrd.kernel` compiles this file with the system C compiler, loads it
    with ctypes and validates every argument before calling
    `wdrd_search_run`.
@@ -30,10 +34,10 @@
    edges (3^|E| must fit in a signed 64-bit counter).
 
    Thread safety: the file has no mutable static data.  Each call keeps
-   all of its state in its own calloc'd Ctx and writes only there and to
-   the caller's stats array and emit callback, so calls on different
-   arguments may run at once; `wdrd.search` runs the branches of one
-   search concurrently from threads. */
+   all of its state in its own calloc'd Ctx and memo and writes only there
+   and to the caller's stats array and emit callback, so calls on
+   different arguments may run at once; `wdrd.search` runs the branches
+   of one search concurrently from threads. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -41,6 +45,9 @@
 
 #define MAXN 64
 #define MAXE 39
+/* Per-call byte budget of the not_strong() memo, and its first size. */
+#define MEMO_BYTES (1 << 26)
+#define MEMO_MIN 16
 
 typedef uint64_t u64;
 typedef int64_t i64;
@@ -58,7 +65,7 @@ enum { PASS, NOT_STRONG, LAYERS, CLASSES, ARCS, TENSOR };
 typedef void (*emit_fn)(const unsigned char *word);
 
 typedef struct {
-    int n, ne, np, prune, k;          /* k: common degree, or -1 */
+    int n, ne, np, k;                 /* k: common degree, or -1 */
     const unsigned char *prefix;
     int eu[MAXE], ev[MAXE];
     u64 out_m[MAXN], in_m[MAXN];
@@ -66,6 +73,12 @@ typedef struct {
     i64 pow3[MAXE + 1];
     u64 rest[MAXE + 1][MAXN];         /* rest[d][x]: x's neighbours over
                                          edges d.. (none at d = ne) */
+    /* not_strong(): reach[d] and coreach[d] hold the closure of the arcs
+       of the edges before d, as the set each vertex reaches and the set
+       that reaches it */
+    u64 reach[MAXE + 1][MAXN], coreach[MAXE + 1][MAXN];
+    u64 *memo;                        /* memo_cap slots of n + 2 words */
+    size_t memo_cap, memo_used;
     unsigned char states[MAXE];
     i64 *stats;
     emit_fn emit;
@@ -251,20 +264,6 @@ static int leaf_stage(Ctx *c)
     return constant_tensor(c, nc) ? PASS : TENSOR;
 }
 
-/* Whether the oriented arcs, with each edge of `extra` added both ways,
-   form a strongly connected digraph: the forward and the backward search
-   from vertex 0 both reach every vertex. */
-static int strong(const Ctx *c, const u64 *extra)
-{
-    u64 out_m[MAXN], in_m[MAXN];
-    for (int v = 0; v < c->n; v++) {
-        out_m[v] = c->out_m[v] | extra[v];
-        in_m[v] = c->in_m[v] | extra[v];
-    }
-    return bfs(out_m, 0, NULL, NULL, NULL) == vertex_set(c->n)
-        && bfs(in_m, 0, NULL, NULL, NULL) == vertex_set(c->n);
-}
-
 /* Count a leaf that cut() did not decide: symmetric, or through the leaf
    pipeline. */
 static void check_leaf(Ctx *c, int nondigon)
@@ -315,26 +314,11 @@ static inline int max(int a, int b)
     return a > b ? a : b;
 }
 
-/* Count the `leaves` leaves of a child at `depth` past the degree bound
-   without visiting it: as SKIPPED_DEGREE under the prune, otherwise as
-   AXIOM or NOT_STRONGLY_CONNECTED once strong connectivity is settled.
-   Returns whether it counted. */
-static int cut(Ctx *c, int depth, i64 leaves)
+/* Skip the `leaves` leaves of a child past the degree bound without
+   visiting it. */
+static inline void cut(Ctx *c, i64 leaves)
 {
-    int slot;
-    if (c->prune) {
-        c->stats[SKIPPED_DEGREE] += leaves;
-        return 1;
-    }
-    if (strong(c, c->rest[c->ne]))
-        slot = AXIOM;
-    else if (depth == c->ne || !strong(c, c->rest[depth]))
-        slot = NOT_STRONGLY_CONNECTED;
-    else
-        return 0;
-    c->stats[EXAMINED] += leaves;
-    c->stats[slot] += leaves;
-    return 1;
+    c->stats[SKIPPED_DEGREE] += leaves;
 }
 
 /* dmax and fmax: the largest digon and the largest out-only or in-only
@@ -355,12 +339,141 @@ static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
         int dm = max(dmax, max(c->dd[u], c->dd[v]));
         int fm = max(max(fmax, max(c->oo[u], c->ii[u])),
                      max(c->oo[v], c->ii[v]));
-        int nd = nondigon + (s != DIG);
-        if (!(dm + 2 * fm > c->k && (c->prune || nd)
-              && cut(c, depth + 1, leaves)))
-            dfs(c, depth + 1, nd, dm, fm);
+        if (dm + 2 * fm > c->k)
+            cut(c, leaves);
+        else
+            dfs(c, depth + 1, nondigon + (s != DIG), dm, fm);
         orient(c, depth, s, -1);
     }
+}
+
+/* Write into depth + 1 the closure at depth with the arcs of edge `depth`
+   in state s added.  x reaches y after the arc u -> v when it did before,
+   or when x reaches u and v reaches y. */
+static void close_edge(Ctx *c, int depth, int s)
+{
+    int n = c->n, u = c->eu[depth], v = c->ev[depth];
+    u64 *r = c->reach[depth + 1], *t = c->coreach[depth + 1];
+    memcpy(r, c->reach[depth], sizeof(u64) * n);
+    memcpy(t, c->coreach[depth], sizeof(u64) * n);
+    if (s == BWD) {
+        int w = u;
+        u = v;
+        v = w;
+    }
+    for (int arc = 0; arc < 1 + (s == DIG); arc++) {
+        u64 rv = r[v], tu = t[u];
+        for (u64 m = tu; m; m &= m - 1)
+            r[__builtin_ctzll(m)] |= rv;
+        for (u64 m = rv; m; m &= m - 1)
+            t[__builtin_ctzll(m)] |= tu;
+        int w = u;
+        u = v;
+        v = w;
+    }
+}
+
+/* The memo slot of the state (depth, reach[depth]): the slot that holds
+   it, or the empty slot where it goes.  The table has memo_cap > 0 slots
+   of n + 2 words, depth + 1 (0 when empty), the count and the n reach
+   masks, and is at most half full. */
+static u64 *memo_slot(const Ctx *c, u64 *memo, size_t cap, int depth,
+                      const u64 *r)
+{
+    int n = c->n;
+    u64 h = (u64)depth * 0x9e3779b97f4a7c15ULL;
+    for (int x = 0; x < n; x++)
+        h = (h ^ r[x]) * 0xff51afd7ed558ccdULL;
+    for (size_t i = (h ^ h >> 29) & (cap - 1);; i = (i + 1) & (cap - 1)) {
+        u64 *slot = memo + i * (n + 2);
+        if (!slot[0] || (slot[0] == (u64)depth + 1
+                         && !memcmp(slot + 2, r, sizeof(u64) * n)))
+            return slot;
+    }
+}
+
+/* Store count for the state (depth, reach[depth]), doubling the table
+   first when it would be more than half full.  Past MEMO_BYTES, or when
+   the allocation fails, it stores nothing. */
+static void memo_put(Ctx *c, int depth, i64 count)
+{
+    size_t w = (size_t)c->n + 2;
+    if (2 * (c->memo_used + 1) > c->memo_cap) {
+        size_t cap = c->memo_cap ? 2 * c->memo_cap : MEMO_MIN;
+        u64 *memo;
+        if (cap * w * sizeof(u64) > MEMO_BYTES
+                || !(memo = calloc(cap * w, sizeof(u64))))
+            return;
+        for (size_t i = 0; i < c->memo_cap; i++) {
+            const u64 *old = c->memo + i * w;
+            if (old[0])
+                memcpy(memo_slot(c, memo, cap, (int)old[0] - 1, old + 2),
+                       old, sizeof(u64) * w);
+        }
+        free(c->memo);
+        c->memo = memo;
+        c->memo_cap = cap;
+    }
+    u64 *slot = memo_slot(c, c->memo, c->memo_cap, depth, c->reach[depth]);
+    slot[0] = (u64)depth + 1;
+    slot[1] = (u64)count;
+    memcpy(slot + 2, c->reach[depth], sizeof(u64) * c->n);
+    c->memo_used++;
+}
+
+/* The completions of edges depth.. whose digraph, with the arcs whose
+   closure is reach[depth], is not strongly connected: the DP of
+   `_kernel_py.not_strong_completions`. */
+static i64 not_strong(Ctx *c, int depth)
+{
+    int n = c->n;
+    const u64 *r = c->reach[depth], *t = c->coreach[depth];
+    const u64 *e = c->rest[depth];
+    u64 out_m[MAXN], in_m[MAXN], full = vertex_set(n);
+    if (r[0] == full && t[0] == full)
+        return 0;
+    if (c->memo_cap) {
+        const u64 *slot = memo_slot(c, c->memo, c->memo_cap, depth, r);
+        if (slot[0])
+            return (i64)slot[1];
+    }
+    for (int x = 0; x < n; x++) {
+        out_m[x] = r[x] | e[x];
+        in_m[x] = t[x] | e[x];
+    }
+    if (bfs(out_m, 0, NULL, NULL, NULL) != full
+            || bfs(in_m, 0, NULL, NULL, NULL) != full)
+        return c->pow3[c->ne - depth];
+    i64 count = 0;
+    for (int s = FWD; s <= DIG; s++) {
+        close_edge(c, depth, s);
+        count += not_strong(c, depth + 1);
+    }
+    memo_put(c, depth, count);
+    return count;
+}
+
+/* Add to stats the unpruned counters, by the identities of `_kernel_py`,
+   from the counters of the pruned search. */
+static void unpruned_counters(Ctx *c, const i64 *pruned, i64 *stats)
+{
+    int n = c->n, all_digon = 1;
+    for (int x = 0; x < n; x++)
+        c->reach[0][x] = c->coreach[0][x] = (u64)1 << x;
+    for (int d = 0; d < c->np; d++) {
+        close_edge(c, d, c->prefix[d]);
+        all_digon &= c->prefix[d] == DIG;
+    }
+    i64 survivors = pruned[EXAMINED] - pruned[SYMMETRIC]
+        - pruned[NOT_STRONGLY_CONNECTED] - pruned[AXIOM];
+    i64 symmetric = all_digon;
+    i64 nsc = not_strong(c, c->np)
+        - (all_digon && bfs(c->rest[0], 0, NULL, NULL, NULL) != vertex_set(n));
+    i64 examined = c->pow3[c->ne - c->np];
+    stats[EXAMINED] += examined;
+    stats[SYMMETRIC] += symmetric;
+    stats[NOT_STRONGLY_CONNECTED] += nsc;
+    stats[AXIOM] += examined - symmetric - nsc - survivors;
 }
 
 /* Enumerate and check every completion of prefix[0..np) over the edges
@@ -372,14 +485,13 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
 {
     Ctx *c = ctx_new(n);
     int deg[MAXN] = {0}, regular = 1;
+    i64 pruned[NSTATS] = {0};
     if (!c)
         return -1;
     c->n = n;
     c->ne = ne;
     c->np = np;
     c->prefix = prefix;
-    c->prune = prune_degree;
-    c->stats = stats;
     c->emit = emit;
     c->pow3[0] = 1;
     for (int i = 0; i < ne; i++) {
@@ -399,7 +511,11 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
     for (int v = 1; v < n; v++)
         regular &= deg[v] == deg[0];
     c->k = regular ? deg[0] : -1;
+    c->stats = prune_degree ? stats : pruned;
     dfs(c, 0, 0, 0, 0);
+    if (!prune_degree)
+        unpruned_counters(c, pruned, stats);
+    free(c->memo);
     free(c);
     return 0;
 }

@@ -9,11 +9,12 @@ available and otherwise selects this module.
 Contract: this module is the one definition of what `wdrd.search` and
 both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
 (tests/test_kernel_backend.py checks the C side).  It holds the edge-state
-codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the counter
-keys STAT_KEYS, the leaf stages LEAF_STAGES and `check_arguments`.
-`search_run(n, edges, prefix=(), prune_degree=False)` covers the
-3^(|E| - len(prefix)) completions of `prefix` in one depth-first search,
-which tries only `prefix[depth]` at the depths below len(prefix).  It
+codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the memo
+budget MEMO_BYTES, the counter keys STAT_KEYS, the leaf stages LEAF_STAGES
+and `check_arguments`.  `search_run(n, edges, prefix=(),
+prune_degree=False)` covers the 3^(|E| - len(prefix)) completions of
+`prefix` with one depth-first search, which tries only `prefix[depth]` at
+the depths below len(prefix), and unpruned with one count as well.  It
 returns the counters of STAT_KEYS, which account for every leaf of the
 branch (examined + skipped_degree = 3^(|E| - len(prefix))), and the
 surviving words in visiting order.  The kernel knows no symmetry;
@@ -49,45 +50,50 @@ Steps 3 and 5 reject only leaves that steps 4 and 6 would reject, so all
 of steps 3-6 count as `axiom`.  Every word that passes is a survivor;
 `wdrd.search` classifies the survivors when it re-verifies them.
 
-Optional degree pruning cuts subtrees that cannot satisfy the valency
-constancy a scheme forces: every vertex must carry the same digon degree d,
-the same out-only degree f and the same in-only degree f (out-only equals
-in-only because dual classes have equal valencies), with d + 2f = k on a
-k-regular underlying graph; an irregular graph carries no scheme.  These
-are necessary conditions, so pruning never discards a candidate that
-would have survived the full check.  The search tests them as one
-inequality.  It carries dmax, the largest digon degree of any vertex so
-far, and fmax, the largest out-only or in-only degree, and cuts a subtree
-when dmax + 2 fmax > k, with k = -1 on an irregular graph so that the
-first edge cuts every branch.  Degrees only grow down the tree, so a
-target (d, (k - d) / 2) stays reachable iff d >= dmax and
-(k - d) / 2 >= fmax: the d in [dmax, k - 2 fmax] with d = k (mod 2).  The
-top one, k - 2 fmax, has the parity of k, so some target stays exactly
-when dmax + 2 fmax <= k.
+Both modes run one degree-pruned depth-first search.  The prune cuts
+subtrees that cannot satisfy the valency constancy a scheme forces: every
+vertex must carry the same digon degree d, the same out-only degree f and
+the same in-only degree f (out-only equals in-only because dual classes
+have equal valencies), with d + 2f = k on a k-regular underlying graph;
+an irregular graph carries no scheme.  These are necessary conditions, so
+pruning never discards a candidate that would have survived the full
+check.  The search tests them as one inequality.  It carries dmax, the
+largest digon degree of any vertex so far, and fmax, the largest out-only
+or in-only degree, and cuts a subtree when dmax + 2 fmax > k, with k = -1
+on an irregular graph so that the first edge cuts every branch.  Degrees
+only grow down the tree, so a target (d, (k - d) / 2) stays reachable iff
+d >= dmax and (k - d) / 2 >= fmax: the d in [dmax, k - 2 fmax] with
+d = k (mod 2).  The top one, k - 2 fmax, has the parity of k, so some
+target stays exactly when dmax + 2 fmax <= k.  One function, `cut`,
+decides a child past the bound before the search visits it and adds its
+3^(|E| - max(d, len(prefix))) leaves, d its depth, to `skipped_degree`.
 
-The unpruned search carries dmax and fmax as well, and counts whole
-subtrees at once.  Call a node doomed when dmax + 2 fmax > k and one of
-its edges is not a digon.  No leaf below a doomed node is weakly
-distance-regular, since by the argument above it reaches no degree target,
-and none is symmetric, since the non-digon edge stays.  So the leaf
-pipeline counts each of those leaves as `not_strongly_connected` or as
-`axiom`, and strong connectivity alone decides which.
-
-One function, `cut`, decides a child past the bound (dmax + 2 fmax > k,
-tested once per child) before the search visits it, when the prune is on
-or the child is doomed.  Under the prune it adds the child's leaves to
-`skipped_degree`.  Otherwise it adds them to `examined`, and to `axiom`
-when the arcs oriented so far are strongly connected or to
-`not_strongly_connected` when they are not even with every remaining edge
-added as a digon (adding arcs never breaks strong connectivity); when
-neither holds, the search descends.  A child at depth d has
-3^(|E| - max(d, len(prefix))) leaves.  The tests are sound inside the
-prefix too, since its completions are among those they cover.  At a leaf
-no edge remains, so the second test only negates the first; `cut` skips it
-there and so decides every doomed leaf.  The counters and survivors are
-those of the leaf-by-leaf sweep.  The non-digon edge matters: on an
-irregular graph (k = -1) every node is past the bound, and the symmetric
-all-digon leaf lies below the nodes whose edges are all digons.
+The unpruned counters follow from the pruned search's survivors and one
+number N, the count of completions of the prefix whose digraph is not
+strongly connected.  An unpruned leaf is the all-digon word (symmetric),
+or not strongly connected, or a survivor, or else it breaks an axiom, so:
+  examined = 3^(|E| - len(prefix)) and skipped_degree = 0;
+  symmetric = 1 when the prefix is all digons, else 0;
+  not_strongly_connected = N, less 1 when the prefix is all digons and the
+    underlying graph is disconnected, since that word counts as symmetric;
+  axiom = examined - symmetric - not_strongly_connected - #survivors;
+and the survivors are the pruned search's, in its order, since the prune
+never cuts one.  `not_strong_completions` computes N by a DP over the
+edges in search order, from the end of the prefix.  Its state is the
+depth and the reachability closure of the arcs oriented so far, kept as
+the set each vertex reaches and the set that reaches it; the memo key is
+the depth and the reach sets.  The closure lemma, closure(D + X) =
+closure(closure(D) + X), makes the strong connectivity of every
+completion a function of the depth and the closure, so the DP may memoise
+on them.  A state counts 0 when its closure is complete (strongly
+connected already), 3^(|E| - depth) when the arcs plus every remaining
+edge as a digon are not strongly connected (adding arcs never breaks
+strong connectivity, so no completion is), and otherwise the sum over
+Forward, Backward and Digon for the next edge.  The memo lives per call
+and starts small.  It holds at most MEMO_BYTES / (16 (n + 2)) states: a
+half-full hash table of (n + 2)-word slots in MEMO_BYTES, which is how
+`_kernel.c` keeps it.  Past that it stops inserting, and the count
+stays exact.
 """
 
 from __future__ import annotations
@@ -99,6 +105,8 @@ from .errors import TooLargeError, TooManyEdgesError
 # and 3^|E| must fit in a signed 64-bit counter.
 MAX_N = 64
 MAX_EDGES = 39
+# Per-call byte budget of the memo of `not_strong_completions` (see above).
+MEMO_BYTES = 1 << 26
 
 # Edge states, in search order.
 FWD, BWD, DIG = 0, 1, 2
@@ -210,6 +218,64 @@ def leaf_stage(n, out_m, in_m):
     return None
 
 
+def not_strong_completions(n, edges, prefix=()):
+    """The number N of completions of `prefix` over `edges` whose digraph
+    is not strongly connected, by the memoised reachability DP of the
+    module docstring."""
+    ne = len(edges)
+    full = (1 << n) - 1
+    # rest[d][x]: x's neighbours over edges d.. (none at d = ne)
+    rest = [[0] * n for _ in range(ne + 1)]
+    for d in range(ne - 1, -1, -1):
+        rest[d] = rest[d + 1][:]
+        u, v = edges[d]
+        rest[d][u] |= 1 << v
+        rest[d][v] |= 1 << u
+    limit = MEMO_BYTES // (16 * (n + 2))
+    memo: dict[tuple[int, ...], int] = {}
+
+    def add_arc(reach, coreach, u, v):
+        """The closure with arc u -> v added: x reaches y when it did, or
+        when x reaches u and v reaches y.  reach[x] is the set x reaches,
+        coreach[y] the set that reaches y."""
+        rv, cu = reach[v], coreach[u]
+        return ([r | rv if cu >> x & 1 else r for x, r in enumerate(reach)],
+                [c | cu if rv >> y & 1 else c for y, c in enumerate(coreach)])
+
+    def orient(reach, coreach, depth, s):
+        u, v = edges[depth]
+        if s == BWD:
+            u, v = v, u
+        reach, coreach = add_arc(reach, coreach, u, v)
+        if s == DIG:
+            reach, coreach = add_arc(reach, coreach, v, u)
+        return reach, coreach
+
+    def count(depth, reach, coreach):
+        if reach[0] == full and coreach[0] == full:
+            return 0
+        key = (depth, *reach)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        extra = rest[depth]
+        if (_bfs([r | e for r, e in zip(reach, extra)], 0)[0] != full
+                or _bfs([c | e for c, e in zip(coreach, extra)], 0)[0]
+                != full):
+            return 3 ** (ne - depth)
+        got = sum(count(depth + 1, *orient(reach, coreach, depth, s))
+                  for s in (FWD, BWD, DIG))
+        if len(memo) < limit:
+            memo[key] = got
+        return got
+
+    reach = [1 << x for x in range(n)]
+    coreach = reach[:]
+    for depth, s in enumerate(prefix):
+        reach, coreach = orient(reach, coreach, depth, s)
+    return count(len(prefix), reach, coreach)
+
+
 def search_run(n, edges, prefix=(), prune_degree=False):
     """Enumerate and check all completions of `prefix` over `edges`.
 
@@ -225,12 +291,15 @@ def search_run(n, edges, prefix=(), prune_degree=False):
     survivors: list[bytes] = []
 
     deg = [0] * n
+    adj = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
 
     # An irregular graph carries no scheme: with k = -1 the first edge cuts
-    # every branch in pruned mode.
+    # every branch.
     k = deg[0] if all(x == deg[0] for x in deg) else -1
 
     states = bytearray(ne)
@@ -258,27 +327,8 @@ def search_run(n, edges, prefix=(), prune_degree=False):
             oo[u] += d
             ii[v] += d
 
-    # rest[d][x]: x's neighbours over edges d.. (none at d = ne)
-    rest = [[0] * n for _ in range(ne + 1)]
-    for d in range(ne - 1, -1, -1):
-        rest[d] = rest[d + 1][:]
-        u, v = edges[d]
-        rest[d][u] |= 1 << v
-        rest[d][v] |= 1 << u
-    full = (1 << n) - 1
-
-    def strong(extra=None):
-        """Whether the oriented arcs, with each edge of `extra` added both
-        ways, form a strongly connected digraph: the forward and the
-        backward search from vertex 0 both reach every vertex."""
-        for masks in (out_m, in_m):
-            if extra is not None:
-                masks = [m | e for m, e in zip(masks, extra)]
-            if _bfs(masks, 0)[0] != full:
-                return False
-        return True
-
     def check_leaf(nondigon):
+        stats["examined"] += 1
         if nondigon == 0:
             stats["symmetric"] += 1
             return
@@ -290,28 +340,15 @@ def search_run(n, edges, prefix=(), prune_degree=False):
         else:
             stats["axiom"] += 1
 
-    def cut(depth, leaves):
-        """Count the `leaves` leaves of a child at `depth` past the degree
-        bound without visiting it, as the module docstring says; returns
-        whether it counted."""
-        if prune_degree:
-            stats["skipped_degree"] += leaves
-            return True
-        if strong():
-            key = "axiom"
-        elif depth == ne or not strong(rest[depth]):
-            key = "not_strongly_connected"
-        else:
-            return False
-        stats["examined"] += leaves
-        stats[key] += leaves
-        return True
+    def cut(leaves):
+        """Skip the `leaves` leaves of a child past the degree bound without
+        visiting it."""
+        stats["skipped_degree"] += leaves
 
     def dfs(depth, nondigon, dmax, fmax):
         """dmax and fmax: the largest digon and the largest out-only or
         in-only degree of any vertex in the edges oriented so far."""
         if depth == ne:
-            stats["examined"] += 1
             check_leaf(nondigon)
             return
         choices = prefix[depth:depth + 1] if depth < np_ else (FWD, BWD, DIG)
@@ -322,13 +359,25 @@ def search_run(n, edges, prefix=(), prune_degree=False):
             states[depth] = s
             dm = max(dmax, dd[u], dd[v])
             fm = max(fmax, oo[u], ii[u], oo[v], ii[v])
-            nd = nondigon + (s != DIG)
-            if not (dm + 2 * fm > k and (prune_degree or nd)
-                    and cut(depth + 1, leaves)):
-                dfs(depth + 1, nd, dm, fm)
+            if dm + 2 * fm > k:
+                cut(leaves)
+            else:
+                dfs(depth + 1, nondigon + (s != DIG), dm, fm)
             orient(depth, s, -1)
 
     dfs(0, 0, 0, 0)
+    if not prune_degree:
+        # the unpruned counters, by the identities of the module docstring
+        all_digon = all(s == DIG for s in prefix)
+        connected = _bfs(adj, 0)[0] == (1 << n) - 1
+        stats["examined"] = 3 ** (ne - np_)
+        stats["skipped_degree"] = 0
+        stats["symmetric"] = int(all_digon)
+        stats["not_strongly_connected"] = (
+            not_strong_completions(n, edges, prefix)
+            - (all_digon and not connected))
+        stats["axiom"] = (stats["examined"] - stats["symmetric"]
+                          - stats["not_strongly_connected"] - len(survivors))
     out = dict(stats)
     out["survivors"] = survivors
     return out

@@ -5,9 +5,10 @@ Digon), and the kernel accounts for each of the 3^|E| resulting digraphs.
 It checks the all-digon digraph and each digraph whose degrees allow a
 scheme for being weakly distance-regular, with a fixed filter order
 (all-digon shortcut, strong connectivity, scheme axioms).  Every other
-digraph is not strongly connected or breaks an axiom, and the kernel
-tells which by strong connectivity alone, often for a whole subtree at
-once (see `_kernel_py`).  Survivors are re-verified independently, which
+digraph is not strongly connected or breaks an axiom; an unpruned kernel
+call counts the two from the degree-pruned search's survivors and one
+count of the completions that are not strongly connected (see
+`_kernel_py`).  Survivors are re-verified independently, which
 also decides whether each is commutative, deduplicated by canonical form
 and reported in canonical-form order, so single-threaded and parallel runs
 emit byte-identical class lists.
@@ -15,7 +16,8 @@ emit byte-identical class lists.
 The optional degree prune cuts subtrees that cannot carry constant
 digon/out/in valencies (necessary for any association scheme) and never
 changes the surviving classes; the skipped-leaf accounting keeps
-examined + skipped = 3^|E| exact.
+examined + skipped = 3^|E| exact, and each branch's examined leaves must
+split exactly into its rejection counters and survivors.
 
 The search runs as a list of branches, each a fixed prefix of edge states
 handed to the kernel, all planned by `_branches`: the one branch () for a
@@ -231,7 +233,15 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
 
     stats = dict.fromkeys(kernel.STAT_KEYS, 0)
     words: list[bytes] = []
-    for r in results:
+    for prefix, r in zip(prefixes, results):
+        counts = [r[k] for k in kernel.STAT_KEYS]
+        split = (r["symmetric"] + r["not_strongly_connected"] + r["axiom"]
+                 + len(r["survivors"]))
+        if min(counts) < 0 or split != r["examined"]:
+            raise AccountingError(
+                f"branch {list(prefix)}: counters {counts} and "
+                f"{len(r['survivors'])} survivors do not split its examined "
+                "leaves")
         for k in kernel.STAT_KEYS:
             stats[k] += r[k]
         words.extend(r["survivors"])

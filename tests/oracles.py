@@ -6,8 +6,6 @@ explicit walk enumeration) and shares no code with the paths under test.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 BIG = 10**6
@@ -86,71 +84,25 @@ def leaf_stage_by_matrices(adj: np.ndarray) -> str | None:
     return None
 
 
-def degree_prune_by_words(n, edges, prefix=()):
-    """(examined, skipped, nodes) of the degree-pruned branch `prefix`,
-    decided word by word with the rule of a table of degree targets.  On a
-    k-regular graph the targets are the (d, (k - d) / 2) with k - d even;
-    an irregular graph has none.  A word is skipped when some prefix of it
-    (one edge or more) leaves no target (d, f) with every vertex's digon
-    degree at most d and its out-only and in-only degrees at most f.
-    `nodes` counts the root and every distinct prefix, leaves included,
-    whose own prefixes all leave a target: the nodes a depth-first search
-    visits when it cuts at the first prefix that leaves none."""
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    k = deg[0]
-    targets = [(d, (k - d) // 2) for d in range(k + 1) if (k - d) % 2 == 0]
-    if any(x != k for x in deg):
-        targets = []
-    examined = skipped = 0
-    visited = set()
-    for rest in itertools.product((0, 1, 2), repeat=len(edges) - len(prefix)):
-        word = tuple(prefix) + rest
-        digon, out_only, in_only = [0] * n, [0] * n, [0] * n
-        for t, ((u, v), s) in enumerate(zip(edges, word), 1):
-            if s == 2:
-                digon[u] += 1
-                digon[v] += 1
-            else:
-                tail, head = (u, v) if s == 0 else (v, u)
-                out_only[tail] += 1
-                in_only[head] += 1
-            if not any(all(digon[x] <= d and out_only[x] <= f
-                           and in_only[x] <= f for x in range(n))
-                       for d, f in targets):
-                skipped += 1
-                break
-            visited.add(word[:t])
-        else:
-            examined += 1
-    return examined, skipped, 1 + len(visited)
+def _completions(edges, prefix):
+    """Every completion of `prefix` over `edges` as a row of states, the
+    last edge fastest."""
+    m = len(edges) - len(prefix)
+    free = np.indices((3,) * m, dtype=np.int8).reshape(m, 3 ** m).T
+    return np.hstack([np.tile(np.asarray(prefix, dtype=np.int8),
+                              (len(free), 1)), free])
 
 
-def full_sweep_by_words(n, edges, prefix=()):
-    """(examined, symmetric, not_strongly_connected, axiom, nodes) of the
-    unpruned branch `prefix`, decided word by word with the bulk rule.
-
-    A prefix of t >= 1 states is doomed when it has a non-digon edge and
-    leaves no degree target (the table of `degree_prune_by_words`).  A
-    doomed prefix, inside the branch prefix or not, is settled when its
-    arcs are strongly connected (its words count as `axiom`) or when they
-    are not even with every later edge added both ways
-    (`not_strongly_connected`); at t = |E| no edge is left, so the second
-    test negates the first and every doomed word settles.  A word with no
-    settled prefix is counted at its leaf: `symmetric` when every state is
-    a digon, and otherwise by `leaf_stage_by_matrices` (a survivor when
-    that finds no violation).  `nodes` counts the root and every distinct
-    prefix, leaves included, that neither it nor any shorter prefix
-    settled: a search that decides a child before visiting it never visits
-    a settled prefix.  Strong connectivity comes from `floyd_warshall`, run
-    once per distinct prefix on a stack of adjacency matrices."""
-    m, fixed = len(edges), len(prefix)
-    free = np.indices((3,) * (m - fixed), dtype=np.int8)
-    free = free.reshape(m - fixed, -1).T
-    words = np.hstack([np.tile(np.asarray(prefix, dtype=np.int8),
-                               (len(free), 1)), free])
+def _degree_table(n, edges, words):
+    """(kept, nodes) of the rule of a table of degree targets, applied to
+    each row of `words`.  On a k-regular graph the targets are the
+    (d, (k - d) / 2) with k - d even; an irregular graph has none.  A word
+    is kept unless some prefix of it (one edge or more) leaves no target
+    (d, f) with every vertex's digon degree at most d and its out-only and
+    in-only degrees at most f.  `nodes` counts the root and every distinct
+    prefix, leaves included, whose own prefixes all leave a target: the
+    nodes a depth-first search visits when it cuts at the first prefix
+    that leaves none."""
     deg = np.zeros(n, dtype=np.int64)
     for u, v in edges:
         deg[u] += 1
@@ -159,60 +111,66 @@ def full_sweep_by_words(n, edges, prefix=()):
     targets = [(d, (k - d) // 2) for d in range(k + 1) if (k - d) % 2 == 0]
     if (deg != k).any():
         targets = []
-
-    def strong(adj):
-        return np.concatenate([
-            (floyd_warshall(adj[i:i + 4096]) < BIG).all(axis=(-2, -1))
-            for i in range(0, len(adj), 4096)] or [np.zeros(0, bool)])
-
     count = len(words)
-    adj = np.zeros((count, n, n), dtype=bool)   # arcs of the first t states
     digon, out_only, in_only = (np.zeros((count, n), dtype=np.int16)
                                 for _ in range(3))
-    nondigon = np.zeros(count, dtype=np.int16)
     code = np.zeros(count, dtype=np.int64)       # the first t states, base 3
-    # words of a prefix settled as `axiom` / as `not_strongly_connected`
-    to_axiom, to_nsc = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    nodes = 0
-    for t in range(m + 1):
-        # every vertex's degrees are at most (d, f) when the largest are
-        dmax, fmax = digon.max(1), np.maximum(out_only, in_only).max(1)
-        doomed = nondigon > 0
-        for d, f in targets:
-            doomed &= (dmax > d) | (fmax > f)
-        ask = np.flatnonzero(~(to_axiom | to_nsc) & doomed)
-        _, first, back = np.unique(code[ask], return_index=True,
-                                   return_inverse=True)
-        low = adj[ask[first]]
-        high = low.copy()
-        for u, v in edges[t:]:
-            high[:, u, v] = high[:, v, u] = True
-        low, high = strong(low)[back], strong(high)[back]
-        to_axiom[ask[low]] = True
-        to_nsc[ask[~low & ~high]] = True
-        alive = ~(to_axiom | to_nsc)
-        nodes += len(np.unique(code[alive]))
-        if t == m:
-            break
-        u, v = edges[t]
+    kept = np.ones(count, dtype=bool)
+    nodes = 1
+    for t, (u, v) in enumerate(edges):
         s = words[:, t]
-        adj[:, u, v] |= s != 1
-        adj[:, v, u] |= s != 0
         digon[:, u] += s == 2
         digon[:, v] += s == 2
         out_only[:, u] += s == 0
         in_only[:, v] += s == 0
         out_only[:, v] += s == 1
         in_only[:, u] += s == 1
-        nondigon += s != 2
         code = code * 3 + s
-    symmetric = int((alive & (nondigon == 0)).sum())
-    nsc, axiom = int(to_nsc.sum()), int(to_axiom.sum())
-    for i in np.flatnonzero(alive & (nondigon > 0)):
-        stage = leaf_stage_by_matrices(adj[i])
-        nsc += stage == "not_strongly_connected"
-        axiom += stage not in (None, "not_strongly_connected")
-    return count, symmetric, nsc, axiom, nodes
+        # every vertex's degrees are at most (d, f) when the largest are
+        dmax, fmax = digon.max(1), np.maximum(out_only, in_only).max(1)
+        leaves_one = np.zeros(count, dtype=bool)
+        for d, f in targets:
+            leaves_one |= (dmax <= d) & (fmax <= f)
+        kept &= leaves_one
+        nodes += len(np.unique(code[kept]))
+    return kept, nodes
+
+
+def degree_prune_by_words(n, edges, prefix=()):
+    """(examined, skipped, nodes) of the degree-pruned branch `prefix`,
+    decided word by word with the rule of `_degree_table`: a word is
+    examined when the rule keeps it and skipped otherwise."""
+    kept, nodes = _degree_table(n, edges, _completions(edges, prefix))
+    examined = int(kept.sum())
+    return examined, len(kept) - examined, nodes
+
+
+def full_sweep_by_words(n, edges, prefix=()):
+    """(examined, symmetric, not_strongly_connected, axiom) of the
+    unpruned branch `prefix`, decided word by word.  Every completion is
+    examined.  A word is `symmetric` when every state is a digon;
+    otherwise `not_strongly_connected` when Floyd–Warshall finds a pair
+    that no path joins; otherwise `axiom` when the degree rule of
+    `_degree_table` drops it, since then no scheme carries it; otherwise
+    `axiom` when `leaf_stage_by_matrices` finds a violation, and a
+    survivor when it finds none.  Floyd–Warshall runs on a stack of the
+    adjacency matrices of all the words."""
+    words = _completions(edges, prefix)
+    count = len(words)
+    adj = np.zeros((count, n, n), dtype=bool)
+    for t, (u, v) in enumerate(edges):
+        adj[:, u, v] |= words[:, t] != 1
+        adj[:, v, u] |= words[:, t] != 0
+    symmetric = (words == 2).all(axis=1)
+    strong = np.concatenate([
+        (floyd_warshall(adj[i:i + 4096]) < BIG).all(axis=(-2, -1))
+        for i in range(0, count, 4096)])
+    kept, _ = _degree_table(n, edges, words)
+    axiom = int((~symmetric & strong & ~kept).sum())
+    for i in np.flatnonzero(~symmetric & strong & kept):
+        axiom += leaf_stage_by_matrices(adj[i]) is not None
+    return (count, int(symmetric.sum()), int((~symmetric & ~strong).sum()),
+            axiom)
 
 
 def search_by_brute_force(graph, enumerate_orientations, wdrd_report,

@@ -248,6 +248,26 @@ class TestSearch:
         code, out, err = invoke(capsys, "search", "--graph", "complete", "3")
         assert code == 2 and out == "" and "expected 3^3" in err
 
+    @pytest.mark.parametrize("shift", [{"axiom": 1},
+                                       {"axiom": -100, "symmetric": 100}],
+                             ids=["unbalanced split", "negative counter"])
+    def test_branch_counters_that_do_not_split_exit_two(self, capsys,
+                                                        monkeypatch, shift):
+        """A branch whose counters and survivors do not add up to its
+        examined leaves, or hold a negative count, fails the run even
+        though examined + skipped still make 3^|E|."""
+        real = kernel.search_run
+
+        def unbalanced(*args, **kwargs):
+            stats = real(*args, **kwargs)
+            for key, by in shift.items():
+                stats[key] += by
+            return stats
+
+        monkeypatch.setattr(kernel, "search_run", unbalanced)
+        code, out, err = invoke(capsys, "search", "--graph", "complete", "3")
+        assert code == 2 and out == "" and "do not split" in err
+
     def test_canon_cap_exits_two_before_the_sweep(self, capsys, monkeypatch):
         def sweep(*args, **kwargs):
             raise AssertionError("the kernel ran")

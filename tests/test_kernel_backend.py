@@ -105,6 +105,13 @@ def test_c_limits_are_the_kernel_limits():
                       "MAXE": str(kernel.MAX_EDGES)}
 
 
+def test_c_memo_budget_is_the_kernel_budget():
+    budget = re.search(r"#define MEMO_BYTES \(1 << (\d+)\)",
+                       kernel._SOURCE.read_text())
+    assert budget is not None
+    assert 1 << int(budget.group(1)) == _kernel_py.MEMO_BYTES
+
+
 def test_c_leaf_stages_are_the_leaf_stages():
     """wdrd_leaf_stage returns an index into LEAF_STAGES."""
     enum = re.search(r"enum\s*\{\s*(PASS\b[^}]*)\}",
@@ -166,14 +173,15 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
         kernel._run_compiled(NoLibrary(), *args)
 
 
-# Runs the parity cases, two unpruned branches that the bulk counts settle,
-# the largest leaves and the threaded runs through a kernel library built
-# elsewhere, given as argv[1], and compares it with the pure kernel.
+# Runs the parity cases, two unpruned branches, the unpruned K6 sweep
+# (whose count memo grows from its first size to 32,768 slots), the largest
+# leaves and the threaded runs through a kernel library built elsewhere,
+# given as argv[1], and compares it with the pure kernel.
 PARITY_SCRIPT = """
 import functools
 import sys
 from pathlib import Path
-from test_kernel_leaves import FULL, LEAVES
+from test_kernel_leaves import FULL, K6, LEAVES
 from test_kernel_parity import BRANCHES, CASES, check_threaded_runs
 from wdrd import _kernel_py, kernel
 
@@ -188,6 +196,7 @@ for n, edges, *prefix in CASES + BRANCHES:
 for name in ("J(4,2) 01", "K4 minus an edge"):
     want = _kernel_py.search_run(*FULL[name])
     assert kernel._run_compiled(lib, *FULL[name]) == want, name
+assert kernel._run_compiled(lib, 6, K6) == _kernel_py.search_run(6, K6), "K6"
 for name, (n, out_m, in_m) in LEAVES.items():
     want = _kernel_py.leaf_stage(n, out_m, in_m)
     assert kernel._leaf_stage_compiled(lib, n, out_m, in_m) == want, name

@@ -16,13 +16,15 @@ alone cannot see a prune that cuts later than it could (leaving out the
 in-only degrees, say): at a leaf every vertex's degrees sum to k, which
 makes any such rule cut the same words.
 
-The unpruned search counts the leaves of a doomed child in bulk, without
-visiting it, once strong connectivity is settled; at a leaf it always is,
-so a doomed leaf is never visited either.  On a few unpruned branches, the
-counters and the number of search nodes of both kernels must be those of
-`oracles.full_sweep_by_words`, which applies that rule word by word, and
-the full leaf pipeline must run only on the non-symmetric leaves that the
-degree prune keeps."""
+Both modes run the degree-pruned search, and the unpruned counters follow
+from its survivors and from a count of the completions that are not
+strongly connected (see `_kernel_py`).  On a few unpruned branches, the
+counters of both kernels must be those of `oracles.full_sweep_by_words`,
+which decides each word by its own digraph; the search must visit the
+nodes that `oracles.degree_prune_by_words` counts for the pruned branch,
+and the full leaf pipeline must run only on the non-symmetric leaves that
+the degree prune keeps.  A kernel whose count memo holds only a few
+states, or none, must give the same counters on J(4,2) and K6."""
 
 import ctypes
 import functools
@@ -70,25 +72,36 @@ PRUNED = {
     "K6 001122001": BRANCHES["K6 degree 001122001"][:3],
 }
 
+K4_MINUS_AN_EDGE = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+
 # name -> (n, edges, prefix) of the unpruned branches checked against the
-# bulk rule; K4 minus an edge is irregular, so every node with a non-digon
-# edge is doomed
+# word-by-word counts; K4 minus an edge and P3 are irregular, so the
+# pruned search cuts every child
 FULL = {
-    "K4 minus an edge": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], ()),
+    "K4 minus an edge": (4, K4_MINUS_AN_EDGE, ()),
     "K4": (4, K4, ()),
     "C4": PRUNED["C4"],
     "P3": PRUNED["P3"],
     "3-prism": PRUNED["3-prism"],
-    "two triangles": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
-                      ()),
+    "two triangles": (6, TWO_TRIANGLES, ()),
     "J(4,2)": (6, J42, ()),
     "J(4,2) 01": (6, J42, (0, 1)),
     "J(4,2) 0122": (6, J42, (0, 1, 2, 2)),
-    # settled inside the prefix: at depth 3 of 4 vertex 0 has only out-arcs
-    # and no edge left (not_strongly_connected) ...
+    # the prefix alone decides: after depth 3 of 4 vertex 0 has only
+    # out-arcs and no edge left, so no completion is strongly connected ...
     "K4 0000": (4, K4, (0, 0, 0, 0)),
-    # ... and strongly connected arcs at depth 4 of 5 (axiom)
+    # ... and the arcs at depth 4 of 5 are strongly connected, so every
+    # completion is
     "K4 02200": (4, K4, (0, 2, 2, 0, 0)),
+    # all-digon prefixes: the all-digon word is symmetric, and on the two
+    # triangles it is not strongly connected either
+    "two triangles 222": (6, TWO_TRIANGLES, (2, 2, 2)),
+    "P3 2": (3, PRUNED["P3"][1], (2,)),
+    "K4 minus an edge 22": (4, K4_MINUS_AN_EDGE, (2, 2)),
+    # no edge: one empty word, strongly connected on one vertex only
+    "K1": (1, [], ()),
+    "two vertices, no edge": (2, [], ()),
 }
 
 # name -> (n, out-masks, in-masks) of single leaves; on the directed
@@ -257,8 +270,14 @@ def test_degree_prune_cuts_where_the_target_table_cuts(counted_run, name):
 
 @functools.cache
 def full_sweep(name):
-    """The counts of the unpruned branch `name` under the bulk rule."""
+    """The counts of the unpruned branch `name`, word by word."""
     return full_sweep_by_words(*FULL[name])
+
+
+@functools.cache
+def pruned_nodes(name):
+    """The nodes of the degree-pruned search of branch `name`."""
+    return degree_prune_by_words(*FULL[name])[2]
 
 
 @pytest.mark.parametrize("name", FULL)
@@ -266,10 +285,81 @@ def test_full_sweep_counts_in_bulk_where_the_rule_settles(backend,
                                                          counted_run, name):
     n, edges, prefix = FULL[name]
     got, nodes, pipelines = counted_run(n, edges, prefix, False)
-    assert (*(got[key] for key in ("examined", "symmetric",
-                                   "not_strongly_connected", "axiom")),
-            nodes) == full_sweep(name)
+    assert tuple(got[key] for key in ("examined", "symmetric",
+                                      "not_strongly_connected", "axiom")) \
+        == full_sweep(name)
+    assert got["skipped_degree"] == 0
+    assert nodes == pruned_nodes(name)
     kept = kernel.backends()[backend](n, edges, prefix, prune_degree=True)
     assert pipelines == kept["examined"] - kept["symmetric"]
+    assert got["survivors"] == kept["survivors"]
     if name == "J(4,2)":
-        assert nodes <= 70_000 and pipelines < 100
+        assert nodes == 667 and pipelines < 100
+
+
+# name -> (n, edges, prefix, counters) of the unpruned runs with a cut
+# memo: the counters the search gave before it counted with the memoised DP
+BUDGET = {
+    "J(4,2)": (6, J42, (), (531_441, 0, 1, 77_970, 453_460)),
+    "K6": (6, K6, (), (14_348_907, 0, 1, 709_578, 13_639_258)),
+    "K6 22": (6, K6, (2, 2), (1_594_323, 0, 1, 39_438, 1_554_872)),
+}
+# memo budgets in bytes: none at all, and 8 states of 6 vertices
+BUDGETS = (0, 1024)
+
+
+def pure_kernel_with_budget(budget):
+    """A copy of `_kernel_py` whose memo budget is `budget` bytes."""
+    source = Path(_kernel_py.__file__).read_text()
+    line = f"MEMO_BYTES = 1 << {_kernel_py.MEMO_BYTES.bit_length() - 1}\n"
+    assert source.count(line) == 1, "the kernel changed; update this copy"
+    module = types.ModuleType("wdrd._kernel_py_budget")
+    module.__package__ = "wdrd"
+    exec(compile(source.replace(line, f"MEMO_BYTES = {budget}\n"),
+                 _kernel_py.__file__, "exec"), module.__dict__)
+    return module.search_run
+
+
+@pytest.fixture(scope="module")
+def compiled_with_budget(compiled, tmp_path_factory):
+    """search_run of builds of `_kernel.c` whose memo budgets are BUDGETS,
+    by budget."""
+    source = kernel._SOURCE.read_text()
+    line = ("#define MEMO_BYTES "
+            f"(1 << {_kernel_py.MEMO_BYTES.bit_length() - 1})\n")
+    assert source.count(line) == 1, "kernel changed; update this fixture"
+    build = tmp_path_factory.mktemp("budget")
+    runs = {}
+    for budget in BUDGETS:
+        path = build / f"kernel{budget}.c"
+        path.write_text(source.replace(line, f"#define MEMO_BYTES {budget}\n"))
+        subprocess.run([*kernel._COMPILE, "-o", str(path.with_suffix(".so")),
+                        str(path)], check=True, capture_output=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "_library_path",
+                       lambda: path.with_suffix(".so"))
+            runs[budget] = functools.partial(kernel._run_compiled,
+                                             kernel._load())
+    return runs
+
+
+def check_budget_run(run, backend, name):
+    n, edges, prefix, want = BUDGET[name]
+    got = run(n, edges, prefix)
+    assert tuple(got[key] for key in kernel.STAT_KEYS) == want
+    assert got["survivors"] == kernel.backends()[backend](n, edges, prefix)[
+        "survivors"]
+
+
+# The pure kernel takes 15 s for all of K6 with a cut memo, so it runs the
+# K6 branch 22 instead.
+@pytest.mark.parametrize("name", ["J(4,2)", "K6 22"])
+def test_a_cut_memo_keeps_the_pure_counters(name):
+    check_budget_run(pure_kernel_with_budget(1024), "pure", name)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("name", BUDGET)
+def test_a_cut_memo_keeps_the_compiled_counters(compiled_with_budget, name,
+                                                budget):
+    check_budget_run(compiled_with_budget[budget], "compiled", name)

@@ -34,6 +34,7 @@ def fake_sweep_with_digon_survivor(n, edges, **kwargs):
     is symmetric and so not weakly distance-regular."""
     stats = {k: 0 for k in kernel.STAT_KEYS}
     stats["examined"] = 3 ** len(edges)
+    stats["axiom"] = stats["examined"] - 1
     return {**stats, "survivors": [bytes([2] * len(edges))]}
 
 
@@ -41,10 +42,11 @@ def fake_sweep_with_triangle_survivor(n, edges, prefix=(), **kwargs):
     """A balanced K3 kernel branch whose one survivor, if the branch holds
     it, is the directed triangle 0 -> 1 -> 2 -> 0."""
     word = bytes([0, 1, 0])
+    survivors = [word] if word.startswith(bytes(prefix)) else []
     stats = {k: 0 for k in kernel.STAT_KEYS}
     stats["examined"] = 3 ** (len(edges) - len(prefix))
-    return {**stats, "survivors": [word] if word.startswith(bytes(prefix))
-            else []}
+    stats["axiom"] = stats["examined"] - len(survivors)
+    return {**stats, "survivors": survivors}
 
 
 def c4():
@@ -363,3 +365,62 @@ class TestSoundness:
                                       prune="degree")
         assert len(rep.iso_classes) == 2
         assert {c.type_set for c in rep.iso_classes} == {(3,), (3, 4)}
+
+
+def graph_where(n, adjacent):
+    """The graph on vertices 0..n-1 with an edge {u, v} where
+    `adjacent(u, v)`, as a symmetric digraph."""
+    return Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n)
+                                 if u != v and adjacent(u, v)])
+
+
+def hamming(u, v):
+    return bin(u ^ v).count("1")
+
+
+PETERSEN_EDGES = ([(i, (i + 1) % 5) for i in range(5)]
+                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                  + [(i, 5 + i) for i in range(5)])
+
+# name -> (graph, classes, labelled count) of the degree-pruned searches of
+# graphs from the classifications of Hamming graphs and folded cubes that
+# the source paper builds on, within the edge cap
+COMPANIONS = {
+    "H(2,3)": (graph_where(9, lambda u, v: (u // 3 == v // 3)
+                           != (u % 3 == v % 3)), 2, 8),
+    "Q3": (graph_where(8, lambda u, v: hamming(u, v) == 1), 1, 6),
+    # the 4-cube with antipodes identified: 3-bit words at odd distance,
+    # which is K4,4
+    "folded 4-cube": (graph_where(8, lambda u, v: hamming(u, v) % 2 == 1),
+                      1, 18),
+    "Petersen": (Digraph.from_arcs(10, PETERSEN_EDGES
+                                   + [(v, u) for u, v in PETERSEN_EDGES]),
+                 0, 0),
+    "Q4": (graph_where(16, lambda u, v: hamming(u, v) == 1), 0, 0),
+}
+# companions swept unpruned as well -> whether only the compiled kernel
+# does that in Tier-1 time (the pure one needs seconds to minutes)
+UNPRUNED_COMPANIONS = {"Q3": False, "Petersen": True, "folded 4-cube": True,
+                       "H(2,3)": True}
+
+
+@pytest.mark.parametrize("name", COMPANIONS)
+def test_companion_graphs_degree_pruned(name):
+    graph, classes, labelled = COMPANIONS[name]
+    rep = search_commutative_wdrd(graph, prune="degree",
+                                  max_edges=kernel.MAX_EDGES)
+    assert (len(rep.iso_classes), rep.wdrd_count,
+            rep.noncommutative_count) == (classes, labelled, 0)
+
+
+@pytest.mark.parametrize("name", UNPRUNED_COMPANIONS)
+def test_companion_graphs_unpruned_agree_with_degree_pruned(request, name):
+    if UNPRUNED_COMPANIONS[name]:
+        request.getfixturevalue("compiled")  # skips without a C compiler
+        assert kernel.BACKEND == "compiled"
+    graph = COMPANIONS[name][0]
+    full = search_commutative_wdrd(graph, max_edges=kernel.MAX_EDGES)
+    pruned = search_commutative_wdrd(graph, prune="degree",
+                                     max_edges=kernel.MAX_EDGES)
+    assert full.core() == pruned.core()
+    assert full.examined == full.total_candidates
