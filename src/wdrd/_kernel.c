@@ -3,20 +3,23 @@
    Same contract and identical output as `_kernel_py.search_run`; see that
    module for the contract, for the soundness of the degree prune, for the
    closure lemma behind not_strong() and for the identities that give the
-   unpruned counters.  Both modes run one degree-pruned depth-first search.
-   It carries the largest digon degree dmax and the largest out-only or
-   in-only degree fmax of any vertex so far; cut() skips a child past the
-   bound dmax + 2 fmax > k, the common degree (-1 on an irregular graph,
-   so that the first edge passes it on every branch).  The search tries
-   only prefix[depth] at the depths below the prefix length and emits
-   every weakly distance-regular word it finds; the kernel knows nothing
-   of arc reversal, and `wdrd.search` classifies the survivors.  An
-   unpruned call then replaces the counters by unpruned_counters(), from
-   the survivors and the count of not_strong(), whose memo grows in its
-   Ctx up to MEMO_BYTES.
+   unpruned counters.  One call runs a list of disjoint prefixes in order
+   on one Ctx and sums their counters.  Both modes run one degree-pruned
+   depth-first search per prefix.  It carries the largest digon degree
+   dmax and the largest out-only or in-only degree fmax of any vertex so
+   far; cut() skips a child past the bound dmax + 2 fmax > k, the common
+   degree (-1 on an irregular graph, so that the first edge passes it on
+   every branch).  The search tries only prefix[depth] at the depths
+   below the prefix length and emits every weakly distance-regular word
+   it finds; the kernel knows nothing of arc reversal, and `wdrd.search`
+   classifies the survivors.  An unpruned call then adds each prefix's
+   counters from unpruned_counters(), from the prefix's survivors and the
+   count of not_strong(), whose memo grows in the Ctx up to MEMO_BYTES.
+   The prefixes of a call share the memo: a state is (depth, closure),
+   and its count does not depend on the prefix that reached it.
    `wdrd.kernel` compiles this file with the system C compiler, loads it
    with ctypes and validates every argument before calling
-   `wdrd_search_run`.
+   `wdrd_search_run`; the C code trusts that no prefix extends another.
 
    Leaf pipeline, the steps of `_kernel_py` in the same order: symmetric
    leaves; strong connectivity, by one BFS from vertex 0 over out_m and
@@ -36,8 +39,9 @@
    Thread safety: the file has no mutable static data.  Each call keeps
    all of its state in its own calloc'd Ctx and memo and writes only there
    and to the caller's stats array and emit callback, so calls on
-   different arguments may run at once; `wdrd.search` runs the branches
-   of one search concurrently from threads. */
+   different arguments may run at once; `wdrd.search` runs its shares of
+   one search concurrently, one call per thread, and the calling thread
+   runs the first. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -453,8 +457,8 @@ static i64 not_strong(Ctx *c, int depth)
     return count;
 }
 
-/* Add to stats the unpruned counters, by the identities of `_kernel_py`,
-   from the counters of the pruned search. */
+/* Add to stats the unpruned counters of the current prefix, by the
+   identities of `_kernel_py`, from the counters of its pruned search. */
 static void unpruned_counters(Ctx *c, const i64 *pruned, i64 *stats)
 {
     int n = c->n, all_digon = 1;
@@ -476,22 +480,21 @@ static void unpruned_counters(Ctx *c, const i64 *pruned, i64 *stats)
     stats[AXIOM] += examined - symmetric - nsc - survivors;
 }
 
-/* Enumerate and check every completion of prefix[0..np) over the edges
-   (eu[i], ev[i]) = (edges[2i], edges[2i+1]).  Adds the counters into
-   stats[NSTATS].  Returns 0, or -1 when out of memory. */
-int wdrd_search_run(int n, int ne, const int *edges, int np,
-                    const unsigned char *prefix, int prune_degree,
-                    i64 *stats, emit_fn emit)
+/* Enumerate and check every completion of each of the nprefixes prefixes
+   over the edges (eu[i], ev[i]) = (edges[2i], edges[2i+1]), in order.
+   Prefix i is the next lengths[i] bytes of prefixes, which holds them
+   back to back.  Adds the counters into stats[NSTATS].  Returns 0, or -1
+   when out of memory. */
+int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
+                    const int *lengths, const unsigned char *prefixes,
+                    int prune_degree, i64 *stats, emit_fn emit)
 {
     Ctx *c = ctx_new(n);
     int deg[MAXN] = {0}, regular = 1;
-    i64 pruned[NSTATS] = {0};
     if (!c)
         return -1;
     c->n = n;
     c->ne = ne;
-    c->np = np;
-    c->prefix = prefix;
     c->emit = emit;
     c->pow3[0] = 1;
     for (int i = 0; i < ne; i++) {
@@ -511,10 +514,15 @@ int wdrd_search_run(int n, int ne, const int *edges, int np,
     for (int v = 1; v < n; v++)
         regular &= deg[v] == deg[0];
     c->k = regular ? deg[0] : -1;
-    c->stats = prune_degree ? stats : pruned;
-    dfs(c, 0, 0, 0, 0);
-    if (!prune_degree)
-        unpruned_counters(c, pruned, stats);
+    for (int i = 0; i < nprefixes; prefixes += lengths[i++]) {
+        i64 pruned[NSTATS] = {0};
+        c->np = lengths[i];
+        c->prefix = prefixes;
+        c->stats = prune_degree ? stats : pruned;
+        dfs(c, 0, 0, 0, 0);
+        if (!prune_degree)
+            unpruned_counters(c, pruned, stats);
+    }
     free(c->memo);
     free(c);
     return 0;

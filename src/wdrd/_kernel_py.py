@@ -11,18 +11,23 @@ both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
 (tests/test_kernel_backend.py checks the C side).  It holds the edge-state
 codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the memo
 budget MEMO_BYTES, the counter keys STAT_KEYS, the leaf stages LEAF_STAGES
-and `check_arguments`.  `search_run(n, edges, prefix=(),
-prune_degree=False)` covers the 3^(|E| - len(prefix)) completions of
-`prefix` with one depth-first search, which tries only `prefix[depth]` at
-the depths below len(prefix), and unpruned with one count as well.  It
-returns the counters of STAT_KEYS, which account for every leaf of the
-branch (examined + skipped_degree = 3^(|E| - len(prefix))), and the
-surviving words in visiting order.  The kernel knows no symmetry;
-`wdrd.search` applies arc reversal by choosing the prefixes.
+and `check_arguments`.  `search_run(n, edges, prefixes=((),),
+prune_degree=False)` runs a list of disjoint prefixes in order, one
+depth-first search per prefix, which tries only `prefix[depth]` at the
+depths below len(prefix), and unpruned with one count per prefix as well.
+Each prefix p stands for its 3^(|E| - len(p)) completions.  The call
+returns the counters of STAT_KEYS summed over its prefixes, which account
+for every leaf of every prefix (examined + skipped_degree = the sum of
+3^(|E| - len(p))), and the surviving words in prefix order, each prefix's
+in visiting order.  One call over a list equals the sum of one call per
+prefix; the prefixes share only the memo of the unpruned count.  The
+kernel knows no symmetry; `wdrd.search` applies arc reversal by choosing
+the prefixes.
 `check_arguments` rejects what neither kernel supports: more than
 MAX_EDGES edges (TooManyEdgesError) or MAX_N vertices (TooLargeError), and
 with ValueError no vertex, an endpoint out of range, a graph that is not
-simple, or a bad prefix.
+simple, no prefix, a bad prefix, or two prefixes of which one extends the
+other, which would count the leaves they share twice.
 
 Leaf pipeline (cheapest first, the same steps in `_kernel.c`;
 `leaf_stage` runs steps 2-6 on one digraph and names the step that
@@ -68,17 +73,18 @@ target stays exactly when dmax + 2 fmax <= k.  One function, `cut`,
 decides a child past the bound before the search visits it and adds its
 3^(|E| - max(d, len(prefix))) leaves, d its depth, to `skipped_degree`.
 
-The unpruned counters follow from the pruned search's survivors and one
-number N, the count of completions of the prefix whose digraph is not
-strongly connected.  An unpruned leaf is the all-digon word (symmetric),
-or not strongly connected, or a survivor, or else it breaks an axiom, so:
+The unpruned counters of a prefix follow from the pruned search's
+survivors and one number N, the count of completions of the prefix whose
+digraph is not strongly connected.  An unpruned leaf is the all-digon
+word (symmetric), or not strongly connected, or a survivor, or else it
+breaks an axiom, so:
   examined = 3^(|E| - len(prefix)) and skipped_degree = 0;
   symmetric = 1 when the prefix is all digons, else 0;
   not_strongly_connected = N, less 1 when the prefix is all digons and the
     underlying graph is disconnected, since that word counts as symmetric;
   axiom = examined - symmetric - not_strongly_connected - #survivors;
 and the survivors are the pruned search's, in its order, since the prune
-never cuts one.  `not_strong_completions` computes N by a DP over the
+never cuts one.  `not_strong_counter` computes N by a DP over the
 edges in search order, from the end of the prefix.  Its state is the
 depth and the reachability closure of the arcs oriented so far, kept as
 the set each vertex reaches and the set that reaches it; the memo key is
@@ -90,7 +96,9 @@ connected already), 3^(|E| - depth) when the arcs plus every remaining
 edge as a digon are not strongly connected (adding arcs never breaks
 strong connectivity, so no completion is), and otherwise the sum over
 Forward, Backward and Digon for the next edge.  The memo lives per call
-and starts small.  It holds at most MEMO_BYTES / (16 (n + 2)) states: a
+and starts small; the prefixes of a call share it, which is sound because
+a state's count depends on its depth and closure alone, not on the prefix
+that reached it.  It holds at most MEMO_BYTES / (16 (n + 2)) states: a
 half-full hash table of (n + 2)-word slots in MEMO_BYTES, which is how
 `_kernel.c` keeps it.  Past that it stops inserting, and the count
 stays exact.
@@ -119,11 +127,12 @@ LEAF_STAGES = (None, "not_strongly_connected", "layers", "classes", "arcs",
                "tensor")
 
 
-def check_arguments(n, edges, prefix):
+def check_arguments(n, edges, prefixes):
     """Raise unless `search_run` supports the arguments: at most MAX_EDGES
     edges (TooManyEdgesError) on 1..MAX_N vertices (TooLargeError above),
-    a simple graph (no loop, no edge given twice in either order) and at
-    most one state 0, 1 or 2 per edge in `prefix`; ValueError otherwise."""
+    a simple graph (no loop, no edge given twice in either order) and a
+    non-empty list of prefixes, each a sequence of at most one state 0, 1
+    or 2 per edge, none of which extends another; ValueError otherwise."""
     ne = len(edges)
     if ne > MAX_EDGES:
         raise TooManyEdgesError(f"kernel limit: at most {MAX_EDGES} edges")
@@ -140,10 +149,26 @@ def check_arguments(n, edges, prefix):
         if (u, v) in seen or (v, u) in seen:
             raise ValueError(f"edge ({u}, {v}) given twice")
         seen.add((u, v))
-    if len(prefix) > ne:
-        raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
-    if any(s not in (FWD, BWD, DIG) for s in prefix):
-        raise ValueError("prefix states must be 0, 1 or 2")
+    if not prefixes:
+        raise ValueError("need at least one prefix")
+    ordered = []
+    for prefix in prefixes:
+        try:
+            prefix = tuple(prefix)
+        except TypeError:
+            raise ValueError(f"prefix {prefix!r} is not a sequence of "
+                             "states") from None
+        if len(prefix) > ne:
+            raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
+        if any(s not in (FWD, BWD, DIG) for s in prefix):
+            raise ValueError("prefix states must be 0, 1 or 2")
+        ordered.append(prefix)
+    # in lexicographic order, a prefix extended by any other is extended by
+    # the next one
+    ordered.sort()
+    for a, b in zip(ordered, ordered[1:]):
+        if b[:len(a)] == a:
+            raise ValueError(f"prefix {list(b)} extends prefix {list(a)}")
 
 
 def leaf_stage(n, out_m, in_m):
@@ -218,10 +243,11 @@ def leaf_stage(n, out_m, in_m):
     return None
 
 
-def not_strong_completions(n, edges, prefix=()):
-    """The number N of completions of `prefix` over `edges` whose digraph
-    is not strongly connected, by the memoised reachability DP of the
-    module docstring."""
+def not_strong_counter(n, edges):
+    """The function that gives, for a prefix over `edges`, the number N of
+    its completions whose digraph is not strongly connected, by the
+    memoised reachability DP of the module docstring.  Its calls share
+    one memo."""
     ne = len(edges)
     full = (1 << n) - 1
     # rest[d][x]: x's neighbours over edges d.. (none at d = ne)
@@ -269,25 +295,32 @@ def not_strong_completions(n, edges, prefix=()):
             memo[key] = got
         return got
 
-    reach = [1 << x for x in range(n)]
-    coreach = reach[:]
-    for depth, s in enumerate(prefix):
-        reach, coreach = orient(reach, coreach, depth, s)
-    return count(len(prefix), reach, coreach)
+    def completions(prefix):
+        reach = [1 << x for x in range(n)]
+        coreach = reach[:]
+        for depth, s in enumerate(prefix):
+            reach, coreach = orient(reach, coreach, depth, s)
+        return count(len(prefix), reach, coreach)
+
+    return completions
 
 
-def search_run(n, edges, prefix=(), prune_degree=False):
-    """Enumerate and check all completions of `prefix` over `edges`.
+def search_run(n, edges, prefixes=((),), prune_degree=False):
+    """Enumerate and check all completions of each of `prefixes` over
+    `edges`, the prefixes in order.
 
     edges: sequence of (u, v) with u < v, in processing order.
-    prefix: states fixed for edges[:len(prefix)].
-    Returns a stats dict with survivor edge-state words (bytes).
+    prefixes: disjoint prefixes, each the states fixed for
+    edges[:len(prefix)].
+    Returns a stats dict, summed over the prefixes, with survivor
+    edge-state words (bytes).
     """
     edges = list(edges)
-    check_arguments(n, edges, prefix)
+    prefixes = list(prefixes)
+    check_arguments(n, edges, prefixes)
     ne = len(edges)
-    np_ = len(prefix)
     stats = dict.fromkeys(STAT_KEYS, 0)
+    unpruned = dict.fromkeys(STAT_KEYS, 0)
     survivors: list[bytes] = []
 
     deg = [0] * n
@@ -347,7 +380,9 @@ def search_run(n, edges, prefix=(), prune_degree=False):
 
     def dfs(depth, nondigon, dmax, fmax):
         """dmax and fmax: the largest digon and the largest out-only or
-        in-only degree of any vertex in the edges oriented so far."""
+        in-only degree of any vertex in the edges oriented so far.  Runs
+        below the current `prefix` of the loop at the end, np_ states
+        long."""
         if depth == ne:
             check_leaf(nondigon)
             return
@@ -365,19 +400,24 @@ def search_run(n, edges, prefix=(), prune_degree=False):
                 dfs(depth + 1, nondigon + (s != DIG), dm, fm)
             orient(depth, s, -1)
 
-    dfs(0, 0, 0, 0)
-    if not prune_degree:
-        # the unpruned counters, by the identities of the module docstring
-        all_digon = all(s == DIG for s in prefix)
-        connected = _bfs(adj, 0)[0] == (1 << n) - 1
-        stats["examined"] = 3 ** (ne - np_)
-        stats["skipped_degree"] = 0
-        stats["symmetric"] = int(all_digon)
-        stats["not_strongly_connected"] = (
-            not_strong_completions(n, edges, prefix)
-            - (all_digon and not connected))
-        stats["axiom"] = (stats["examined"] - stats["symmetric"]
-                          - stats["not_strongly_connected"] - len(survivors))
-    out = dict(stats)
+    connected = _bfs(adj, 0)[0] == (1 << n) - 1
+    not_strong = None if prune_degree else not_strong_counter(n, edges)
+    for prefix in prefixes:
+        np_ = len(prefix)
+        found = len(survivors)
+        dfs(0, 0, 0, 0)
+        if not prune_degree:
+            # the unpruned counters, by the identities of the module
+            # docstring
+            all_digon = all(s == DIG for s in prefix)
+            examined = 3 ** (ne - np_)
+            symmetric = int(all_digon)
+            nsc = not_strong(prefix) - (all_digon and not connected)
+            unpruned["examined"] += examined
+            unpruned["symmetric"] += symmetric
+            unpruned["not_strongly_connected"] += nsc
+            unpruned["axiom"] += (examined - symmetric - nsc
+                                  - (len(survivors) - found))
+    out = dict(stats if prune_degree else unpruned)
     out["survivors"] = survivors
     return out

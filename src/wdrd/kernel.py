@@ -5,15 +5,16 @@ and `_kernel.c`, the same search in plain C.  On import this module
 compiles `_kernel.c` with the system C compiler, caches the shared library
 in the package's `__pycache__` under a name keyed by the SHA-256 of the
 source and the compile command, and loads it with ctypes, which releases
-the GIL for the length of each kernel call; `wdrd.search` relies on that to
-run the compiled kernel's branches on threads.  With no library cached it
-falls back to the pure kernel when there is no compiler, when the compile
-fails or when the cache directory is read-only; nothing else picks the
-kernel.  `BACKEND` names the selected kernel and `search_run` is its
-search.  `backends()` and `leaf_stages()` give every available kernel's
-search and its leaf check, for tests that compare them.  The contract both
-kernels keep (state codes, size limits, counter keys, leaf stages,
-`check_arguments`) lives in `_kernel_py` and is re-exported here.
+the GIL for the length of each kernel call; `wdrd.search` relies on that
+to run the shares of a search on threads over the compiled kernel.  With
+no library cached it falls back to the pure kernel when there is no
+compiler, when the compile fails or when the cache directory is
+read-only; nothing else picks the kernel.  `BACKEND` names the selected
+kernel and `search_run` is its search.  `backends()` and `leaf_stages()`
+give every available kernel's search and its leaf check, for tests that
+compare them.  The contract both kernels keep (state codes, size limits,
+counter keys, leaf stages, `check_arguments`) lives in `_kernel_py` and
+is re-exported here.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def _load() -> ctypes.CDLL | None:
         return None
     fn = lib.wdrd_search_run
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int),
-                   ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
+                   ctypes.c_int, ctypes.POINTER(ctypes.c_int),
+                   ctypes.c_char_p, ctypes.c_int,
                    ctypes.POINTER(ctypes.c_longlong), _EMIT]
     fn.restype = ctypes.c_int
     lib.wdrd_leaf_stage.argtypes = [ctypes.c_int, _MASKS, _MASKS]
@@ -89,12 +91,13 @@ def _compiled():
     return _load()
 
 
-def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
+def _run_compiled(lib, n, edges, prefixes=((),), prune_degree=False):
     """Compiled twin of `_kernel_py.search_run`; arguments are checked here
     because the C code trusts them."""
     edges = [(int(u), int(v)) for u, v in edges]
-    check_arguments(n, edges, prefix)
-    prefix = bytes(prefix)
+    prefixes = list(prefixes)
+    check_arguments(n, edges, prefixes)
+    prefixes = [bytes(p) for p in prefixes]
     ne = len(edges)
 
     survivors: list[bytes] = []
@@ -105,8 +108,10 @@ def _run_compiled(lib, n, edges, prefix=(), prune_degree=False):
     flat = (ctypes.c_int * (2 * ne + 1))(*(x for e in edges for x in e))
     stats = (ctypes.c_longlong * len(STAT_KEYS))()
     callback = _EMIT(emit)
-    if lib.wdrd_search_run(n, ne, flat, len(prefix), prefix,
-                           bool(prune_degree), stats, callback):
+    lengths = (ctypes.c_int * len(prefixes))(*map(len, prefixes))
+    if lib.wdrd_search_run(n, ne, flat, len(prefixes), lengths,
+                           b"".join(prefixes), bool(prune_degree), stats,
+                           callback):
         raise MemoryError("kernel scratch allocation failed")
     out = dict(zip(STAT_KEYS, stats))
     out["survivors"] = survivors

@@ -16,15 +16,17 @@ emit byte-identical class lists.
 The optional degree prune cuts subtrees that cannot carry constant
 digon/out/in valencies (necessary for any association scheme) and never
 changes the surviving classes; the skipped-leaf accounting keeps
-examined + skipped = 3^|E| exact, and each branch's examined leaves must
-split exactly into its rejection counters and survivors.
+examined + skipped = 3^|E| exact, and each kernel call's examined leaves
+must split exactly into its rejection counters and survivors.
 
-The search runs as a list of branches, each a fixed prefix of edge states
-handed to the kernel, all planned by `_branches`: the one branch () for a
-single worker, or the 3^k prefixes of length k under `jobs > 1`.  Several
-workers run the branches on threads over the compiled kernel, whose ctypes
-call releases the GIL and keeps all state per call, and on processes over
-the pure kernel, which holds the GIL.
+The search runs as a list of branches, each a fixed prefix of edge states,
+all planned by `_branches`: the one branch () for a single worker, or the
+3^k prefixes of length k under `jobs > 1`.  Each worker gets one share of
+the branches, every `workers`-th in search order, and hands it to the
+kernel in one call, whose prefixes share one context and one memo.  The
+calling thread runs the first share; the others run on threads over the
+compiled kernel, whose ctypes call releases the GIL and keeps all state
+per call, and on processes over the pure kernel, which holds the GIL.
 `use_reversal` halves the sweep through the same planner, which drops the
 prefixes that reversal maps onto kept ones; the kernel itself knows no
 symmetry.  The state codes, kernel limits and counter keys this module
@@ -56,6 +58,8 @@ from .generators import LabeledGraph
 from .kernel import BWD, DIG, FWD
 
 PRUNE_MODES = ("none", "degree")
+# Branches per worker under jobs > 1, at least; see `_split_length`.
+SPLIT_PER_WORKER = 27
 
 
 @dataclass(frozen=True)
@@ -152,14 +156,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _branch(args):
-    n, edges, prefix, prune_degree = args
-    return kernel.search_run(n, edges, prefix=prefix,
-                             prune_degree=prune_degree)
+def _share(args):
+    n, edges, prefixes, prune_degree = args
+    return kernel.search_run(n, edges, prefixes, prune_degree=prune_degree)
 
 
-def _branches(ne: int, k: int, use_reversal: bool, prefix=()):
-    """Plan the kernel branches below `prefix` over `ne` edges.
+def _split_length(workers: int, ne: int) -> int:
+    """The prefix length k of the branches for `workers` workers over `ne`
+    edges: 0 for one worker, else the least k <= ne with 3^k at least
+    SPLIT_PER_WORKER branches per worker.  The shares are fixed before the
+    run, so they need enough branches each to even out the branches'
+    unequal sizes.  Two workers get k = 4.  On J(5,2) --prune degree the
+    larger of the two shares then takes about 5% more CPU time than half
+    the sum, against 16-27% at k = 3 and 29-37% at k = 5, where a share's
+    branches are those with an even (or odd) count of Backward states and
+    that count decides much of a branch's cost (2-vCPU x86-64 host)."""
+    k = 0
+    while workers > 1 and 3 ** k < SPLIT_PER_WORKER * workers and k < ne:
+        k += 1
+    return k
+
+
+def _branches(ne: int, k: int, use_reversal: bool):
+    """Plan the kernel branches over `ne` edges.
 
     Without `use_reversal` these are the 3^k prefixes of length k (k <= ne)
     in search order.  With it, one word of every pair {word, reversed word}
@@ -171,18 +190,23 @@ def _branches(ne: int, k: int, use_reversal: bool, prefix=()):
     than k, or while reversal fixes it (all digons) and it is shorter than
     ne; every other prefix is a branch.  Returns the branches in search
     order and the number of leaves dropped."""
-    first = next((s for s in prefix if s != DIG), DIG)
-    if use_reversal and first == BWD:
-        return [], 3 ** (ne - len(prefix))
-    if len(prefix) < k or (use_reversal and first == DIG and
-                           len(prefix) < ne):
-        kept, skipped = [], 0
-        for s in (FWD, BWD, DIG):
-            more, dropped = _branches(ne, k, use_reversal, prefix + (s,))
-            kept += more
-            skipped += dropped
-        return kept, skipped
-    return [prefix], 0
+    kept = []
+    skipped = 0
+
+    def plan(prefix, first):
+        """`first`: the first non-digon state of `prefix`, else DIG."""
+        nonlocal skipped
+        if use_reversal and first == BWD:
+            skipped += 3 ** (ne - len(prefix))
+        elif len(prefix) < k or (use_reversal and first == DIG
+                                 and len(prefix) < ne):
+            for s in (FWD, BWD, DIG):
+                plan(prefix + (s,), s if first == DIG else first)
+        else:
+            kept.append(prefix)
+
+    plan((), DIG)
+    return kept, skipped
 
 
 def search_commutative_wdrd(g, *, graph_id: str | None = None,
@@ -195,8 +219,9 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     Returns the deduplicated isomorphism classes (re-verified after the
     kernel pass, noncommutative ones apart) plus rejection statistics.
     `prune="degree"` enables the sound valency prune; `jobs > 1` splits the
-    edge-state space by fixed prefixes, run on threads over the compiled
-    kernel and on processes over the pure one, with a deterministic merge;
+    edge-state space by fixed prefixes into one share per worker, one
+    kernel call each, run on threads over the compiled kernel and on
+    processes over the pure one, with a deterministic merge;
     `use_reversal` sweeps one word of every reversal pair and adds the
     reversed survivors, so `core()` is the same as without it."""
     d, edges = _orientable(g, max_edges)
@@ -205,7 +230,7 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     if jobs < 1:
         raise BadJobsError(f"jobs must be at least 1, got {jobs}")
     ne = len(edges)
-    kernel.check_arguments(d.n, edges, ())
+    kernel.check_arguments(d.n, edges, [()])
     if d.n > CANON_MAX_N:
         # survivors are canonicalised after the sweep; fail before it
         raise TooLargeError(
@@ -215,31 +240,33 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     prune_degree = prune == "degree"
 
     # More workers than usable CPUs only adds start-up cost; the report
-    # still records the requested `jobs`.  A pool gets at least eight
-    # branches per worker, which keeps the last branches short.
+    # still records the requested `jobs`.
     workers = min(jobs, _usable_cpus())
-    k = 0
-    while workers > 1 and 3 ** k < 8 * workers and k < ne:
-        k += 1
-    prefixes, skipped_reversal = _branches(ne, k, use_reversal)
-    work = [(d.n, edges, p, prune_degree) for p in prefixes]
-    if workers == 1:
-        results = list(map(_branch, work))
+    prefixes, skipped_reversal = _branches(ne, _split_length(workers, ne),
+                                           use_reversal)
+    shares = [prefixes[w::workers]
+              for w in range(min(workers, len(prefixes)))]
+    work = [(d.n, edges, share, prune_degree) for share in shares]
+    if len(work) == 1:
+        results = [_share(work[0])]
     else:
         executor = (ThreadPoolExecutor if kernel.BACKEND == "compiled"
                     else ProcessPoolExecutor)
-        with executor(max_workers=workers) as pool:
-            results = list(pool.map(_branch, work, chunksize=1))
+        with executor(max_workers=len(work) - 1) as pool:
+            # map submits the other shares at once; this thread runs the
+            # first meanwhile
+            rest = pool.map(_share, work[1:])
+            results = [_share(work[0]), *rest]
 
     stats = dict.fromkeys(kernel.STAT_KEYS, 0)
     words: list[bytes] = []
-    for prefix, r in zip(prefixes, results):
+    for w, r in enumerate(results):
         counts = [r[k] for k in kernel.STAT_KEYS]
         split = (r["symmetric"] + r["not_strongly_connected"] + r["axiom"]
                  + len(r["survivors"]))
         if min(counts) < 0 or split != r["examined"]:
             raise AccountingError(
-                f"branch {list(prefix)}: counters {counts} and "
+                f"share {w} of {len(results)}: counters {counts} and "
                 f"{len(r['survivors'])} survivors do not split its examined "
                 "leaves")
         for k in kernel.STAT_KEYS:

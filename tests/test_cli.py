@@ -239,8 +239,8 @@ class TestSearch:
     def test_unbalanced_accounting_exits_two(self, capsys, monkeypatch):
         real = kernel.search_run
 
-        def unbalanced(*args, **kwargs):
-            stats = real(*args, **kwargs)
+        def unbalanced(n, edges, prefixes, **kwargs):
+            stats = real(n, edges, prefixes, **kwargs)
             stats["skipped_degree"] += 1
             return stats
 
@@ -253,13 +253,13 @@ class TestSearch:
                              ids=["unbalanced split", "negative counter"])
     def test_branch_counters_that_do_not_split_exit_two(self, capsys,
                                                         monkeypatch, shift):
-        """A branch whose counters and survivors do not add up to its
+        """A kernel call whose counters and survivors do not add up to its
         examined leaves, or hold a negative count, fails the run even
         though examined + skipped still make 3^|E|."""
         real = kernel.search_run
 
-        def unbalanced(*args, **kwargs):
-            stats = real(*args, **kwargs)
+        def unbalanced(n, edges, prefixes, **kwargs):
+            stats = real(n, edges, prefixes, **kwargs)
             for key, by in shift.items():
                 stats[key] += by
             return stats

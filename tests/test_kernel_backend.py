@@ -129,9 +129,15 @@ BAD_ARGUMENTS = {
     "40 edges": (64, [(0, v) for v in range(1, 41)]),
     "endpoint n": (3, [(0, 3)]),
     "negative endpoint": (3, [(-1, 1)]),
-    "state 3": (2, [(0, 1)], (3,)),
-    "negative state": (2, [(0, 1)], (-1,)),
-    "prefix longer than edges": (2, [(0, 1)], (0, 0)),
+    "state 3": (2, [(0, 1)], [(3,)]),
+    "negative state": (2, [(0, 1)], [(-1,)]),
+    "prefix longer than edges": (2, [(0, 1)], [(0, 0)]),
+    "state 3 in a later prefix": (2, [(0, 1)], [(0,), (3,)]),
+    "no prefix": (2, [(0, 1)], []),
+    "a bare prefix": (2, [(0, 1)], (0,)),
+    "repeated prefix": (3, [(0, 1), (1, 2)], [(0,), (1,), (0,)]),
+    "a prefix extends another": (3, [(0, 1), (1, 2)], [(0,), (1, 2), (1,)]),
+    "the empty prefix and another": (3, [(0, 1), (1, 2)], [(2, 2), ()]),
     "loop edge": (3, [(0, 0), (0, 1), (1, 2), (0, 2)]),
     "repeated edge": (3, [(0, 1), (1, 2), (0, 1)]),
     "repeated edge reversed": (3, [(0, 1), (1, 2), (1, 0)]),
@@ -174,29 +180,41 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
 
 
 # Runs the parity cases, two unpruned branches, the unpruned K6 sweep
-# (whose count memo grows from its first size to 32,768 slots), the largest
-# leaves and the threaded runs through a kernel library built elsewhere,
-# given as argv[1], and compares it with the pure kernel.
+# (whose count memo grows from its first size to 32,768 slots), multi-prefix
+# calls (whose prefixes share that memo as it grows), the largest leaves and
+# the threaded runs through a kernel library built elsewhere, given as
+# argv[1], and compares it with the pure kernel.
 PARITY_SCRIPT = """
 import functools
 import sys
 from pathlib import Path
-from test_kernel_leaves import FULL, K6, LEAVES
+from test_kernel_leaves import FULL, J42, K6, LEAVES
 from test_kernel_parity import BRANCHES, CASES, check_threaded_runs
 from wdrd import _kernel_py, kernel
+from wdrd.search import _branches
 
 kernel._library_path = lambda: Path(sys.argv[1])
 lib = kernel._load()
 assert lib is not None, "the library did not load"
-for n, edges, *prefix in CASES + BRANCHES:
+for n, edges, *prefixes in CASES + BRANCHES:
     for prune in (False, True):
-        want = _kernel_py.search_run(n, edges, *prefix, prune_degree=prune)
-        got = kernel._run_compiled(lib, n, edges, *prefix, prune_degree=prune)
-        assert got == want, (n, edges, prefix, prune)
+        want = _kernel_py.search_run(n, edges, prefixes or [()],
+                                     prune_degree=prune)
+        got = kernel._run_compiled(lib, n, edges, prefixes or [()],
+                                   prune_degree=prune)
+        assert got == want, (n, edges, prefixes, prune)
 for name in ("J(4,2) 01", "K4 minus an edge"):
-    want = _kernel_py.search_run(*FULL[name])
-    assert kernel._run_compiled(lib, *FULL[name]) == want, name
+    n, edges, prefix = FULL[name]
+    want = _kernel_py.search_run(n, edges, [prefix])
+    assert kernel._run_compiled(lib, n, edges, [prefix]) == want, name
 assert kernel._run_compiled(lib, 6, K6) == _kernel_py.search_run(6, K6), "K6"
+for n, edges, prefixes in [(6, K6, _branches(15, 2, True)[0]),
+                           (6, J42, _branches(12, 4, False)[0][1::2])]:
+    for prune in (False, True):
+        want = _kernel_py.search_run(n, edges, prefixes, prune_degree=prune)
+        got = kernel._run_compiled(lib, n, edges, prefixes,
+                                   prune_degree=prune)
+        assert got == want, (n, prefixes, prune)
 for name, (n, out_m, in_m) in LEAVES.items():
     want = _kernel_py.leaf_stage(n, out_m, in_m)
     assert kernel._leaf_stage_compiled(lib, n, out_m, in_m) == want, name

@@ -41,7 +41,7 @@ from oracles import (degree_prune_by_words, full_sweep_by_words,
 from wdrd import _kernel_py, kernel
 from wdrd.analysis import wdrd_report
 from wdrd.generators import complete_graph, johnson
-from wdrd.search import _underlying_edges, word_to_digraph
+from wdrd.search import _branches, _underlying_edges, word_to_digraph
 
 K4 = _underlying_edges(complete_graph(4))
 K6 = _underlying_edges(complete_graph(6))
@@ -151,8 +151,7 @@ def backend(request):
 @pytest.mark.parametrize("name", BRANCHES)
 def test_survivors_are_the_wdrd_words(backend, name):
     n, edges, prefix, prune = BRANCHES[name]
-    got = kernel.backends()[backend](n, edges, prefix=prefix,
-                                     prune_degree=prune)
+    got = kernel.backends()[backend](n, edges, [prefix], prune_degree=prune)
     assert got["survivors"] == [w for w, _, rep in leaves(name)
                                 if rep.is_wdrd]
     if not prune:
@@ -217,7 +216,7 @@ def pure_pruned_run(n, edges, prefix, prune):
     kernel."""
     module = counting_pure_kernel()
     module.CALLS.update(dfs=0, leaf_stage=0)
-    stats = module.search_run(n, edges, prefix, prune_degree=prune)
+    stats = module.search_run(n, edges, [prefix], prune_degree=prune)
     return stats, module.CALLS["dfs"], module.CALLS["leaf_stage"]
 
 
@@ -246,7 +245,8 @@ def compiled_pruned_run(tmp_path_factory):
     def run(n, edges, prefix, prune):
         for counter in counters:
             counter.value = 0
-        stats = kernel._run_compiled(lib, n, edges, prefix, prune_degree=prune)
+        stats = kernel._run_compiled(lib, n, edges, [prefix],
+                                     prune_degree=prune)
         return (stats, *(counter.value for counter in counters))
 
     return run
@@ -290,7 +290,7 @@ def test_full_sweep_counts_in_bulk_where_the_rule_settles(backend,
         == full_sweep(name)
     assert got["skipped_degree"] == 0
     assert nodes == pruned_nodes(name)
-    kept = kernel.backends()[backend](n, edges, prefix, prune_degree=True)
+    kept = kernel.backends()[backend](n, edges, [prefix], prune_degree=True)
     assert pipelines == kept["examined"] - kept["symmetric"]
     assert got["survivors"] == kept["survivors"]
     if name == "J(4,2)":
@@ -345,9 +345,9 @@ def compiled_with_budget(compiled, tmp_path_factory):
 
 def check_budget_run(run, backend, name):
     n, edges, prefix, want = BUDGET[name]
-    got = run(n, edges, prefix)
+    got = run(n, edges, [prefix])
     assert tuple(got[key] for key in kernel.STAT_KEYS) == want
-    assert got["survivors"] == kernel.backends()[backend](n, edges, prefix)[
+    assert got["survivors"] == kernel.backends()[backend](n, edges, [prefix])[
         "survivors"]
 
 
@@ -363,3 +363,14 @@ def test_a_cut_memo_keeps_the_pure_counters(name):
 def test_a_cut_memo_keeps_the_compiled_counters(compiled_with_budget, name,
                                                 budget):
     check_budget_run(compiled_with_budget[budget], "compiled", name)
+
+
+def test_a_cut_memo_keeps_a_multi_prefix_call_exact(compiled_with_budget):
+    """The prefixes of one call share the memo, up to its budget: the
+    reversal plan of J(4,2) at split length 2 counts the same with no
+    memo, with 8 states and with the full budget."""
+    prefixes = _branches(len(J42), 2, True)[0]
+    want = _kernel_py.search_run(6, J42, prefixes)
+    for budget in BUDGETS:
+        assert compiled_with_budget[budget](6, J42, prefixes) == want, budget
+    assert pure_kernel_with_budget(1024)(6, J42, prefixes) == want

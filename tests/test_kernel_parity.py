@@ -47,13 +47,13 @@ def check_threaded_runs(run, rounds=4, threads=4):
     """Run every THREADED branch `rounds` times on `threads` threads, with
     a short thread switch interval, and check each result, stats and
     survivor words, against a serial run."""
-    serial = [run(n, edges, prefix=prefix) for n, edges, prefix in THREADED]
+    serial = [run(n, edges, [prefix]) for n, edges, prefix in THREADED]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             got = list(pool.map(lambda case: run(case[0], case[1],
-                                                 prefix=case[2]),
+                                                 [case[2]]),
                                 THREADED * rounds, timeout=120))
     finally:
         sys.setswitchinterval(interval)
@@ -68,16 +68,16 @@ def test_full_runs_agree(compiled, n, edges, prune, reversal):
     prefixes up to the full word length."""
     prefixes, _ = search._branches(len(edges), 0, reversal)
     for prefix in prefixes:
-        a = _kernel_py.search_run(n, edges, prefix=prefix, prune_degree=prune)
-        b = compiled(n, edges, prefix=prefix, prune_degree=prune)
+        a = _kernel_py.search_run(n, edges, [prefix], prune_degree=prune)
+        b = compiled(n, edges, [prefix], prune_degree=prune)
         assert a == b
 
 
 @pytest.mark.parametrize("n,edges,prefix", BRANCHES)
 @pytest.mark.parametrize("prune", [False, True])
 def test_branches_agree(compiled, n, edges, prefix, prune):
-    a = _kernel_py.search_run(n, edges, prefix=prefix, prune_degree=prune)
-    b = compiled(n, edges, prefix=prefix, prune_degree=prune)
+    a = _kernel_py.search_run(n, edges, [prefix], prune_degree=prune)
+    b = compiled(n, edges, [prefix], prune_degree=prune)
     assert a == b
 
 
@@ -88,9 +88,8 @@ def test_prefix_branches_agree_and_partition(compiled, n, edges):
         total = {key: 0 for key in kernel.STAT_KEYS}
         survivors = []
         for prefix in itertools.product((0, 1, 2), repeat=k):
-            a = _kernel_py.search_run(n, edges, prefix=prefix,
-                                      prune_degree=prune)
-            b = compiled(n, edges, prefix=prefix, prune_degree=prune)
+            a = _kernel_py.search_run(n, edges, [prefix], prune_degree=prune)
+            b = compiled(n, edges, [prefix], prune_degree=prune)
             assert a == b
             assert a["examined"] + a["skipped_degree"] == \
                 3 ** (len(edges) - k)
@@ -100,6 +99,46 @@ def test_prefix_branches_agree_and_partition(compiled, n, edges):
         full = _kernel_py.search_run(n, edges, prune_degree=prune)
         assert {key: full[key] for key in kernel.STAT_KEYS} == total
         assert survivors == full["survivors"]
+
+
+K4 = search._underlying_edges(complete_graph(4))
+# name -> (n, edges) of the multi-prefix calls
+MULTI = {
+    "K4": (4, K4),
+    "C4": (4, [(0, 1), (0, 3), (1, 2), (2, 3)]),
+    "P3": (3, [(0, 1), (1, 2)]),
+    "K4 - e": (4, K4[1:]),
+    "J(4,2)": (6, search._underlying_edges(johnson(4, 2).graph)),
+}
+
+
+def prefix_lists(ne):
+    """Prefix lists of one kernel call over `ne` edges: the reversal plans
+    at split lengths 0 to 2, whose prefixes differ in length, every prefix
+    of length 2, and the two interleaved shares of that list, as
+    `search` hands them to two workers."""
+    plan = list(itertools.product((0, 1, 2), repeat=min(2, ne)))
+    return ([search._branches(ne, k, True)[0] for k in range(3)]
+            + [plan, plan[0::2], plan[1::2]])
+
+
+@pytest.mark.parametrize("name", MULTI)
+@pytest.mark.parametrize("prune", [False, True])
+def test_one_call_over_prefixes_sums_the_single_prefix_calls(backend, name,
+                                                             prune):
+    """Counters add up, survivors come in prefix order, and both kernels
+    agree on the whole call."""
+    n, edges = MULTI[name]
+    for prefixes in prefix_lists(len(edges)):
+        got = backend(n, edges, prefixes, prune_degree=prune)
+        singles = [backend(n, edges, [p], prune_degree=prune)
+                   for p in prefixes]
+        assert {key: got[key] for key in kernel.STAT_KEYS} == \
+            {key: sum(r[key] for r in singles) for key in kernel.STAT_KEYS}
+        assert got["survivors"] == [w for r in singles
+                                    for w in r["survivors"]]
+        assert got == _kernel_py.search_run(n, edges, prefixes,
+                                            prune_degree=prune)
 
 
 def test_random_graphs_agree(compiled):

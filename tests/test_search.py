@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import multiprocessing
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -29,22 +31,23 @@ from wdrd.errors import (
 from oracles import search_by_brute_force
 
 
-def fake_sweep_with_digon_survivor(n, edges, **kwargs):
+def fake_sweep_with_digon_survivor(n, edges, prefixes=((),), **kwargs):
     """A balanced kernel result whose one survivor, the all-digon word,
     is symmetric and so not weakly distance-regular."""
     stats = {k: 0 for k in kernel.STAT_KEYS}
-    stats["examined"] = 3 ** len(edges)
+    stats["examined"] = sum(3 ** (len(edges) - len(p)) for p in prefixes)
     stats["axiom"] = stats["examined"] - 1
     return {**stats, "survivors": [bytes([2] * len(edges))]}
 
 
-def fake_sweep_with_triangle_survivor(n, edges, prefix=(), **kwargs):
-    """A balanced K3 kernel branch whose one survivor, if the branch holds
-    it, is the directed triangle 0 -> 1 -> 2 -> 0."""
+def fake_sweep_with_triangle_survivor(n, edges, prefixes=((),), **kwargs):
+    """A balanced K3 kernel call whose one survivor, if one of its
+    prefixes holds it, is the directed triangle 0 -> 1 -> 2 -> 0."""
     word = bytes([0, 1, 0])
-    survivors = [word] if word.startswith(bytes(prefix)) else []
+    survivors = [word] if any(word.startswith(bytes(p))
+                              for p in prefixes) else []
     stats = {k: 0 for k in kernel.STAT_KEYS}
-    stats["examined"] = 3 ** (len(edges) - len(prefix))
+    stats["examined"] = sum(3 ** (len(edges) - len(p)) for p in prefixes)
     stats["axiom"] = stats["examined"] - len(survivors)
     return {**stats, "survivors": survivors}
 
@@ -188,20 +191,44 @@ class TestReversal:
         assert da.pop("jobs") == 1 and db.pop("jobs") == 2
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
-    def test_kernel_calls(self, monkeypatch):
-        prefixes = []
+    @staticmethod
+    def record_calls(monkeypatch):
+        """(thread, prefixes) of every kernel call, each share run on a
+        thread so that the calls are seen here."""
+        calls = []
         real = kernel.search_run
 
-        def recording(n, edges, prefix=(), **kwargs):
-            prefixes.append(tuple(prefix))
-            return real(n, edges, prefix=prefix, **kwargs)
+        def recording(n, edges, prefixes, **kwargs):
+            calls.append((threading.get_ident(), [tuple(p) for p in prefixes]))
+            return real(n, edges, prefixes, **kwargs)
 
         monkeypatch.setattr(kernel, "search_run", recording)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(search.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        return calls
+
+    def test_kernel_calls(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        me = threading.get_ident()
         search_commutative_wdrd(complete_graph(3))
-        assert prefixes == [()]
-        prefixes.clear()
+        assert calls == [(me, [()])]
+        calls.clear()
         search_commutative_wdrd(complete_graph(3), use_reversal=True)
-        assert prefixes == [(0,), (2, 0), (2, 2, 0), (2, 2, 2)]
+        assert calls == [(me, [(0,), (2, 0), (2, 2, 0), (2, 2, 2)])]
+
+    @pytest.mark.parametrize("reversal", [False, True])
+    def test_one_kernel_call_per_share(self, monkeypatch, reversal):
+        """Under jobs=2 each of two calls gets every other branch of the
+        plan, and the calling thread runs the first."""
+        calls = self.record_calls(monkeypatch)
+        g = johnson(4, 2)
+        search_commutative_wdrd(g, jobs=2, use_reversal=reversal)
+        plan, _ = search._branches(12, search._split_length(2, 12), reversal)
+        assert len(calls) == 2
+        calls.sort(key=lambda call: call[1] != plan[0::2])
+        assert [prefixes for _, prefixes in calls] == [plan[0::2], plan[1::2]]
+        assert calls[0][0] == threading.get_ident() != calls[1][0]
 
 
 class TestDeterminismAndParallel:
@@ -226,14 +253,16 @@ class TestDeterminismAndParallel:
             search_commutative_wdrd(c4(), jobs=0)
 
     def test_pool_bounded_by_usable_cpus(self, monkeypatch):
+        """Three usable CPUs make three shares: the calling thread runs one
+        and a pool of two workers the other two."""
         pools = []
 
         class SerialPool:
-            """Records the pool size and runs the branches in-process."""
+            """Records the pool size and runs the shares in-process."""
 
             def __init__(self, max_workers):
                 self.max_workers = max_workers
-                self.branches = 0
+                self.shares = 0
                 pools.append(self)
 
             def __enter__(self):
@@ -242,19 +271,19 @@ class TestDeterminismAndParallel:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, work, chunksize=1):
+            def map(self, fn, work):
                 work = list(work)
-                self.branches = len(work)
+                self.shares = len(work)
                 return map(fn, work)
 
-        # the executor the selected kernel runs its branches on
+        # the executor the selected kernel runs its shares on
         executor = ("ThreadPoolExecutor" if kernel.BACKEND == "compiled"
                     else "ProcessPoolExecutor")
         monkeypatch.setattr(search, executor, SerialPool)
         monkeypatch.setattr(search.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
         rep = search_commutative_wdrd(c4(), jobs=10**6)
-        assert [(p.max_workers, p.branches) for p in pools] == [(3, 27)]
+        assert [(p.max_workers, p.shares) for p in pools] == [(2, 2)]
         assert rep.jobs == 10**6
         assert rep.core() == search_commutative_wdrd(c4()).core()
 
@@ -286,8 +315,8 @@ class TestSoundness:
     def test_unbalanced_leaf_accounting_raises(self, monkeypatch):
         real = kernel.search_run
 
-        def unbalanced(*args, **kwargs):
-            stats = real(*args, **kwargs)
+        def unbalanced(n, edges, prefixes, **kwargs):
+            stats = real(n, edges, prefixes, **kwargs)
             stats["examined"] -= 1
             return stats
 
