@@ -1,22 +1,21 @@
 /* Compiled orientation-search kernel.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the contract, for the soundness of the degree prune, for the
-   closure lemma behind not_strong() and for the identities that give the
-   unpruned counters.  One call runs a list of disjoint prefixes in order
-   on one Ctx and sums their counters.  Both modes run one degree-pruned
-   depth-first search per prefix.  It carries the largest digon degree
-   dmax and the largest out-only or in-only degree fmax of any vertex so
-   far; cut() skips a child past the bound dmax + 2 fmax > k, the common
-   degree (-1 on an irregular graph, so that the first edge passes it on
-   every branch).  The search tries only prefix[depth] at the depths
-   below the prefix length and emits every weakly distance-regular word
-   it finds; the kernel knows nothing of arc reversal, and `wdrd.search`
-   classifies the survivors.  An unpruned call then adds each prefix's
-   counters from unpruned_counters(), from the prefix's survivors and the
-   count of not_strong(), whose memo grows in the Ctx up to MEMO_BYTES.
-   The prefixes of a call share the memo: a state is (depth, closure),
-   and its count does not depend on the prefix that reached it.
+   module for the contract, for the soundness of the degree prune and for
+   the closure lemma behind not_strong().  One call runs a list of
+   disjoint prefixes in order on one Ctx and sums their counters.  Both
+   modes run one degree-pruned depth-first search per prefix.  It carries
+   the largest digon degree dmax and the largest out-only or in-only
+   degree fmax of any vertex so far; cut() skips a child past the bound
+   dmax + 2 fmax > k, the common degree (-1 on an irregular graph, so
+   that the first edge passes it on every branch).  The search tries only
+   prefix[depth] at the depths below the prefix length and emits every
+   weakly distance-regular word it finds; the kernel knows nothing of arc
+   reversal, and `wdrd.search` classifies the survivors and derives the
+   unpruned counters.  An unpruned call also sums N, each prefix's count
+   of not_strong(), whose memo grows in the Ctx up to MEMO_BYTES.  The
+   prefixes of a call share the memo: a state is (depth, closure), and its
+   count does not depend on the prefix that reached it.
    `wdrd.kernel` compiles this file with the system C compiler, loads it
    with ctypes and validates every argument before calling
    `wdrd_search_run`; the C code trusts that no prefix extends another.
@@ -427,7 +426,7 @@ static void memo_put(Ctx *c, int depth, i64 count)
 
 /* The completions of edges depth.. whose digraph, with the arcs whose
    closure is reach[depth], is not strongly connected: the DP of
-   `_kernel_py.not_strong_completions`. */
+   `_kernel_py.not_strong_counter`. */
 static i64 not_strong(Ctx *c, int depth)
 {
     int n = c->n;
@@ -457,34 +456,12 @@ static i64 not_strong(Ctx *c, int depth)
     return count;
 }
 
-/* Add to stats the unpruned counters of the current prefix, by the
-   identities of `_kernel_py`, from the counters of its pruned search. */
-static void unpruned_counters(Ctx *c, const i64 *pruned, i64 *stats)
-{
-    int n = c->n, all_digon = 1;
-    for (int x = 0; x < n; x++)
-        c->reach[0][x] = c->coreach[0][x] = (u64)1 << x;
-    for (int d = 0; d < c->np; d++) {
-        close_edge(c, d, c->prefix[d]);
-        all_digon &= c->prefix[d] == DIG;
-    }
-    i64 survivors = pruned[EXAMINED] - pruned[SYMMETRIC]
-        - pruned[NOT_STRONGLY_CONNECTED] - pruned[AXIOM];
-    i64 symmetric = all_digon;
-    i64 nsc = not_strong(c, c->np)
-        - (all_digon && bfs(c->rest[0], 0, NULL, NULL, NULL) != vertex_set(n));
-    i64 examined = c->pow3[c->ne - c->np];
-    stats[EXAMINED] += examined;
-    stats[SYMMETRIC] += symmetric;
-    stats[NOT_STRONGLY_CONNECTED] += nsc;
-    stats[AXIOM] += examined - symmetric - nsc - survivors;
-}
-
 /* Enumerate and check every completion of each of the nprefixes prefixes
    over the edges (eu[i], ev[i]) = (edges[2i], edges[2i+1]), in order.
    Prefix i is the next lengths[i] bytes of prefixes, which holds them
-   back to back.  Adds the counters into stats[NSTATS].  Returns 0, or -1
-   when out of memory. */
+   back to back.  Adds the counters into stats[0..NSTATS - 1] and, unless
+   prune_degree, N into stats[NSTATS].  Returns 0, or -1 when out of
+   memory. */
 int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
                     const int *lengths, const unsigned char *prefixes,
                     int prune_degree, i64 *stats, emit_fn emit)
@@ -495,6 +472,7 @@ int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
         return -1;
     c->n = n;
     c->ne = ne;
+    c->stats = stats;
     c->emit = emit;
     c->pow3[0] = 1;
     for (int i = 0; i < ne; i++) {
@@ -509,19 +487,23 @@ int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
         c->rest[i][c->eu[i]] |= (u64)1 << c->ev[i];
         c->rest[i][c->ev[i]] |= (u64)1 << c->eu[i];
     }
+    /* the closure of no arc, from which each prefix's closure is built */
+    for (int x = 0; x < n; x++)
+        c->reach[0][x] = c->coreach[0][x] = (u64)1 << x;
     /* An irregular graph carries no scheme: with k = -1 the first edge
-       cuts every branch in pruned mode. */
+       cuts every branch. */
     for (int v = 1; v < n; v++)
         regular &= deg[v] == deg[0];
     c->k = regular ? deg[0] : -1;
     for (int i = 0; i < nprefixes; prefixes += lengths[i++]) {
-        i64 pruned[NSTATS] = {0};
         c->np = lengths[i];
         c->prefix = prefixes;
-        c->stats = prune_degree ? stats : pruned;
         dfs(c, 0, 0, 0, 0);
-        if (!prune_degree)
-            unpruned_counters(c, pruned, stats);
+        if (prune_degree)
+            continue;
+        for (int d = 0; d < c->np; d++)
+            close_edge(c, d, c->prefix[d]);
+        stats[NSTATS] += not_strong(c, c->np);
     }
     free(c->memo);
     free(c);

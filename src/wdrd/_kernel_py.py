@@ -10,19 +10,21 @@ Contract: this module is the one definition of what `wdrd.search` and
 both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
 (tests/test_kernel_backend.py checks the C side).  It holds the edge-state
 codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the memo
-budget MEMO_BYTES, the counter keys STAT_KEYS, the leaf stages LEAF_STAGES
-and `check_arguments`.  `search_run(n, edges, prefixes=((),),
-prune_degree=False)` runs a list of disjoint prefixes in order, one
-depth-first search per prefix, which tries only `prefix[depth]` at the
-depths below len(prefix), and unpruned with one count per prefix as well.
-Each prefix p stands for its 3^(|E| - len(p)) completions.  The call
-returns the counters of STAT_KEYS summed over its prefixes, which account
-for every leaf of every prefix (examined + skipped_degree = the sum of
-3^(|E| - len(p))), and the surviving words in prefix order, each prefix's
-in visiting order.  One call over a list equals the sum of one call per
-prefix; the prefixes share only the memo of the unpruned count.  The
-kernel knows no symmetry; `wdrd.search` applies arc reversal by choosing
-the prefixes.
+budget MEMO_BYTES, the counter keys STAT_KEYS and NOT_STRONG_KEY, the
+leaf stages LEAF_STAGES and `check_arguments`.  `search_run(n, edges,
+prefixes=((),), prune_degree=False)` runs a list of disjoint prefixes in order, one
+degree-pruned depth-first search per prefix, which tries only
+`prefix[depth]` at the depths below len(prefix).  Each prefix p stands for
+its 3^(|E| - len(p)) completions.  The call returns the search's counters
+of STAT_KEYS summed over its prefixes, which account for every leaf of
+every prefix (examined + skipped_degree = the sum of 3^(|E| - len(p))),
+and the surviving words in prefix order, each prefix's in visiting order.
+Unless `prune_degree`, it also returns, under NOT_STRONG_KEY, the number N
+of completions whose digraph is not strongly connected, summed over the
+prefixes; `wdrd.search` derives the unpruned counters from it.  One call
+over a list equals the sum of one call per prefix; the prefixes share only
+the memo of N's count.  The kernel knows no symmetry; `wdrd.search`
+applies arc reversal by choosing the prefixes.
 `check_arguments` rejects what neither kernel supports: more than
 MAX_EDGES edges (TooManyEdgesError) or MAX_N vertices (TooLargeError), and
 with ValueError no vertex, an endpoint out of range, a graph that is not
@@ -55,8 +57,8 @@ Steps 3 and 5 reject only leaves that steps 4 and 6 would reject, so all
 of steps 3-6 count as `axiom`.  Every word that passes is a survivor;
 `wdrd.search` classifies the survivors when it re-verifies them.
 
-Both modes run one degree-pruned depth-first search.  The prune cuts
-subtrees that cannot satisfy the valency constancy a scheme forces: every
+The search is degree-pruned in both modes.  The prune cuts subtrees
+that cannot satisfy the valency constancy a scheme forces: every
 vertex must carry the same digon degree d, the same out-only degree f and
 the same in-only degree f (out-only equals in-only because dual classes
 have equal valencies), with d + 2f = k on a k-regular underlying graph;
@@ -73,34 +75,22 @@ target stays exactly when dmax + 2 fmax <= k.  One function, `cut`,
 decides a child past the bound before the search visits it and adds its
 3^(|E| - max(d, len(prefix))) leaves, d its depth, to `skipped_degree`.
 
-The unpruned counters of a prefix follow from the pruned search's
-survivors and one number N, the count of completions of the prefix whose
-digraph is not strongly connected.  An unpruned leaf is the all-digon
-word (symmetric), or not strongly connected, or a survivor, or else it
-breaks an axiom, so:
-  examined = 3^(|E| - len(prefix)) and skipped_degree = 0;
-  symmetric = 1 when the prefix is all digons, else 0;
-  not_strongly_connected = N, less 1 when the prefix is all digons and the
-    underlying graph is disconnected, since that word counts as symmetric;
-  axiom = examined - symmetric - not_strongly_connected - #survivors;
-and the survivors are the pruned search's, in its order, since the prune
-never cuts one.  `not_strong_counter` computes N by a DP over the
-edges in search order, from the end of the prefix.  Its state is the
-depth and the reachability closure of the arcs oriented so far, kept as
-the set each vertex reaches and the set that reaches it; the memo key is
-the depth and the reach sets.  The closure lemma, closure(D + X) =
-closure(closure(D) + X), makes the strong connectivity of every
-completion a function of the depth and the closure, so the DP may memoise
-on them.  A state counts 0 when its closure is complete (strongly
-connected already), 3^(|E| - depth) when the arcs plus every remaining
-edge as a digon are not strongly connected (adding arcs never breaks
-strong connectivity, so no completion is), and otherwise the sum over
-Forward, Backward and Digon for the next edge.  The memo lives per call
-and starts small; the prefixes of a call share it, which is sound because
-a state's count depends on its depth and closure alone, not on the prefix
-that reached it.  It holds at most MEMO_BYTES / (16 (n + 2)) states: a
-half-full hash table of (n + 2)-word slots in MEMO_BYTES, which is how
-`_kernel.c` keeps it.  Past that it stops inserting, and the count
+`not_strong_counter` computes N by a DP over the edges in search order,
+from the end of the prefix.  Its state is the depth and the reachability
+closure of the arcs oriented so far, kept as the set each vertex reaches
+and the set that reaches it; the memo key is the depth and the reach sets.
+The closure lemma, closure(D + X) = closure(closure(D) + X), makes the
+strong connectivity of every completion a function of the depth and the
+closure, so the DP may memoise on them.  A state counts 0 when its closure
+is complete (strongly connected already), 3^(|E| - depth) when the arcs
+plus every remaining edge as a digon are not strongly connected (adding
+arcs never breaks strong connectivity, so no completion is), and otherwise
+the sum over Forward, Backward and Digon for the next edge.  The memo
+lives per call and starts small; the prefixes of a call share it, which is
+sound because a state's count depends on its depth and closure alone, not
+on the prefix that reached it.  It holds at most MEMO_BYTES / (16 (n + 2))
+states: a half-full hash table of (n + 2)-word slots in MEMO_BYTES, which
+is how `_kernel.c` keeps it.  Past that it stops inserting, and the count
 stays exact.
 """
 
@@ -113,7 +103,7 @@ from .errors import TooLargeError, TooManyEdgesError
 # and 3^|E| must fit in a signed 64-bit counter.
 MAX_N = 64
 MAX_EDGES = 39
-# Per-call byte budget of the memo of `not_strong_completions` (see above).
+# Per-call byte budget of the memo of `not_strong_counter` (see above).
 MEMO_BYTES = 1 << 26
 
 # Edge states, in search order.
@@ -121,6 +111,8 @@ FWD, BWD, DIG = 0, 1, 2
 # Counter keys of every search_run result, in the order of the C counters.
 STAT_KEYS = ("examined", "skipped_degree", "symmetric",
              "not_strongly_connected", "axiom")
+# Key of N in the result of an unpruned search_run (see above).
+NOT_STRONG_KEY = "not_strong_completions"
 # What rejects a leaf that is not symmetric, in the order of the C leaf
 # stages; None when nothing does (see `leaf_stage`).
 LEAF_STAGES = (None, "not_strongly_connected", "layers", "classes", "arcs",
@@ -312,24 +304,21 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
     edges: sequence of (u, v) with u < v, in processing order.
     prefixes: disjoint prefixes, each the states fixed for
     edges[:len(prefix)].
-    Returns a stats dict, summed over the prefixes, with survivor
-    edge-state words (bytes).
+    Returns the counters of the degree-pruned search, summed over the
+    prefixes, with survivor edge-state words (bytes), and unless
+    `prune_degree` the summed N under NOT_STRONG_KEY.
     """
     edges = list(edges)
     prefixes = list(prefixes)
     check_arguments(n, edges, prefixes)
     ne = len(edges)
     stats = dict.fromkeys(STAT_KEYS, 0)
-    unpruned = dict.fromkeys(STAT_KEYS, 0)
     survivors: list[bytes] = []
 
     deg = [0] * n
-    adj = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
 
     # An irregular graph carries no scheme: with k = -1 the first edge cuts
     # every branch.
@@ -400,24 +389,10 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
                 dfs(depth + 1, nondigon + (s != DIG), dm, fm)
             orient(depth, s, -1)
 
-    connected = _bfs(adj, 0)[0] == (1 << n) - 1
-    not_strong = None if prune_degree else not_strong_counter(n, edges)
     for prefix in prefixes:
         np_ = len(prefix)
-        found = len(survivors)
         dfs(0, 0, 0, 0)
-        if not prune_degree:
-            # the unpruned counters, by the identities of the module
-            # docstring
-            all_digon = all(s == DIG for s in prefix)
-            examined = 3 ** (ne - np_)
-            symmetric = int(all_digon)
-            nsc = not_strong(prefix) - (all_digon and not connected)
-            unpruned["examined"] += examined
-            unpruned["symmetric"] += symmetric
-            unpruned["not_strongly_connected"] += nsc
-            unpruned["axiom"] += (examined - symmetric - nsc
-                                  - (len(survivors) - found))
-    out = dict(stats if prune_degree else unpruned)
-    out["survivors"] = survivors
+    out = {**stats, "survivors": survivors}
+    if not prune_degree:
+        out[NOT_STRONG_KEY] = sum(map(not_strong_counter(n, edges), prefixes))
     return out

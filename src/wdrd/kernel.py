@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import _kernel_py
 from ._kernel_py import (BWD, DIG, FWD, LEAF_STAGES, MAX_EDGES,  # noqa: F401
-                         MAX_N, STAT_KEYS, check_arguments)
+                         MAX_N, NOT_STRONG_KEY, STAT_KEYS, check_arguments)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
@@ -106,15 +106,17 @@ def _run_compiled(lib, n, edges, prefixes=((),), prune_degree=False):
         survivors.append(ctypes.string_at(word, ne))
 
     flat = (ctypes.c_int * (2 * ne + 1))(*(x for e in edges for x in e))
-    stats = (ctypes.c_longlong * len(STAT_KEYS))()
+    # the counters, then N
+    stats = (ctypes.c_longlong * (len(STAT_KEYS) + 1))()
     callback = _EMIT(emit)
     lengths = (ctypes.c_int * len(prefixes))(*map(len, prefixes))
     if lib.wdrd_search_run(n, ne, flat, len(prefixes), lengths,
                            b"".join(prefixes), bool(prune_degree), stats,
                            callback):
         raise MemoryError("kernel scratch allocation failed")
-    out = dict(zip(STAT_KEYS, stats))
-    out["survivors"] = survivors
+    out = {**dict(zip(STAT_KEYS, stats)), "survivors": survivors}
+    if not prune_degree:
+        out[NOT_STRONG_KEY] = stats[len(STAT_KEYS)]
     return out
 
 

@@ -1,23 +1,33 @@
 """Exhaustive orientation search over a prescribed underlying graph.
 
 Every edge of the input graph takes one of three states (Forward, Backward,
-Digon), and the kernel accounts for each of the 3^|E| resulting digraphs.
-It checks the all-digon digraph and each digraph whose degrees allow a
-scheme for being weakly distance-regular, with a fixed filter order
-(all-digon shortcut, strong connectivity, scheme axioms).  Every other
-digraph is not strongly connected or breaks an axiom; an unpruned kernel
-call counts the two from the degree-pruned search's survivors and one
-count of the completions that are not strongly connected (see
-`_kernel_py`).  Survivors are re-verified independently, which
-also decides whether each is commutative, deduplicated by canonical form
-and reported in canonical-form order, so single-threaded and parallel runs
+Digon), and the search accounts for each of the 3^|E| resulting digraphs.
+The kernel runs one degree-pruned search in both prune modes: it checks
+the all-digon digraph and each digraph whose degrees allow a scheme for
+being weakly distance-regular, with a fixed filter order (all-digon
+shortcut, strong connectivity, scheme axioms), and skips the rest.  The
+degree prune cuts subtrees that cannot carry constant digon/out/in
+valencies (necessary for any association scheme), so it never changes the
+surviving classes.  Survivors are re-verified independently, which also
+decides whether each is commutative, deduplicated by canonical form and
+reported in canonical-form order, so single-threaded and parallel runs
 emit byte-identical class lists.
 
-The optional degree prune cuts subtrees that cannot carry constant
-digon/out/in valencies (necessary for any association scheme) and never
-changes the surviving classes; the skipped-leaf accounting keeps
-examined + skipped = 3^|E| exact, and each kernel call's examined leaves
-must split exactly into its rejection counters and survivors.
+Leaf accounting holds in both modes, or the search raises AccountingError:
+each kernel call's examined leaves split exactly into its rejection
+counters and survivors, and over the whole search examined +
+skipped_degree + skipped_reversal = 3^|E|.  `prune="none"` then reports
+every leaf that the plan keeps as examined.  An unpruned kernel call also
+returns N, the number of completions of its prefixes whose digraph is not
+strongly connected.  A kept leaf is the all-digon word (symmetric), or not
+strongly connected, or a survivor, or else it breaks an axiom, so:
+  examined = 3^|E| - skipped_reversal and skipped_degree = 0;
+  symmetric = 1, since the plan always keeps the all-digon word;
+  not_strongly_connected = the sum of N, less 1 when the underlying graph
+    is disconnected, since the all-digon word then counts as symmetric;
+  axiom = examined - symmetric - not_strongly_connected - #survivors;
+and the survivors are the degree-pruned search's, since the prune never
+cuts one.  A derived count below zero raises AccountingError.
 
 The search runs as a list of branches, each a fixed prefix of edge states,
 all planned by `_branches`: the one branch () for a single worker, or the
@@ -217,8 +227,9 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     distance-regular digraphs.
 
     Returns the deduplicated isomorphism classes (re-verified after the
-    kernel pass, noncommutative ones apart) plus rejection statistics.
-    `prune="degree"` enables the sound valency prune; `jobs > 1` splits the
+    kernel pass, noncommutative ones apart) plus rejection statistics:
+    with `prune="degree"` those of the degree-pruned search, with
+    `prune="none"` those of every kept leaf; `jobs > 1` splits the
     edge-state space by fixed prefixes into one share per worker, one
     kernel call each, run on threads over the compiled kernel and on
     processes over the pure one, with a deterministic merge;
@@ -278,6 +289,17 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     if accounted != total:
         raise AccountingError(
             f"examined + skipped leaves = {accounted}, expected 3^{ne} = {total}")
+    if not prune_degree:
+        # the unpruned counters, by the identities of the module docstring
+        examined = total - skipped_reversal
+        nsc = (sum(r[kernel.NOT_STRONG_KEY] for r in results)
+               - (not d.is_strongly_connected()))
+        stats = dict(examined=examined, skipped_degree=0, symmetric=1,
+                     not_strongly_connected=nsc,
+                     axiom=examined - 1 - nsc - len(words))
+        if min(stats.values()) < 0:
+            raise AccountingError(
+                f"unpruned counters {stats} go below zero")
 
     survivors = [word_to_digraph(d.n, edges, w) for w in words]
     if use_reversal:

@@ -145,32 +145,47 @@ def degree_prune_by_words(n, edges, prefix=()):
     return examined, len(kept) - examined, nodes
 
 
-def full_sweep_by_words(n, edges, prefix=()):
-    """(examined, symmetric, not_strongly_connected, axiom) of the
-    unpruned branch `prefix`, decided word by word.  Every completion is
-    examined.  A word is `symmetric` when every state is a digon;
-    otherwise `not_strongly_connected` when Floyd–Warshall finds a pair
-    that no path joins; otherwise `axiom` when the degree rule of
-    `_degree_table` drops it, since then no scheme carries it; otherwise
-    `axiom` when `leaf_stage_by_matrices` finds a violation, and a
-    survivor when it finds none.  Floyd–Warshall runs on a stack of the
-    adjacency matrices of all the words."""
-    words = _completions(edges, prefix)
+def _strong_by_words(n, edges, words):
+    """(adjacency matrices, strongly connected?) of the digraph of each row
+    of `words`.  Floyd–Warshall runs on a stack of the matrices, and a
+    digraph is strongly connected when it finds no pair that no path
+    joins."""
     count = len(words)
     adj = np.zeros((count, n, n), dtype=bool)
     for t, (u, v) in enumerate(edges):
         adj[:, u, v] |= words[:, t] != 1
         adj[:, v, u] |= words[:, t] != 0
-    symmetric = (words == 2).all(axis=1)
     strong = np.concatenate([
         (floyd_warshall(adj[i:i + 4096]) < BIG).all(axis=(-2, -1))
         for i in range(0, count, 4096)])
+    return adj, strong
+
+
+def not_strong_by_words(n, edges, prefix=()):
+    """The number of completions of `prefix` over `edges`, the all-digon
+    word included, whose digraph is not strongly connected."""
+    _, strong = _strong_by_words(n, edges, _completions(edges, prefix))
+    return int((~strong).sum())
+
+
+def full_sweep_by_words(n, edges, prefix=()):
+    """(examined, symmetric, not_strongly_connected, axiom) of the
+    unpruned branch `prefix`, decided word by word.  Every completion is
+    examined.  A word is `symmetric` when every state is a digon;
+    otherwise `not_strongly_connected` when `_strong_by_words` says so;
+    otherwise `axiom` when the degree rule of `_degree_table` drops it,
+    since then no scheme carries it; otherwise `axiom` when
+    `leaf_stage_by_matrices` finds a violation, and a survivor when it
+    finds none."""
+    words = _completions(edges, prefix)
+    adj, strong = _strong_by_words(n, edges, words)
+    symmetric = (words == 2).all(axis=1)
     kept, _ = _degree_table(n, edges, words)
     axiom = int((~symmetric & strong & ~kept).sum())
     for i in np.flatnonzero(~symmetric & strong & kept):
         axiom += leaf_stage_by_matrices(adj[i]) is not None
-    return (count, int(symmetric.sum()), int((~symmetric & ~strong).sum()),
-            axiom)
+    return (len(words), int(symmetric.sum()),
+            int((~symmetric & ~strong).sum()), axiom)
 
 
 def search_by_brute_force(graph, enumerate_orientations, wdrd_report,

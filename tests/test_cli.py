@@ -335,8 +335,9 @@ class TestGolden:
 
 # sha256 and length of the `wdrd search` JSON for these arguments before the
 # canonical search used integer layer keys (the --jobs 2 pins: before the
-# kernels lost their reversal skip); every class's DGF there is the
-# canonical digraph, so this pins canon end to end
+# kernels lost their reversal skip; the --use-reversal and unpruned K7 pins:
+# before `search` derived the unpruned counters); every class's DGF there
+# is the canonical digraph, so this pins canon end to end
 GOLDEN_SEARCH = {
     "--graph johnson 4 2": (
         "6175fd76a75dad4bfe86f6b4de0238a87b63a5242360a595a56c1bf5e9a3c2ac", 1812),
@@ -346,6 +347,14 @@ GOLDEN_SEARCH = {
         "aba2bc69f7386390b2ed358e5b5ffce9fb726a6c397d51a98043caf0949bb21f", 1812),
     "--graph complete 7 --prune degree --max-edges 21 --jobs 2": (
         "86b62a29bb10ce29ca8f1a931560de1d9fd177f6dacacdc3c41a3bac896e07aa", 1003),
+    "--graph johnson 4 2 --use-reversal": (
+        "a983ccb33e31c2b98cd2b97f000b4fd93a9115235565425ca956fc423842cfeb", 1816),
+    "--graph johnson 4 2 --jobs 2 --use-reversal": (
+        "1617ee0bc38c2b8b1a342b0ba7d75fa607b29dbb496f324c038c8c2bf4776de4", 1816),
+    "--graph complete 7 --max-edges 21": (
+        "15ec9c756ba8431318e5515aa6884934272b9244c51422f9294726fe1f0feef5", 1011),
+    "--graph complete 7 --max-edges 21 --jobs 2 --use-reversal": (
+        "702bd0292147beb827efd9bb50de15888e5aaaad311048e62216aaac3b11b8d6", 1017),
 }
 
 

@@ -183,12 +183,13 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
 # (whose count memo grows from its first size to 32,768 slots), multi-prefix
 # calls (whose prefixes share that memo as it grows), the largest leaves and
 # the threaded runs through a kernel library built elsewhere, given as
-# argv[1], and compares it with the pure kernel.
+# argv[1], and compares it with the pure kernel.  Each unpruned call must
+# be the pruned one plus N, and N the word-by-word count where one is known.
 PARITY_SCRIPT = """
 import functools
 import sys
 from pathlib import Path
-from test_kernel_leaves import FULL, J42, K6, LEAVES
+from test_kernel_leaves import BUDGET, FULL, J42, K6, LEAVES, not_strong
 from test_kernel_parity import BRANCHES, CASES, check_threaded_runs
 from wdrd import _kernel_py, kernel
 from wdrd.search import _branches
@@ -196,25 +197,34 @@ from wdrd.search import _branches
 kernel._library_path = lambda: Path(sys.argv[1])
 lib = kernel._load()
 assert lib is not None, "the library did not load"
-for n, edges, *prefixes in CASES + BRANCHES:
-    for prune in (False, True):
-        want = _kernel_py.search_run(n, edges, prefixes or [()],
-                                     prune_degree=prune)
-        got = kernel._run_compiled(lib, n, edges, prefixes or [()],
-                                   prune_degree=prune)
-        assert got == want, (n, edges, prefixes, prune)
-for name in ("J(4,2) 01", "K4 minus an edge"):
-    n, edges, prefix = FULL[name]
-    want = _kernel_py.search_run(n, edges, [prefix])
-    assert kernel._run_compiled(lib, n, edges, [prefix]) == want, name
-assert kernel._run_compiled(lib, 6, K6) == _kernel_py.search_run(6, K6), "K6"
-for n, edges, prefixes in [(6, K6, _branches(15, 2, True)[0]),
-                           (6, J42, _branches(12, 4, False)[0][1::2])]:
-    for prune in (False, True):
+
+
+def check(n, edges, prefixes):
+    \"\"\"Compare both modes with the pure kernel and the unpruned call with
+    the pruned one; return N.\"\"\"
+    runs = []
+    for prune in (True, False):
         want = _kernel_py.search_run(n, edges, prefixes, prune_degree=prune)
         got = kernel._run_compiled(lib, n, edges, prefixes,
                                    prune_degree=prune)
-        assert got == want, (n, prefixes, prune)
+        assert got == want, (n, edges, prefixes, prune)
+        runs.append(got)
+    pruned, unpruned = runs
+    count = unpruned.pop(kernel.NOT_STRONG_KEY)
+    assert unpruned == pruned, (n, edges, prefixes)
+    return count
+
+
+for n, edges, *prefixes in CASES + BRANCHES:
+    check(n, edges, prefixes or [()])
+for name in ("J(4,2) 01", "K4 minus an edge"):
+    n, edges, prefix = FULL[name]
+    assert check(n, edges, [prefix]) == not_strong(name), name
+n, edges, prefix, count = BUDGET["K6"]
+assert check(n, edges, [prefix]) == count, "K6"
+for n, edges, prefixes in [(6, K6, _branches(15, 2, True)[0]),
+                           (6, J42, _branches(12, 4, False)[0][1::2])]:
+    check(n, edges, prefixes)
 for name, (n, out_m, in_m) in LEAVES.items():
     want = _kernel_py.leaf_stage(n, out_m, in_m)
     assert kernel._leaf_stage_compiled(lib, n, out_m, in_m) == want, name

@@ -16,15 +16,17 @@ alone cannot see a prune that cuts later than it could (leaving out the
 in-only degrees, say): at a leaf every vertex's degrees sum to k, which
 makes any such rule cut the same words.
 
-Both modes run the degree-pruned search, and the unpruned counters follow
-from its survivors and from a count of the completions that are not
-strongly connected (see `_kernel_py`).  On a few unpruned branches, the
-counters of both kernels must be those of `oracles.full_sweep_by_words`,
-which decides each word by its own digraph; the search must visit the
-nodes that `oracles.degree_prune_by_words` counts for the pruned branch,
-and the full leaf pipeline must run only on the non-symmetric leaves that
-the degree prune keeps.  A kernel whose count memo holds only a few
-states, or none, must give the same counters on J(4,2) and K6."""
+Both modes run the degree-pruned search, and an unpruned call also returns
+N, the number of completions that are not strongly connected (see
+`_kernel_py`).  On a few unpruned branches, the result of both kernels
+must be that of the pruned call plus N, and N must be the count of
+`oracles.not_strong_by_words`, which decides each word by its own digraph;
+the search must visit the nodes that `oracles.degree_prune_by_words`
+counts for the pruned branch, and the full leaf pipeline must run only on
+the non-symmetric leaves that the degree prune keeps.  A kernel whose
+count memo holds only a few states, or none, must give the same result on
+J(4,2) and K6.  `wdrd.search` derives the unpruned counters from N
+(tests/test_search.py checks them against the word-by-word counts)."""
 
 import ctypes
 import functools
@@ -36,8 +38,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (degree_prune_by_words, full_sweep_by_words,
-                     leaf_stage_by_matrices, rows_to_masks_by_bits)
+from oracles import (degree_prune_by_words, leaf_stage_by_matrices,
+                     not_strong_by_words, rows_to_masks_by_bits)
 from wdrd import _kernel_py, kernel
 from wdrd.analysis import wdrd_report
 from wdrd.generators import complete_graph, johnson
@@ -76,8 +78,8 @@ K4_MINUS_AN_EDGE = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
 # name -> (n, edges, prefix) of the unpruned branches checked against the
-# word-by-word counts; K4 minus an edge and P3 are irregular, so the
-# pruned search cuts every child
+# word-by-word count; K4 minus an edge and P3 are irregular, so the pruned
+# search cuts every child
 FULL = {
     "K4 minus an edge": (4, K4_MINUS_AN_EDGE, ()),
     "K4": (4, K4, ()),
@@ -155,9 +157,8 @@ def test_survivors_are_the_wdrd_words(backend, name):
     assert got["survivors"] == [w for w, _, rep in leaves(name)
                                 if rep.is_wdrd]
     if not prune:
-        assert got["not_strongly_connected"] == sum(
-            rep.non_symmetric and not rep.strongly_connected
-            for *_, rep in leaves(name))
+        assert got[kernel.NOT_STRONG_KEY] == sum(
+            not rep.strongly_connected for *_, rep in leaves(name))
 
 
 @pytest.mark.parametrize("name", BRANCHES)
@@ -269,9 +270,9 @@ def test_degree_prune_cuts_where_the_target_table_cuts(counted_run, name):
 
 
 @functools.cache
-def full_sweep(name):
-    """The counts of the unpruned branch `name`, word by word."""
-    return full_sweep_by_words(*FULL[name])
+def not_strong(name):
+    """N of the unpruned branch `name`, word by word."""
+    return not_strong_by_words(*FULL[name])
 
 
 @functools.cache
@@ -285,24 +286,21 @@ def test_full_sweep_counts_in_bulk_where_the_rule_settles(backend,
                                                          counted_run, name):
     n, edges, prefix = FULL[name]
     got, nodes, pipelines = counted_run(n, edges, prefix, False)
-    assert tuple(got[key] for key in ("examined", "symmetric",
-                                      "not_strongly_connected", "axiom")) \
-        == full_sweep(name)
-    assert got["skipped_degree"] == 0
-    assert nodes == pruned_nodes(name)
     kept = kernel.backends()[backend](n, edges, [prefix], prune_degree=True)
+    assert got == {**kept, kernel.NOT_STRONG_KEY: not_strong(name)}
+    assert nodes == pruned_nodes(name)
     assert pipelines == kept["examined"] - kept["symmetric"]
-    assert got["survivors"] == kept["survivors"]
     if name == "J(4,2)":
         assert nodes == 667 and pipelines < 100
 
 
-# name -> (n, edges, prefix, counters) of the unpruned runs with a cut
-# memo: the counters the search gave before it counted with the memoised DP
+# name -> (n, edges, prefix, N) of the unpruned runs with a cut memo: the
+# not_strongly_connected counts the search gave before it counted with the
+# memoised DP (no all-digon word is among them, as each graph is connected)
 BUDGET = {
-    "J(4,2)": (6, J42, (), (531_441, 0, 1, 77_970, 453_460)),
-    "K6": (6, K6, (), (14_348_907, 0, 1, 709_578, 13_639_258)),
-    "K6 22": (6, K6, (2, 2), (1_594_323, 0, 1, 39_438, 1_554_872)),
+    "J(4,2)": (6, J42, (), 77_970),
+    "K6": (6, K6, (), 709_578),
+    "K6 22": (6, K6, (2, 2), 39_438),
 }
 # memo budgets in bytes: none at all, and 8 states of 6 vertices
 BUDGETS = (0, 1024)
@@ -345,10 +343,8 @@ def compiled_with_budget(compiled, tmp_path_factory):
 
 def check_budget_run(run, backend, name):
     n, edges, prefix, want = BUDGET[name]
-    got = run(n, edges, [prefix])
-    assert tuple(got[key] for key in kernel.STAT_KEYS) == want
-    assert got["survivors"] == kernel.backends()[backend](n, edges, [prefix])[
-        "survivors"]
+    kept = kernel.backends()[backend](n, edges, [prefix], prune_degree=True)
+    assert run(n, edges, [prefix]) == {**kept, kernel.NOT_STRONG_KEY: want}
 
 
 # The pure kernel takes 15 s for all of K6 with a cut memo, so it runs the

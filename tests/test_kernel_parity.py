@@ -1,5 +1,6 @@
 """The compiled kernel must agree with the pure-Python reference bit for bit."""
 
+import functools
 import itertools
 import random
 import sys
@@ -7,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from oracles import not_strong_by_words
 from wdrd import _kernel_py
 from wdrd import kernel, search
 from wdrd.digraph import Digraph
@@ -112,6 +114,12 @@ MULTI = {
 }
 
 
+@functools.cache
+def not_strong(name, prefix):
+    """N of `prefix` over the graph MULTI[name], word by word."""
+    return not_strong_by_words(*MULTI[name], prefix)
+
+
 def prefix_lists(ne):
     """Prefix lists of one kernel call over `ne` edges: the reversal plans
     at split lengths 0 to 2, whose prefixes differ in length, every prefix
@@ -126,19 +134,26 @@ def prefix_lists(ne):
 @pytest.mark.parametrize("prune", [False, True])
 def test_one_call_over_prefixes_sums_the_single_prefix_calls(backend, name,
                                                              prune):
-    """Counters add up, survivors come in prefix order, and both kernels
-    agree on the whole call."""
+    """Counters and N add up, survivors come in prefix order, both
+    kernels agree on the whole call, and an unpruned call is the pruned
+    one plus N, the word-by-word count."""
     n, edges = MULTI[name]
+    keys = kernel.STAT_KEYS + ((kernel.NOT_STRONG_KEY,) if not prune else ())
     for prefixes in prefix_lists(len(edges)):
         got = backend(n, edges, prefixes, prune_degree=prune)
         singles = [backend(n, edges, [p], prune_degree=prune)
                    for p in prefixes]
-        assert {key: got[key] for key in kernel.STAT_KEYS} == \
-            {key: sum(r[key] for r in singles) for key in kernel.STAT_KEYS}
+        assert {key: got[key] for key in keys} == \
+            {key: sum(r[key] for r in singles) for key in keys}
         assert got["survivors"] == [w for r in singles
                                     for w in r["survivors"]]
         assert got == _kernel_py.search_run(n, edges, prefixes,
                                             prune_degree=prune)
+        if not prune:
+            assert got == {
+                **backend(n, edges, prefixes, prune_degree=True),
+                kernel.NOT_STRONG_KEY: sum(not_strong(name, tuple(p))
+                                           for p in prefixes)}
 
 
 def test_random_graphs_agree(compiled):

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import itertools
 import json
 import multiprocessing
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ from wdrd import (
     search_commutative_wdrd,
     wdrd_report,
 )
-from wdrd import canon, kernel, search
+from wdrd import _kernel_py, canon, kernel, search
 from wdrd.search import report_to_dict, word_to_digraph
 from wdrd.errors import (
     AccountingError,
@@ -28,28 +31,36 @@ from wdrd.errors import (
     TooLargeError,
     TooManyEdgesError,
 )
-from oracles import search_by_brute_force
+from oracles import full_sweep_by_words, search_by_brute_force
 
 
-def fake_sweep_with_digon_survivor(n, edges, prefixes=((),), **kwargs):
+def fake_result(edges, prefixes, survivors, prune_degree):
+    """A balanced kernel result: every leaf of `prefixes` examined, each
+    but `survivors` rejected by an axiom, and N = 0 when unpruned."""
+    stats = dict.fromkeys(kernel.STAT_KEYS, 0)
+    stats["examined"] = sum(3 ** (len(edges) - len(p)) for p in prefixes)
+    stats["axiom"] = stats["examined"] - len(survivors)
+    if not prune_degree:
+        stats[kernel.NOT_STRONG_KEY] = 0
+    return {**stats, "survivors": survivors}
+
+
+def fake_sweep_with_digon_survivor(n, edges, prefixes=((),),
+                                   prune_degree=False):
     """A balanced kernel result whose one survivor, the all-digon word,
     is symmetric and so not weakly distance-regular."""
-    stats = {k: 0 for k in kernel.STAT_KEYS}
-    stats["examined"] = sum(3 ** (len(edges) - len(p)) for p in prefixes)
-    stats["axiom"] = stats["examined"] - 1
-    return {**stats, "survivors": [bytes([2] * len(edges))]}
+    return fake_result(edges, prefixes, [bytes([2] * len(edges))],
+                       prune_degree)
 
 
-def fake_sweep_with_triangle_survivor(n, edges, prefixes=((),), **kwargs):
+def fake_sweep_with_triangle_survivor(n, edges, prefixes=((),),
+                                      prune_degree=False):
     """A balanced K3 kernel call whose one survivor, if one of its
     prefixes holds it, is the directed triangle 0 -> 1 -> 2 -> 0."""
     word = bytes([0, 1, 0])
     survivors = [word] if any(word.startswith(bytes(p))
                               for p in prefixes) else []
-    stats = {k: 0 for k in kernel.STAT_KEYS}
-    stats["examined"] = sum(3 ** (len(edges) - len(p)) for p in prefixes)
-    stats["axiom"] = stats["examined"] - len(survivors)
-    return {**stats, "survivors": survivors}
+    return fake_result(edges, prefixes, survivors, prune_degree)
 
 
 def c4():
@@ -324,6 +335,37 @@ class TestSoundness:
         with pytest.raises(AccountingError):
             search_commutative_wdrd(complete_graph(3))
 
+    @pytest.mark.parametrize("prune", ["none", "degree"])
+    def test_a_cut_that_counts_one_leaf_too_few_raises(self, monkeypatch,
+                                                       prune):
+        """A copy of the pure kernel whose cut() adds one leaf less than
+        it skips.  The unpruned counters are derived from N, so only the
+        check of the kernel's own counters can see it."""
+        source = Path(_kernel_py.__file__).read_text()
+        line = '        stats["skipped_degree"] += leaves\n'
+        assert source.count(line) == 1, "the kernel changed; update this copy"
+        module = types.ModuleType("wdrd._kernel_py_short_cut")
+        module.__package__ = "wdrd"
+        exec(compile(source.replace(line, line[:-1] + " - 1\n"),
+                     _kernel_py.__file__, "exec"), module.__dict__)
+        monkeypatch.setattr(kernel, "search_run", module.search_run)
+        with pytest.raises(AccountingError, match="expected 3\\^6"):
+            search_commutative_wdrd(complete_graph(4), prune=prune)
+
+    def test_more_not_strong_completions_than_leaves_raise(self,
+                                                           monkeypatch):
+        real = kernel.search_run
+
+        def inflated(n, edges, prefixes, **kwargs):
+            out = real(n, edges, prefixes, **kwargs)
+            out[kernel.NOT_STRONG_KEY] = 1 + sum(
+                3 ** (len(edges) - len(p)) for p in prefixes)
+            return out
+
+        monkeypatch.setattr(kernel, "search_run", inflated)
+        with pytest.raises(AccountingError, match="below zero"):
+            search_commutative_wdrd(complete_graph(3))
+
     def test_canon_cap_checked_before_the_sweep(self, monkeypatch):
         def sweep(*args, **kwargs):
             raise AssertionError("the kernel ran")
@@ -394,6 +436,52 @@ class TestSoundness:
                                       prune="degree")
         assert len(rep.iso_classes) == 2
         assert {c.type_set for c in rep.iso_classes} == {(3,), (3, 4)}
+
+
+def graph_of(n, edges):
+    """The graph on vertices 0..n-1 with `edges`, as a symmetric digraph."""
+    return Digraph.from_arcs(n, [*edges, *((v, u) for u, v in edges)])
+
+
+# name -> graph of the unpruned searches whose counters are checked word by
+# word: K4 minus an edge and P3 are irregular, the two triangles
+# disconnected, and K1 and two isolated vertices have one empty word each
+UNPRUNED = {
+    "K4": complete_graph(4),
+    "C4": c4(),
+    "P3": graph_of(3, [(0, 1), (1, 2)]),
+    "K4 minus an edge": graph_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "two triangles": graph_of(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                  (3, 5)]),
+    "K1": graph_of(1, []),
+    "two isolated vertices": graph_of(2, []),
+}
+
+
+@functools.cache
+def full_sweep(name, prefix):
+    """The counts of branch `prefix` of UNPRUNED[name], word by word."""
+    g = UNPRUNED[name]
+    return full_sweep_by_words(g.n, search._underlying_edges(g), prefix)
+
+
+@pytest.mark.parametrize("name", UNPRUNED)
+@pytest.mark.parametrize("reversal", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unpruned_counters_are_the_word_by_word_counts(name, reversal, jobs):
+    """The counters that `search` derives for an unpruned run are the sums
+    of the word-by-word counts over the branches it plans."""
+    rep = search_commutative_wdrd(UNPRUNED[name], jobs=jobs,
+                                  use_reversal=reversal)
+    ne = rep.edge_count
+    workers = min(jobs, search._usable_cpus())
+    plan, skipped = search._branches(ne, search._split_length(workers, ne),
+                                     reversal)
+    sums = tuple(map(sum, zip(*(full_sweep(name, p) for p in plan))))
+    assert (rep.examined, *(rep.prune_stats[key] for key in (
+        "symmetric", "not_strongly_connected", "axiom"))) == sums
+    assert rep.prune_stats["skipped_degree"] == 0
+    assert rep.prune_stats["skipped_reversal"] == skipped
 
 
 def graph_where(n, adjacent):
