@@ -23,10 +23,26 @@ the search visits the same branch-and-bound tree as a bit-list encoding
 would.  Candidates enter a colour block in vertex order and are sorted
 stably by key, which keeps the tie order of that encoding too.
 
-Colour blocks are searched exhaustively, so the search tree of a
-vertex-transitive digraph grows three- to fourfold per vertex.  On a
-2-vCPU Xeon VM with Python 3.11 the directed 12-cycle takes about 0.016 s,
-the 14-cycle 0.14 s and the 16-cycle 1.8 s, and `MAX_N` stays at 16.
+Colour refinement leaves a vertex-transitive digraph as one colour
+block, and the search prunes that block by the automorphisms it finds.
+A leaf that ties the best key relabels the digraph exactly as the best
+permutation does, so best_perm[i] -> perm[i] is an automorphism; the
+search records it.  At a node, a candidate is skipped when the recorded
+automorphisms that fix every placed vertex join it to an orbit with a
+sibling already explored: its subtree is the image of that sibling's,
+with the same keys, and the sibling's leaves all come first in search
+order.  So the first minimal leaf is never skipped, and the search
+returns the same permutation as without the pruning (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014).
+`canonical_digraph` checks that the order it applies is a permutation of
+the vertices, so equal forms mean isomorphic digraphs whatever the
+search returns.
+
+Without refinement after each placement, the tree below the first
+vertex of a vertex-transitive digraph still grows about tenfold per two
+vertices.  On a 2-vCPU Xeon VM with Python 3.11 the directed 12-cycle
+takes about 0.005 s, the 14-cycle 0.03 s, the 16-cycle 0.2 s and the
+18-cycle 3.4 s, so `MAX_N` stays at 16.
 """
 
 from __future__ import annotations
@@ -34,10 +50,11 @@ from __future__ import annotations
 import numpy as np
 
 from .digraph import Digraph, _mask_bits
-from .errors import TooLargeError
+from .errors import CanonicalizationError, TooLargeError
 
-# Largest vertex count canonicalised exactly.  Colour blocks are searched
-# by brute force, so the cost grows factorially with the block size.
+# Largest vertex count canonicalised exactly.  Automorphism pruning skips
+# only images of explored subtrees, and nothing refines the colours below
+# the root, so the cost still grows exponentially with the block size.
 MAX_N = 16
 # The form stores the vertex count in its first byte.
 FORM_MAX_N = 255
@@ -99,6 +116,7 @@ def canonical_permutation(d: Digraph, max_n: int = MAX_N) -> tuple[int, ...]:
     used = [False] * n
     best: list[int] | None = None
     best_perm: tuple[int, ...] | None = None
+    autos: list[list[int]] = []  # automorphisms found, as vertex maps
 
     # `tied` says cur[:p] == best[:p]; otherwise cur[:p] < best[:p], or
     # there is no best yet.  `best` changes only at a leaf below every
@@ -107,6 +125,11 @@ def canonical_permutation(d: Digraph, max_n: int = MAX_N) -> tuple[int, ...]:
         nonlocal best, best_perm
         if p == n:
             if tied:
+                # perm relabels d exactly as best_perm does
+                g = [0] * n
+                for a, b in zip(best_perm, perm):
+                    g[a] = b
+                autos.append(g)
                 return False
             best = cur.copy()
             best_perm = tuple(perm)
@@ -116,10 +139,23 @@ def canonical_permutation(d: Digraph, max_n: int = MAX_N) -> tuple[int, ...]:
         cands.sort(key=key.__getitem__)
         low = 1 << (n - 1 - p)
         high = low << n
+        # orbits of the found automorphisms that fix perm[:p] pointwise,
+        # as a union-find forest, extended when a child finds more
+        orbit: list[int] | None = None
+        folded = 0
+        explored: list[int] = []
         for v in cands:
             k = key[v]
             if tied and k > best[p]:
                 break  # keys ascend: every later candidate is worse too
+            if folded < len(autos):
+                orbit = _join_orbits(orbit, autos[folded:], perm, n)
+                folded = len(autos)
+            if orbit is not None:
+                root = _find(orbit, v)
+                if any(_find(orbit, u) == root for u in explored):
+                    continue  # the image of an explored sibling's subtree
+            explored.append(v)
             cur[p] = k
             used[v] = True
             perm.append(v)
@@ -138,13 +174,41 @@ def canonical_permutation(d: Digraph, max_n: int = MAX_N) -> tuple[int, ...]:
         return improved
 
     dfs(0, False)
-    assert best_perm is not None
+    if best_perm is None:
+        raise CanonicalizationError("the canonical search reached no leaf")
     return best_perm
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join_orbits(parent, gens, fixed, n: int):
+    """Merge the orbits in the union-find forest `parent` (None: all
+    singletons) by each of `gens` that fixes every vertex of `fixed`;
+    None while no generator qualifies."""
+    for g in gens:
+        if any(g[x] != x for x in fixed):
+            continue
+        if parent is None:
+            parent = list(range(n))
+        for x in range(n):
+            a, b = _find(parent, x), _find(parent, g[x])
+            if a != b:
+                parent[b] = a
+    return parent
 
 
 def canonical_digraph(d: Digraph, max_n: int = MAX_N) -> Digraph:
     """The digraph relabelled by its canonical permutation."""
     perm = canonical_permutation(d, max_n)
+    if sorted(perm) != list(range(d.n)):
+        raise CanonicalizationError(
+            f"canonical order {list(perm)} is not a permutation of "
+            f"0..{d.n - 1}")
     return Digraph(d.n, d.adjacency[np.ix_(perm, perm)])
 
 

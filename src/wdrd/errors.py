@@ -114,5 +114,9 @@ class TooLargeError(WdrdError, ValueError):
     """Vertex count exceeds the exact-canonicalization cap."""
 
 
+class CanonicalizationError(WdrdError, RuntimeError):
+    """The canonical search did not yield a permutation of the vertices."""
+
+
 class DgfError(WdrdError, ValueError):
     """Malformed DGF input."""

@@ -8,10 +8,15 @@ being weakly distance-regular, with a fixed filter order (all-digon
 shortcut, strong connectivity, scheme axioms), and skips the rest.  The
 degree prune cuts subtrees that cannot carry constant digon/out/in
 valencies (necessary for any association scheme), so it never changes the
-surviving classes.  Survivors are re-verified independently, which also
-decides whether each is commutative, deduplicated by canonical form and
-reported in canonical-form order, so single-threaded and parallel runs
-emit byte-identical class lists.
+surviving classes.  Survivors are grouped by canonical form and reported
+in canonical-form order, so single-threaded and parallel runs emit
+byte-identical class lists.  The first survivor of each class is
+re-verified independently, which also decides whether the class is
+commutative.  That proves the whole class: a later survivor joins it only
+when its canonical relabelling, which `canon.canonical_digraph` checks to
+be a permutation, has exactly the verified survivor's adjacency, so the
+two are isomorphic, and being a WDRD, commutativity, the type set and the
+valencies are isomorphism invariants.
 
 Leaf accounting holds in both modes, or the search raises AccountingError:
 each kernel call's examined leaves split exactly into its rejection
@@ -330,19 +335,21 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
 
 
 def _dedupe(survivors) -> tuple[FoundClass, ...]:
-    """Re-verify every survivor and group the survivors by canonical form,
-    in form order.  A class takes its commutativity, type set and valencies
-    from the report of its first survivor; all three are isomorphism
-    invariants."""
+    """Group the survivors by canonical form, in form order, and re-verify
+    the first survivor of each class, which the module docstring shows
+    proves the class.  A survivor that is not a WDRD shares no form with
+    one that is, so it opens a class of its own and raises."""
     classes: dict[bytes, tuple[WdrdReport, int]] = {}
     for s in survivors:
-        rep = wdrd_report(s)
-        if not rep.is_wdrd:
-            raise ReverificationError(
-                "kernel survivor failed independent re-verification")
         form = canonical_form(s)
-        first, cnt = classes.get(form, (rep, 0))
-        classes[form] = (first, cnt + 1)
+        if form not in classes:
+            rep = wdrd_report(s)
+            if not rep.is_wdrd:
+                raise ReverificationError(
+                    "kernel survivor failed independent re-verification")
+            classes[form] = (rep, 0)
+        rep, cnt = classes[form]
+        classes[form] = (rep, cnt + 1)
     out = []
     for form in sorted(classes):
         rep, cnt = classes[form]

@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wdrd import Digraph, are_isomorphic, canonical_form, cayley_cyclic, johnson
-from wdrd.canon import (_refined_colors, canonical_digraph,
-                        canonical_permutation, form_digraph)
-from wdrd.errors import TooLargeError
+from wdrd import (Digraph, are_isomorphic, canon, canonical_form,
+                  cayley_cyclic, complete_graph, johnson, kernel)
+from wdrd.canon import (_find, _join_orbits, _refined_colors,
+                        canonical_digraph, canonical_permutation, form_digraph)
+from wdrd.errors import CanonicalizationError, TooLargeError
+from wdrd.search import _orientable, word_to_digraph
 from oracles import canonical_permutation_by_lists, refined_colors_by_pairs
 
 
@@ -15,13 +17,13 @@ def permuted(d, perm):
 
 
 @st.composite
-def digraph_and_permutation(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def digraph_and_permutations(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = draw(st.lists(st.sampled_from(pairs), unique=True,
                          max_size=len(pairs))) if pairs else []
-    perm = draw(st.permutations(range(n)))
-    return Digraph.from_arcs(n, arcs), list(perm)
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return Digraph.from_arcs(n, arcs), perms
 
 
 class TestCanonicalForm:
@@ -33,11 +35,17 @@ class TestCanonicalForm:
         assert canonical_form(cayley_cyclic(6, {1, 2})) != \
             canonical_form(cayley_cyclic(6, {1, 4}))
 
-    @given(digraph_and_permutation())
+    @given(digraph_and_permutations())
     @settings(max_examples=120, deadline=None)
     def test_permutation_invariance(self, case):
-        d, perm = case
-        assert canonical_form(d) == canonical_form(permuted(d, perm))
+        """Every relabelling gives one form, and the search, pruned by the
+        automorphisms it finds, returns the list-based reference's
+        permutation."""
+        d, perms = case
+        assert canonical_permutation(d) == \
+            canonical_permutation_by_lists(d.adjacency)
+        form = canonical_form(d)
+        assert all(canonical_form(permuted(d, p)) == form for p in perms)
 
     def test_canonical_digraph_is_fixed_point(self):
         d = cayley_cyclic(6, {1, 2})
@@ -51,6 +59,18 @@ class TestCanonicalForm:
         with pytest.raises(TooLargeError):
             canonical_form(g)  # 20 vertices > default cap
         canonical_form(g, max_n=20)
+
+    @pytest.mark.parametrize("order", [(0, 0, 2), (0, 1), (0, 1, 3)],
+                             ids=["repeated", "short", "out-of-range"])
+    def test_a_relabelling_that_is_no_permutation_raises(self, monkeypatch,
+                                                         order):
+        monkeypatch.setattr(canon, "canonical_permutation",
+                            lambda d, max_n=canon.MAX_N: order)
+        tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(CanonicalizationError, match="not a permutation"):
+            canonical_digraph(tri)
+        with pytest.raises(CanonicalizationError):
+            canonical_form(tri)
 
 
 def random_digraphs(seed=11, count=200, max_n=8):
@@ -83,16 +103,34 @@ def cayley_digraphs(seed=12, max_m=12):
     return cases
 
 
+def survivors(graph, max_edges, count):
+    d, edges = _orientable(graph, max_edges)
+    words = kernel.search_run(d.n, edges, [()], prune_degree=True)["survivors"]
+    assert len(words) == count
+    return [word_to_digraph(d.n, edges, w) for w in words]
+
+
+# The directed and undirected cycles up to C12 (in "cayley"), the Johnson
+# graphs, the complete graphs, the Paley tournament and the survivors have
+# large automorphism groups, so the search prunes by the automorphisms it
+# finds on them.
 ORACLE_CASES = {
     "random": random_digraphs,
     "cayley": cayley_digraphs,
     "johnson": lambda: [johnson(4, 2).graph, johnson(5, 2).graph],
+    "complete and Paley(7)": lambda: [
+        *(complete_graph(n) for n in range(4, 8)),
+        cayley_cyclic(7, {1, 2, 4})],
+    "J(4,2) survivors": lambda: survivors(johnson(4, 2), 20, 10),
+    "K7 survivors": lambda: random.Random(7).sample(
+        survivors(complete_graph(7), 21, 240), 24),
 }
 
 
 class TestAgainstListSearch:
-    """The integer-keyed search returns exactly the permutation, and the
-    refinement exactly the colours, of the list-based reference."""
+    """The integer-keyed search, pruned by the automorphisms it finds,
+    returns exactly the permutation, and the refinement exactly the
+    colours, of the list-based reference."""
 
     @pytest.mark.parametrize("family", sorted(ORACLE_CASES))
     def test_permutation_and_colours(self, family):
@@ -108,6 +146,27 @@ class TestAgainstListSearch:
                 inv[v] = pos
             assert canonical_digraph(d) == Digraph.from_arcs(
                 d.n, [(inv[u], inv[v]) for u, v in d.arcs()])
+
+
+class TestAutomorphismPruning:
+    def test_orbits_join_by_the_generators_that_fix_the_prefix(self):
+        """A node skips a candidate only by the automorphisms that fix every
+        placed vertex."""
+        rotate = [1, 2, 0, 3]        # (0 1 2)
+        swap = [0, 1, 3, 2]          # (2 3)
+
+        def orbits(fixed):
+            parent = _join_orbits(None, [rotate, swap], fixed, 4)
+            if parent is None:
+                return None
+            roots = [_find(parent, x) for x in range(4)]
+            return sorted(sorted(x for x in range(4) if roots[x] == r)
+                          for r in set(roots))
+
+        assert orbits([]) == [[0, 1, 2, 3]]
+        assert orbits([3]) == [[0, 1, 2], [3]]
+        assert orbits([1]) == [[0], [1], [2, 3]]
+        assert orbits([0, 3]) is None
 
 
 class TestAreIsomorphic:

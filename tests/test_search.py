@@ -410,6 +410,43 @@ class TestSoundness:
         rep = search_commutative_wdrd(complete_graph(3), use_reversal=reversal)
         assert rep.wdrd_count == 2 and len(calls) == 2
 
+    @pytest.mark.parametrize("bad_first", [False, True],
+                             ids=["wdrd-then-bad", "bad-then-wdrd"])
+    def test_a_bad_survivor_beside_a_good_one_raises(self, monkeypatch,
+                                                     bad_first):
+        """Only the first survivor of each class is re-verified, and a
+        survivor that is not a WDRD never shares a form with one that
+        is, so it opens its own class and raises in either order."""
+        words = [bytes([0, 1, 0]), bytes([2, 2, 2])]  # triangle, all-digon
+        if bad_first:
+            words.reverse()
+
+        def sweep(n, edges, prefixes=((),), prune_degree=False):
+            return fake_result(edges, prefixes, words, prune_degree)
+
+        monkeypatch.setattr(kernel, "search_run", sweep)
+        with pytest.raises(ReverificationError):
+            search_commutative_wdrd(complete_graph(3))
+
+    @pytest.mark.parametrize("graph,kwargs,labelled,classes", [
+        (johnson(4, 2), {}, 10, 2),
+        (johnson(4, 2), {"use_reversal": True}, 10, 2),
+        (complete_graph(7), {"prune": "degree", "max_edges": 21}, 240, 1),
+    ], ids=["J(4,2)", "J(4,2)-reversal", "K7"])
+    def test_one_reverification_per_class(self, monkeypatch, graph, kwargs,
+                                          labelled, classes):
+        calls = []
+        real = search.wdrd_report
+
+        def counting(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(search, "wdrd_report", counting)
+        rep = search_commutative_wdrd(graph, **kwargs)
+        assert rep.wdrd_count == labelled
+        assert len(rep.iso_classes) == len(calls) == classes
+
     def test_survivors_reverify(self):
         rep = search_commutative_wdrd(complete_graph(3))
         for cls in rep.iso_classes:
