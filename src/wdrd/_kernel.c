@@ -21,10 +21,15 @@
    `wdrd_search_run`; the C code trusts that no prefix extends another.
 
    Leaf pipeline, the steps of `_kernel_py` in the same order: symmetric
-   leaves; strong connectivity, by one BFS from vertex 0 over out_m and
+   leaves, the all-digon ones, which check_leaf() spots by fmax = 0;
+   strong connectivity, by one BFS from vertex 0 over out_m and
    one over in_m, which also record vertex 0's distance-layer sizes; the
    layers (leaf_stage()); the classes (classify()); the two-arc path
-   counts (constant_arcs()); the intersection tensor (constant_tensor()).
+   counts (constant_arcs()); the intersection tensor (constant_tensor()),
+   as each pair's sorted keys class(x,z) nc + class(z,y).  The last two
+   compare each pair with its class's first pair, which lies in row 0:
+   classify() numbers the classes in order of first appearance there and
+   rejects a row with a class that row 0 lacks.
    The layer check is sound because in a scheme #{y : d(x,y) = i} is a sum
    of valencies, the same for every x, and #{y : d(y,x) = i} equals it
    because dual classes have equal valencies.  The two-arc check is sound
@@ -85,27 +90,18 @@ typedef struct {
     unsigned char states[MAXE];
     i64 *stats;
     emit_fn emit;
-    /* leaf scratch; every lookup table is all-zero between leaves */
+    /* leaf scratch; class_of is all-zero between leaves */
     int dist[MAXN * MAXN];
     int lay_out[MAXN + 1], lay_in[MAXN + 1]; /* vertex 0's layer sizes */
     int labels[MAXN * MAXN];
     int class_of[64 * 64];            /* two-way distance key -> class + 1 */
     int class_key[MAXN];
     int row0[MAXN], row[MAXN];
-    int tally[MAXN * MAXN];
-    int touched[MAXN];
-    int ref_arcs[MAXN];               /* -1 until the class has a reference */
-    int ref_nnz[MAXN];                /* -1 until the class has a reference */
-    int refs[];                       /* per class: dense c x c tally; n^3
-                                         entries, as every class occurs in
-                                         row 0 and so c <= n */
+    /* per class, of its first pair: the two-arc count, and the n sorted
+       tensor keys (every class occurs in row 0, so there are at most n) */
+    int ref_arcs[MAXN];
+    int refs[MAXN * MAXN];
 } Ctx;
-
-/* A zeroed Ctx with room for the tallies of n vertices, or NULL. */
-static Ctx *ctx_new(int n)
-{
-    return calloc(1, sizeof(Ctx) + sizeof(int) * n * n * n);
-}
 
 /* The set of all n vertices. */
 static inline u64 vertex_set(int n)
@@ -183,18 +179,18 @@ static inline int popcount(u64 m)
 }
 
 /* Check that the number of two-arc paths x -> z -> y depends only on the
-   class of (x,y), as a sum of intersection numbers must. */
-static int constant_arcs(Ctx *c, int nc)
+   class of (x,y), as a sum of intersection numbers must.  classify()
+   numbers the classes in order of first appearance in row 0, so a class's
+   first pair is the one where its label equals the number seen so far. */
+static int constant_arcs(Ctx *c)
 {
-    int n = c->n;
-    for (int l = 0; l < nc; l++)
-        c->ref_arcs[l] = -1;
+    int n = c->n, seen = 0;
     for (int x = 0; x < n; x++) {
         for (int y = 0; y < n; y++) {
             int lab = c->labels[x * n + y];
             int k = popcount(c->out_m[x] & c->in_m[y]);
-            if (c->ref_arcs[lab] < 0)
-                c->ref_arcs[lab] = k;
+            if (lab == seen)
+                c->ref_arcs[seen++] = k;
             else if (c->ref_arcs[lab] != k)
                 return 0;
         }
@@ -203,36 +199,25 @@ static int constant_arcs(Ctx *c, int nc)
 }
 
 /* Check that p^l_{ij} = #{z : (x,z) in i, (z,y) in j} depends only on the
-   class l of (x,y), against the first tally of each class. */
+   class l of (x,y): the sorted keys class(x,z) nc + class(z,y) of every
+   pair must equal those of its class's first pair, found as in
+   constant_arcs(). */
 static int constant_tensor(Ctx *c, int nc)
 {
-    int n = c->n, cc = nc * nc;
-    memset(c->refs, 0, sizeof(int) * nc * cc);
-    for (int l = 0; l < nc; l++)
-        c->ref_nnz[l] = -1;
+    int n = c->n, seen = 0, keys[MAXN];
     for (int x = 0; x < n; x++) {
         for (int y = 0; y < n; y++) {
-            int lab = c->labels[x * n + y], nt = 0;
-            int *ref = c->refs + lab * cc, first = c->ref_nnz[lab] < 0;
+            int lab = c->labels[x * n + y];
+            int *ref = c->refs + lab * n, *k = lab == seen ? ref : keys;
             for (int z = 0; z < n; z++) {
-                int key = c->labels[x * n + z] * nc + c->labels[z * n + y];
-                if (!c->tally[key]++)
-                    c->touched[nt++] = key;
+                int key = c->labels[x * n + z] * nc + c->labels[z * n + y], i;
+                for (i = z; i && k[i - 1] > key; i--)
+                    k[i] = k[i - 1];
+                k[i] = key;
             }
-            /* Equal nonzero counts and equal values on every touched key
-               make the two tallies identical. */
-            int same = first || c->ref_nnz[lab] == nt;
-            if (first)
-                c->ref_nnz[lab] = nt;
-            for (int t = 0; t < nt; t++) {
-                int key = c->touched[t];
-                if (first)
-                    ref[key] = c->tally[key];
-                else if (ref[key] != c->tally[key])
-                    same = 0;
-                c->tally[key] = 0;
-            }
-            if (!same)
+            if (k == ref)
+                seen++;
+            else if (memcmp(k, ref, sizeof(int) * n))
                 return 0;
         }
     }
@@ -262,17 +247,18 @@ static int leaf_stage(Ctx *c)
             return LAYERS;
     if (!(nc = classify(c)))
         return CLASSES;
-    if (!constant_arcs(c, nc))
+    if (!constant_arcs(c))
         return ARCS;
     return constant_tensor(c, nc) ? PASS : TENSOR;
 }
 
 /* Count a leaf that cut() did not decide: symmetric, or through the leaf
-   pipeline. */
-static void check_leaf(Ctx *c, int nondigon)
+   pipeline.  fmax is 0 exactly on the all-digon leaf: a one-way arc
+   makes its tail's out-only degree, and so fmax, at least 1. */
+static void check_leaf(Ctx *c, int fmax)
 {
     c->stats[EXAMINED]++;
-    if (!nondigon) {
+    if (!fmax) {
         c->stats[SYMMETRIC]++;
         return;
     }
@@ -326,10 +312,10 @@ static inline void cut(Ctx *c, i64 leaves)
 
 /* dmax and fmax: the largest digon and the largest out-only or in-only
    degree of any vertex in the edges oriented so far. */
-static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
+static void dfs(Ctx *c, int depth, int dmax, int fmax)
 {
     if (depth == c->ne) {
-        check_leaf(c, nondigon);
+        check_leaf(c, fmax);
         return;
     }
     int fixed = depth < c->np;
@@ -345,7 +331,7 @@ static void dfs(Ctx *c, int depth, int nondigon, int dmax, int fmax)
         if (dm + 2 * fm > c->k)
             cut(c, leaves);
         else
-            dfs(c, depth + 1, nondigon + (s != DIG), dm, fm);
+            dfs(c, depth + 1, dm, fm);
         orient(c, depth, s, -1);
     }
 }
@@ -466,7 +452,7 @@ int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
                     const int *lengths, const unsigned char *prefixes,
                     int prune_degree, i64 *stats, emit_fn emit)
 {
-    Ctx *c = ctx_new(n);
+    Ctx *c = calloc(1, sizeof(Ctx));
     int deg[MAXN] = {0}, regular = 1;
     if (!c)
         return -1;
@@ -498,7 +484,7 @@ int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
     for (int i = 0; i < nprefixes; prefixes += lengths[i++]) {
         c->np = lengths[i];
         c->prefix = prefixes;
-        dfs(c, 0, 0, 0, 0);
+        dfs(c, 0, 0, 0);
         if (prune_degree)
             continue;
         for (int d = 0; d < c->np; d++)
@@ -515,7 +501,7 @@ int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
    out_m and in_m, as in leaf_stage(), or -1 when out of memory. */
 int wdrd_leaf_stage(int n, const u64 *out_m, const u64 *in_m)
 {
-    Ctx *c = ctx_new(n);
+    Ctx *c = calloc(1, sizeof(Ctx));
     int stage;
     if (!c)
         return -1;

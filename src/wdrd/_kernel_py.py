@@ -35,7 +35,8 @@ Leaf pipeline (cheapest first, the same steps in `_kernel.c`;
 `leaf_stage` runs steps 2-6 on one digraph and names the step that
 rejects it; its BFS is `wdrd.digraph._bfs`, the package's only one):
   1. all-digon candidates are symmetric, hence never weakly
-     distance-regular (counted as `symmetric`);
+     distance-regular (counted as `symmetric`).  The search spots them by
+     fmax = 0 (see below): any one-way arc makes fmax at least 1;
   2. strong connectivity: one BFS from vertex 0 over the out-arcs and one
      over the in-arcs must reach every vertex (`not_strongly_connected`);
      they also record the size of each distance layer of vertex 0, and
@@ -52,7 +53,14 @@ rejects it; its BFS is `wdrd.digraph._bfs`, the package's only one):
      depend only on the class of (x, y).  Sound because it is the sum of
      p^l_ij over the classes i, j at out-distance 1, where l is that class;
   6. the full intersection tensor: p^l_ij = #{z : (x,z) in i, (z,y) in j}
-     must depend only on the class l of (x, y), checked with early exit.
+     must depend only on the class l of (x, y).  With nc classes, the
+     sorted keys class(x,z) nc + class(z,y), z in V, of each pair must
+     equal those of its class's first pair (the multiset argument of
+     `wdrd.scheme`), checked with early exit.
+Steps 5 and 6 compare each pair with the first pair of its class.  Step 4
+numbers the classes in order of first appearance in row 0 and rejects a
+row with a class that row 0 lacks, so each class's first pair lies in
+row 0, where its label first equals the number of classes met so far.
 Steps 3 and 5 reject only leaves that steps 4 and 6 would reject, so all
 of steps 3-6 count as `axiom`.  Every word that passes is a survivor;
 `wdrd.search` classifies the survivors when it re-verifies them.
@@ -205,32 +213,30 @@ def leaf_stage(n, out_m, in_m):
         elif row_counts != counts0:
             return "classes"
     c = len(class_of_key)
-    # two-arc path counts, each a sum of intersection numbers
-    ref_arcs = [-1] * c
+    # two-arc path counts, each a sum of intersection numbers; a class's
+    # first pair is the one whose label is the number of references so far
+    ref_arcs = []
     for x in range(n):
         bx = x * n
         ox = out_m[x]
         for y in range(n):
             lab = labels[bx + y]
             k = (ox & in_m[y]).bit_count()
-            if ref_arcs[lab] < 0:
-                ref_arcs[lab] = k
+            if lab == len(ref_arcs):
+                ref_arcs.append(k)
             elif ref_arcs[lab] != k:
                 return "arcs"
-    # full intersection-number constancy
-    refs: list[dict[int, int] | None] = [None] * c
+    # full intersection-number constancy, as sorted keys
+    refs = []
     for x in range(n):
         bx = x * n
         for y in range(n):
             lab = labels[bx + y]
-            tly: dict[int, int] = {}
-            for z in range(n):
-                key = labels[bx + z] * c + labels[z * n + y]
-                tly[key] = tly.get(key, 0) + 1
-            ref = refs[lab]
-            if ref is None:
-                refs[lab] = tly
-            elif ref != tly:
+            keys = sorted([labels[bx + z] * c + labels[z * n + y]
+                           for z in range(n)])
+            if lab == len(refs):
+                refs.append(keys)
+            elif refs[lab] != keys:
                 return "tensor"
     return None
 
@@ -349,9 +355,11 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
             oo[u] += d
             ii[v] += d
 
-    def check_leaf(nondigon):
+    def check_leaf(fmax):
+        """fmax is 0 exactly on the all-digon leaf: a one-way arc makes
+        its tail's out-only degree, and so fmax, at least 1."""
         stats["examined"] += 1
-        if nondigon == 0:
+        if fmax == 0:
             stats["symmetric"] += 1
             return
         stage = leaf_stage(n, out_m, in_m)
@@ -367,13 +375,13 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
         visiting it."""
         stats["skipped_degree"] += leaves
 
-    def dfs(depth, nondigon, dmax, fmax):
+    def dfs(depth, dmax, fmax):
         """dmax and fmax: the largest digon and the largest out-only or
         in-only degree of any vertex in the edges oriented so far.  Runs
         below the current `prefix` of the loop at the end, np_ states
         long."""
         if depth == ne:
-            check_leaf(nondigon)
+            check_leaf(fmax)
             return
         choices = prefix[depth:depth + 1] if depth < np_ else (FWD, BWD, DIG)
         leaves = 3 ** (ne - max(depth + 1, np_))
@@ -386,12 +394,12 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
             if dm + 2 * fm > k:
                 cut(leaves)
             else:
-                dfs(depth + 1, nondigon + (s != DIG), dm, fm)
+                dfs(depth + 1, dm, fm)
             orient(depth, s, -1)
 
     for prefix in prefixes:
         np_ = len(prefix)
-        dfs(0, 0, 0, 0)
+        dfs(0, 0, 0)
     out = {**stats, "survivors": survivors}
     if not prune_degree:
         out[NOT_STRONG_KEY] = sum(map(not_strong_counter(n, edges), prefixes))

@@ -13,6 +13,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -281,7 +282,9 @@ def _cmd_iso(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="wdrd",
         description="Weakly distance-regular digraph toolkit")

@@ -117,12 +117,11 @@ class AssociationScheme:
     i and dual[i] the transpose class.
     """
 
-    __slots__ = ("partition", "classes", "dual", "k", "p")
+    __slots__ = ("partition", "dual", "k", "p")
 
-    def __init__(self, partition: RelationPartition, classes: tuple[Label, ...],
-                 dual: tuple[int, ...], k: np.ndarray, p: np.ndarray):
+    def __init__(self, partition: RelationPartition, dual: tuple[int, ...],
+                 k: np.ndarray, p: np.ndarray):
         self.partition = partition
-        self.classes = classes
         self.dual = dual
         k = np.asarray(k, dtype=np.int64)
         p = np.asarray(p, dtype=np.int64)
@@ -131,9 +130,9 @@ class AssociationScheme:
             raise TensorRangeError(
                 f"intersection numbers must lie in 0..{n}, got "
                 f"{p.min()}..{p.max()}")
-        if len(classes) * n * n >= 2 ** 53:
+        if len(self.classes) * n * n >= 2 ** 53:
             raise TensorRangeError(
-                f"{len(classes)} classes on {n} vertices exceed exact "
+                f"{len(self.classes)} classes on {n} vertices exceed exact "
                 "float64 products")
         k.setflags(write=False)
         p.setflags(write=False)
@@ -145,15 +144,16 @@ class AssociationScheme:
         return self.partition.n
 
     @property
+    def classes(self) -> tuple[Label, ...]:
+        return self.partition.classes
+
+    @property
     def d(self) -> int:
         """Number of classes minus one."""
         return len(self.classes) - 1
 
     def class_index(self, label: Label) -> int:
-        try:
-            return self.classes.index(tuple(label))
-        except ValueError:
-            raise UnknownClassError(f"no class labelled {label}") from None
+        return self.partition.class_index(label)
 
     def has_class(self, label: Label) -> bool:
         return tuple(label) in self.classes
@@ -168,8 +168,7 @@ class AssociationScheme:
 
     def replace_tensor(self, p: np.ndarray) -> "AssociationScheme":
         """Copy with a substituted tensor (fault injection in tests)."""
-        return AssociationScheme(self.partition, self.classes, self.dual,
-                                 self.k.copy(), p)
+        return AssociationScheme(self.partition, self.dual, self.k.copy(), p)
 
     def __repr__(self):
         return (f"AssociationScheme(n={self.n}, classes={list(self.classes)}, "
@@ -269,7 +268,7 @@ def verify_association_scheme(part: RelationPartition):
     p = np.bincount((rep + offsets).ravel(), minlength=nc ** 3)
     p = np.ascontiguousarray(p.reshape(nc, nc, nc).transpose(1, 2, 0))
     k = np.bincount(co[0], minlength=nc)
-    return AssociationScheme(part, part.classes, dual, k, p)
+    return AssociationScheme(part, dual, k, p)
 
 
 def is_commutative(s: AssociationScheme) -> bool:

@@ -275,7 +275,7 @@ def verify_by_scan(part):
                          "count_b": int(m[other])})
                 p[i, j, l] = v0
     k = np.array([int(ind[0].sum()) for ind in indicators], dtype=np.int64)
-    return AssociationScheme(part, part.classes, tuple(dual), k, p)
+    return AssociationScheme(part, tuple(dual), k, p)
 
 
 def identities_by_einsum(s):

@@ -107,8 +107,9 @@ FULL = {
 }
 
 # name -> (n, out-masks, in-masks) of single leaves; on the directed
-# 64-cycle every pair is its own class, so nc = n = 64 and the intersection
-# tensor fills all 64^3 entries of the kernels' scratch
+# 64-cycle each of the n = 64 rows holds every class once, so nc = 64 and
+# the tensor check's references fill all 64 x 64 sorted keys of the
+# kernels' scratch
 LEAVES = {
     "directed 64-cycle": (64, [1 << (v + 1) % 64 for v in range(64)],
                           [1 << (v - 1) % 64 for v in range(64)]),
@@ -177,6 +178,30 @@ def test_largest_leaves_agree_with_the_pure_kernel(compiled, name):
         _kernel_py.leaf_stage(n, out_m, in_m)
 
 
+def generalized_petersen(m, k):
+    """Adjacency matrix of GP(m, k): an outer m-cycle, spokes, and inner
+    vertices joined k apart."""
+    adj = np.zeros((2 * m, 2 * m), dtype=bool)
+    for i in range(m):
+        for u, v in ((i, (i + 1) % m), (i, m + i), (m + i, m + (i + k) % m)):
+            adj[u, v] = adj[v, u] = True
+    return adj
+
+
+def test_the_tensor_check_compares_multisets(backend):
+    """The Nauru graph GP(12,5) passes every check before the tensor: it is
+    cubic and vertex-transitive, with no triangle and one common neighbour
+    for each pair at distance 2.  Of its pairs at distance 3, 144 have one
+    neighbour at distance 2 from the other end and 72 have two; their
+    tallies differ only in counts, never in which keys occur.  A graph never
+    reaches the pipeline in a search, where it is symmetric, but steps 2-6
+    are defined on any digraph."""
+    adj = generalized_petersen(12, 5)
+    masks = rows_to_masks_by_bits(adj)
+    assert leaf_stage_by_matrices(adj) == "tensor"
+    assert kernel.leaf_stages()[backend](24, masks, masks) == "tensor"
+
+
 def test_the_branches_reach_every_stage():
     assert {want for name in BRANCHES
             for *_, want in expected_stages(name)} == set(kernel.LEAF_STAGES)
@@ -199,7 +224,7 @@ def counting_pure_kernel():
     """A copy of `_kernel_py` with a counter added at the top of dfs() and
     one at the top of leaf_stage()."""
     source = Path(_kernel_py.__file__).read_text()
-    heads = {"dfs": "    def dfs(depth, nondigon, dmax, fmax):\n",
+    heads = {"dfs": "    def dfs(depth, dmax, fmax):\n",
              "leaf_stage": "def leaf_stage(n, out_m, in_m):\n"}
     for name, head in heads.items():
         assert source.count(head) == 1, "the kernel changed; update this copy"
@@ -227,8 +252,8 @@ def compiled_pruned_run(tmp_path_factory):
     a counter added at the top of dfs() and one at the top of
     leaf_stage()."""
     source = kernel._SOURCE.read_text()
-    heads = {"wdrd_nodes": "static void dfs(Ctx *c, int depth, int nondigon, "
-                           "int dmax, int fmax)\n{\n",
+    heads = {"wdrd_nodes": "static void dfs(Ctx *c, int depth, int dmax, "
+                           "int fmax)\n{\n",
              "wdrd_pipelines": "static int leaf_stage(Ctx *c)\n{\n"}
     for counter, head in heads.items():
         assert source.count(head) == 1, "kernel changed; update this fixture"
