@@ -3,15 +3,17 @@
 Reference implementation of the hot loop: depth-first enumeration of edge
 states (Forward / Backward / Digon) over a fixed underlying graph, with a
 full candidate check at every leaf.  `_kernel.c` implements the same
-contract in C; `wdrd.kernel` compiles and loads it when a C compiler is
-available and otherwise selects this module.
+contract in C.  This module is the pure backend of `wdrd.kernel`: its
+`search_run` and `leaf_stage` are the two entry points every backend has,
+and `wdrd.kernel` selects it when the C kernel is unavailable.
 
 Contract: this module is the one definition of what `wdrd.search` and
 both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
 (tests/test_kernel_backend.py checks the C side).  It holds the edge-state
 codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the memo
 budget MEMO_BYTES, the counter keys STAT_KEYS and NOT_STRONG_KEY, the
-leaf stages LEAF_STAGES and `check_arguments`.  `search_run(n, edges,
+leaf stages LEAF_STAGES, and `check_arguments` and `check_masks`, the
+argument checks of the two entry points.  `search_run(n, edges,
 prefixes=((),), prune_degree=False)` runs a list of disjoint prefixes in order, one
 degree-pruned depth-first search per prefix, which tries only
 `prefix[depth]` at the depths below len(prefix).  Each prefix p stands for
@@ -29,7 +31,11 @@ applies arc reversal by choosing the prefixes.
 MAX_EDGES edges (TooManyEdgesError) or MAX_N vertices (TooLargeError), and
 with ValueError no vertex, an endpoint out of range, a graph that is not
 simple, no prefix, a bad prefix, or two prefixes of which one extends the
-other, which would count the leaves they share twice.
+other, which would count the leaves they share twice.  `check_masks`
+rejects with ValueError a leaf that `leaf_stage` cannot take: no vertex or
+more than MAX_N, other than one out-mask and one in-mask per vertex, or a
+mask naming a vertex out of range.  The search's own leaves skip that
+check, as they come from arguments already checked.
 
 Leaf pipeline (cheapest first, the same steps in `_kernel.c`;
 `leaf_stage` runs steps 2-6 on one digraph and names the step that
@@ -96,10 +102,13 @@ arcs never breaks strong connectivity, so no completion is), and otherwise
 the sum over Forward, Backward and Digon for the next edge.  The memo
 lives per call and starts small; the prefixes of a call share it, which is
 sound because a state's count depends on its depth and closure alone, not
-on the prefix that reached it.  It holds at most MEMO_BYTES / (16 (n + 2))
-states: a half-full hash table of (n + 2)-word slots in MEMO_BYTES, which
-is how `_kernel.c` keeps it.  Past that it stops inserting, and the count
-stays exact.
+on the prefix that reached it.  It holds at most `_memo_states(n)`
+states, as many as the memo of `_kernel.c`: a hash table of (n + 2)-word
+slots that doubles from the C constant MEMO_MIN (16) slots while it fits
+in MEMO_BYTES, and is at most half full.  MEMO_MIN is a power of two and
+below the largest table (65,536 slots or more at n <= MAX_N), so that is
+half of the largest power of two of slots within MEMO_BYTES.  Past that
+the memo stops inserting, and the count stays exact.
 """
 
 from __future__ import annotations
@@ -171,11 +180,26 @@ def check_arguments(n, edges, prefixes):
             raise ValueError(f"prefix {list(b)} extends prefix {list(a)}")
 
 
+def check_masks(n, out_m, in_m):
+    """Raise ValueError unless `leaf_stage` supports the arguments: 1..MAX_N
+    vertices, and n out-masks and n in-masks of vertices 0..n - 1."""
+    if not 1 <= n <= MAX_N or len(out_m) != n or len(in_m) != n:
+        raise ValueError(f"need 1..{MAX_N} vertices and a mask per vertex")
+    if any(m < 0 or m >> n for m in (*out_m, *in_m)):
+        raise ValueError(f"mask outside vertices 0..{n - 1}")
+
+
 def leaf_stage(n, out_m, in_m):
     """Run a digraph that is not symmetric, given by its out- and
     in-neighbour masks, through the leaf checks in pipeline order.
     Returns the stage that rejects it, as named in LEAF_STAGES,
     or None when it passes every check."""
+    check_masks(n, out_m, in_m)
+    return _leaf_stage(n, out_m, in_m)
+
+
+def _leaf_stage(n, out_m, in_m):
+    """`leaf_stage` without the argument check, for the search's leaves."""
     full = (1 << n) - 1
     dist = [[0] * n for _ in range(n)]
     reached, lay = _bfs(out_m, 0, dist[0])
@@ -241,6 +265,13 @@ def leaf_stage(n, out_m, in_m):
     return None
 
 
+def _memo_states(n):
+    """The most states the memo of `not_strong_counter` holds on n
+    vertices: half of the largest power of two of (n + 2)-word slots in
+    MEMO_BYTES, as `_kernel.c` keeps it."""
+    return (1 << (MEMO_BYTES // (8 * (n + 2))).bit_length()) // 4
+
+
 def not_strong_counter(n, edges):
     """The function that gives, for a prefix over `edges`, the number N of
     its completions whose digraph is not strongly connected, by the
@@ -255,7 +286,7 @@ def not_strong_counter(n, edges):
         u, v = edges[d]
         rest[d][u] |= 1 << v
         rest[d][v] |= 1 << u
-    limit = MEMO_BYTES // (16 * (n + 2))
+    limit = _memo_states(n)
     memo: dict[tuple[int, ...], int] = {}
 
     def add_arc(reach, coreach, u, v):
@@ -362,7 +393,7 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
         if fmax == 0:
             stats["symmetric"] += 1
             return
-        stage = leaf_stage(n, out_m, in_m)
+        stage = _leaf_stage(n, out_m, in_m)
         if stage is None:
             survivors.append(bytes(states))
         elif stage == "not_strongly_connected":

@@ -1,20 +1,25 @@
-"""Search-kernel backend selection.
+"""Search-kernel backends.
 
-The kernel exists twice: `_kernel_py.search_run`, the pure-Python reference,
-and `_kernel.c`, the same search in plain C.  On import this module
-compiles `_kernel.c` with the system C compiler, caches the shared library
-in the package's `__pycache__` under a name keyed by the SHA-256 of the
-source and the compile command, and loads it with ctypes, which releases
-the GIL for the length of each kernel call; `wdrd.search` relies on that
-to run the shares of a search on threads over the compiled kernel.  With
-no library cached it falls back to the pure kernel when there is no
-compiler, when the compile fails or when the cache directory is
-read-only; nothing else picks the kernel.  `BACKEND` names the selected
-kernel and `search_run` is its search.  `backends()` and `leaf_stages()`
-give every available kernel's search and its leaf check, for tests that
-compare them.  The contract both kernels keep (state codes, size limits,
-counter keys, leaf stages, `check_arguments`) lives in `_kernel_py` and
-is re-exported here.
+The kernel exists twice: `_kernel_py`, the pure-Python reference, and
+`_kernel.c`, the same search in plain C.  On import this module compiles
+`_kernel.c` with the system C compiler, caches the shared library in the
+package's `__pycache__` under a name keyed by the SHA-256 of the source and
+the compile command, and loads it with ctypes, which releases the GIL for
+the length of each kernel call; `wdrd.search` relies on that to run the
+shares of a search on threads over the compiled kernel.  With no library
+cached it falls back to the pure kernel when there is no compiler, when
+the compile fails or when the cache directory is read-only; nothing else
+picks the kernel.
+
+A backend is an object with the kernel's two entry points, `search_run`
+and `leaf_stage` (see `_kernel_py`), each of which checks its arguments
+first.  The pure backend is the `_kernel_py` module itself, the compiled
+one a `_Compiled` over the loaded library.  `backends()` maps the name of
+every available backend to it, for tests and benchmarks that compare them.
+`BACKEND` names the selected backend and `search_run` is its search.  The
+contract both kernels keep (state codes, size limits, counter keys, leaf
+stages, `check_arguments`, `check_masks`) lives in `_kernel_py` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from pathlib import Path
 
 from . import _kernel_py
 from ._kernel_py import (BWD, DIG, FWD, LEAF_STAGES, MAX_EDGES,  # noqa: F401
-                         MAX_N, NOT_STRONG_KEY, STAT_KEYS, check_arguments)
+                         MAX_N, NOT_STRONG_KEY, STAT_KEYS, check_arguments,
+                         check_masks)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
@@ -64,9 +70,53 @@ def _build(target: Path) -> None:
             os.unlink(tmp)
 
 
-def _load() -> ctypes.CDLL | None:
-    """The compiled kernel library, built on a cache miss; None when it
-    cannot be built or loaded."""
+class _Compiled:
+    """The compiled backend: the entry points of `_kernel_py` run by the
+    kernel library `lib`.  The C code trusts its arguments, so each entry
+    point checks them before the call."""
+
+    def __init__(self, lib):
+        self.lib = lib
+
+    def search_run(self, n, edges, prefixes=((),), prune_degree=False):
+        """Compiled twin of `_kernel_py.search_run`."""
+        edges = [(int(u), int(v)) for u, v in edges]
+        prefixes = list(prefixes)
+        check_arguments(n, edges, prefixes)
+        prefixes = [bytes(p) for p in prefixes]
+        ne = len(edges)
+
+        survivors: list[bytes] = []
+
+        def emit(word):
+            survivors.append(ctypes.string_at(word, ne))
+
+        flat = (ctypes.c_int * (2 * ne + 1))(*(x for e in edges for x in e))
+        # the counters, then N
+        stats = (ctypes.c_longlong * (len(STAT_KEYS) + 1))()
+        callback = _EMIT(emit)
+        lengths = (ctypes.c_int * len(prefixes))(*map(len, prefixes))
+        if self.lib.wdrd_search_run(n, ne, flat, len(prefixes), lengths,
+                                    b"".join(prefixes), bool(prune_degree),
+                                    stats, callback):
+            raise MemoryError("kernel scratch allocation failed")
+        out = {**dict(zip(STAT_KEYS, stats)), "survivors": survivors}
+        if not prune_degree:
+            out[NOT_STRONG_KEY] = stats[len(STAT_KEYS)]
+        return out
+
+    def leaf_stage(self, n, out_m, in_m):
+        """Compiled twin of `_kernel_py.leaf_stage`."""
+        check_masks(n, out_m, in_m)
+        stage = self.lib.wdrd_leaf_stage(n, _MASKS(*out_m), _MASKS(*in_m))
+        if stage < 0:
+            raise MemoryError("kernel scratch allocation failed")
+        return LEAF_STAGES[stage]
+
+
+def _load() -> _Compiled | None:
+    """The compiled backend over the library at `_library_path()`, built on
+    a cache miss; None when the library cannot be built or loaded."""
     try:
         target = _library_path()
         if not target.exists():
@@ -82,73 +132,19 @@ def _load() -> ctypes.CDLL | None:
     fn.restype = ctypes.c_int
     lib.wdrd_leaf_stage.argtypes = [ctypes.c_int, _MASKS, _MASKS]
     lib.wdrd_leaf_stage.restype = ctypes.c_int
-    return lib
+    return _Compiled(lib)
 
 
-@functools.cache
-def _compiled():
-    """The compiled kernel library, or None when it is unavailable."""
-    return _load()
+# The compiled backend of this process, or None when it is unavailable.
+_compiled = functools.cache(_load)
 
 
-def _run_compiled(lib, n, edges, prefixes=((),), prune_degree=False):
-    """Compiled twin of `_kernel_py.search_run`; arguments are checked here
-    because the C code trusts them."""
-    edges = [(int(u), int(v)) for u, v in edges]
-    prefixes = list(prefixes)
-    check_arguments(n, edges, prefixes)
-    prefixes = [bytes(p) for p in prefixes]
-    ne = len(edges)
-
-    survivors: list[bytes] = []
-
-    def emit(word):
-        survivors.append(ctypes.string_at(word, ne))
-
-    flat = (ctypes.c_int * (2 * ne + 1))(*(x for e in edges for x in e))
-    # the counters, then N
-    stats = (ctypes.c_longlong * (len(STAT_KEYS) + 1))()
-    callback = _EMIT(emit)
-    lengths = (ctypes.c_int * len(prefixes))(*map(len, prefixes))
-    if lib.wdrd_search_run(n, ne, flat, len(prefixes), lengths,
-                           b"".join(prefixes), bool(prune_degree), stats,
-                           callback):
-        raise MemoryError("kernel scratch allocation failed")
-    out = {**dict(zip(STAT_KEYS, stats)), "survivors": survivors}
-    if not prune_degree:
-        out[NOT_STRONG_KEY] = stats[len(STAT_KEYS)]
-    return out
-
-
-def _leaf_stage_compiled(lib, n, out_masks, in_masks):
-    """Compiled twin of `_kernel_py.leaf_stage`."""
-    if not 1 <= n <= MAX_N or len(out_masks) != n or len(in_masks) != n:
-        raise ValueError(f"need 1..{MAX_N} vertices and a mask per vertex")
-    if any(m < 0 or m >> n for m in (*out_masks, *in_masks)):
-        raise ValueError(f"mask outside vertices 0..{n - 1}")
-    stage = lib.wdrd_leaf_stage(n, _MASKS(*out_masks), _MASKS(*in_masks))
-    if stage < 0:
-        raise MemoryError("kernel scratch allocation failed")
-    return LEAF_STAGES[stage]
-
-
-def backends():
-    """All available kernel backends, name -> search_run."""
-    found = {"pure": _kernel_py.search_run}
-    lib = _compiled()
-    if lib is not None:
-        found["compiled"] = functools.partial(_run_compiled, lib)
-    return found
-
-
-def leaf_stages():
-    """The leaf check of every available backend, name -> leaf_stage."""
-    found = {"pure": _kernel_py.leaf_stage}
-    lib = _compiled()
-    if lib is not None:
-        found["compiled"] = functools.partial(_leaf_stage_compiled, lib)
-    return found
+def backends() -> dict:
+    """Every available backend, name -> backend object: the pure one, and
+    the compiled one when it loaded."""
+    found = {"pure": _kernel_py, "compiled": _compiled()}
+    return {name: b for name, b in found.items() if b is not None}
 
 
 BACKEND = "pure" if _compiled() is None else "compiled"
-search_run = backends()[BACKEND]
+search_run = backends()[BACKEND].search_run

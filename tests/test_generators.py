@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wdrd import (
-    IntersectionArray,
     NotDistanceRegular,
     are_isomorphic,
     cayley_cyclic,

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import build_kernel
 from wdrd import _kernel_py, kernel
 from wdrd.errors import TooLargeError, TooManyEdgesError
 
@@ -46,7 +47,7 @@ def test_compile_failure_falls_back_to_pure(empty_cache, monkeypatch):
         raise subprocess.CalledProcessError(1, "cc")
 
     monkeypatch.setattr(kernel, "_build", failing_build)
-    assert kernel.backends() == {"pure": _kernel_py.search_run}
+    assert kernel.backends() == {"pure": _kernel_py}
 
 
 def test_unwritable_cache_falls_back_to_pure(tmp_path, empty_cache,
@@ -55,7 +56,7 @@ def test_unwritable_cache_falls_back_to_pure(tmp_path, empty_cache,
     blocker.write_text("")
     monkeypatch.setattr(kernel, "_CACHE", blocker / "cache")
     assert kernel._load() is None
-    assert kernel.backends() == {"pure": _kernel_py.search_run}
+    assert kernel.backends() == {"pure": _kernel_py}
 
 
 def test_missing_compiler_falls_back_to_pure(empty_cache, monkeypatch):
@@ -65,7 +66,7 @@ def test_missing_compiler_falls_back_to_pure(empty_cache, monkeypatch):
                         (str(empty_cache.parent / "no-such-cc"),
                          *kernel._COMPILE[1:]))
     assert kernel._load() is None
-    assert kernel.backends() == {"pure": _kernel_py.search_run}
+    assert kernel.backends() == {"pure": _kernel_py}
     assert list(empty_cache.iterdir()) == []
 
 
@@ -112,6 +113,18 @@ def test_c_memo_budget_is_the_kernel_budget():
     assert 1 << int(budget.group(1)) == _kernel_py.MEMO_BYTES
 
 
+def test_c_memo_holds_as_many_states_as_the_pure_memo():
+    """C doubles its table of (n + 2)-word slots from MEMO_MIN slots while
+    it fits in MEMO_BYTES, and fills it at most half."""
+    first = re.search(r"#define MEMO_MIN (\d+)", kernel._SOURCE.read_text())
+    assert first is not None
+    for n in range(1, 17):
+        table, slots = 0, int(first.group(1))
+        while slots * 8 * (n + 2) <= _kernel_py.MEMO_BYTES:
+            table, slots = slots, 2 * slots
+        assert table // 2 == _kernel_py._memo_states(n), n
+
+
 def test_c_leaf_stages_are_the_leaf_stages():
     """wdrd_leaf_stage returns an index into LEAF_STAGES."""
     enum = re.search(r"enum\s*\{\s*(PASS\b[^}]*)\}",
@@ -144,23 +157,31 @@ BAD_ARGUMENTS = {
 }
 
 
-class NoLibrary:
-    def wdrd_search_run(self, *args):
-        raise AssertionError("bad arguments reached the C code")
+# The compiled backend with no library: an entry point whose arguments
+# reach the C call raises AttributeError, which fails the tests below.
+NO_LIBRARY = kernel._Compiled(None)
+
+
+def raised(entry, args):
+    """The type of the ValueError that `entry(*args)` raises."""
+    with pytest.raises(ValueError) as error:
+        entry(*args)
+    return error.type
 
 
 @pytest.mark.parametrize("args", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
 def test_bad_arguments_are_rejected_before_the_c_call(args):
-    with pytest.raises(ValueError):
-        kernel._run_compiled(NoLibrary(), *args)
+    """The compiled backend raises what the pure one raises."""
+    assert raised(NO_LIBRARY.search_run, args) is \
+        raised(_kernel_py.search_run, args)
 
 
 @pytest.mark.parametrize("args", [(0, [], []), (65, [0] * 65, [0] * 65),
                                   (2, [2], [1, 1]), (2, [4, 1], [2, 1]),
                                   (2, [-1, 1], [2, 1])])
 def test_bad_leaf_stage_arguments_are_rejected_before_the_c_call(args):
-    with pytest.raises(ValueError):
-        kernel._leaf_stage_compiled(NoLibrary(), *args)
+    assert raised(NO_LIBRARY.leaf_stage, args) is \
+        raised(_kernel_py.leaf_stage, args)
 
 
 @pytest.mark.parametrize("args", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
@@ -172,11 +193,9 @@ def test_pure_kernel_rejects_bad_arguments(args):
 @pytest.mark.parametrize("case,error", [("65 vertices", TooLargeError),
                                         ("40 edges", TooManyEdgesError)])
 def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
-    args = BAD_ARGUMENTS[case]
-    with pytest.raises(error, match="kernel limit"):
-        _kernel_py.search_run(*args)
-    with pytest.raises(error, match="kernel limit"):
-        kernel._run_compiled(NoLibrary(), *args)
+    for backend in (_kernel_py, NO_LIBRARY):
+        with pytest.raises(error, match="kernel limit"):
+            backend.search_run(*BAD_ARGUMENTS[case])
 
 
 # Runs the parity cases, two unpruned branches, the unpruned K6 sweep
@@ -186,30 +205,23 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
 # argv[1], and compares it with the pure kernel.  Each unpruned call must
 # be the pruned one plus N, and N the word-by-word count where one is known.
 PARITY_SCRIPT = """
-import functools
 import sys
 from pathlib import Path
 from test_kernel_leaves import BUDGET, FULL, J42, K6, LEAVES, not_strong
-from test_kernel_parity import BRANCHES, CASES, check_threaded_runs
+from test_kernel_parity import BRANCHES, CASES, agreed, check_threaded_runs
 from wdrd import _kernel_py, kernel
 from wdrd.search import _branches
 
 kernel._library_path = lambda: Path(sys.argv[1])
-lib = kernel._load()
-assert lib is not None, "the library did not load"
+compiled = kernel._load()
+assert compiled is not None, "the library did not load"
 
 
 def check(n, edges, prefixes):
     \"\"\"Compare both modes with the pure kernel and the unpruned call with
     the pruned one; return N.\"\"\"
-    runs = []
-    for prune in (True, False):
-        want = _kernel_py.search_run(n, edges, prefixes, prune_degree=prune)
-        got = kernel._run_compiled(lib, n, edges, prefixes,
-                                   prune_degree=prune)
-        assert got == want, (n, edges, prefixes, prune)
-        runs.append(got)
-    pruned, unpruned = runs
+    pruned, unpruned = (agreed(compiled, n, edges, prefixes, prune)
+                        for prune in (True, False))
     count = unpruned.pop(kernel.NOT_STRONG_KEY)
     assert unpruned == pruned, (n, edges, prefixes)
     return count
@@ -227,8 +239,8 @@ for n, edges, prefixes in [(6, K6, _branches(15, 2, True)[0]),
     check(n, edges, prefixes)
 for name, (n, out_m, in_m) in LEAVES.items():
     want = _kernel_py.leaf_stage(n, out_m, in_m)
-    assert kernel._leaf_stage_compiled(lib, n, out_m, in_m) == want, name
-check_threaded_runs(functools.partial(kernel._run_compiled, lib))
+    assert compiled.leaf_stage(n, out_m, in_m) == want, name
+check_threaded_runs(compiled.search_run)
 """
 
 
@@ -244,29 +256,24 @@ def run_parity_script(lib, **env):
 def test_compiled_kernel_runs_clean_under_ubsan(tmp_path):
     """Undefined behaviour aborts the subprocess, which fails this test
     instead of killing pytest."""
-    lib = tmp_path / "_kernel_ubsan.so"
-    subprocess.run(["cc", "-O1", "-fsanitize=undefined",
-                    "-fno-sanitize-recover=all", "-shared", "-fPIC", "-o",
-                    str(lib), str(kernel._SOURCE)], check=True,
-                   capture_output=True)
+    lib = build_kernel(tmp_path, flags=["-O1", "-fsanitize=undefined",
+                                        "-fno-sanitize-recover=all"])
     out = run_parity_script(lib)
     assert out.returncode == 0, out.stderr
 
 
 @needs_cc
 def test_compiled_kernel_runs_clean_under_asan(tmp_path):
-    """An out-of-bounds access, such as a tally past the n-sized scratch,
-    aborts the subprocess.  The Python interpreter is not built with the
-    sanitizer, so its runtime is preloaded."""
+    """An out-of-bounds access, such as a write past the class table or
+    the sorted reference keys of the leaf scratch, aborts the subprocess.
+    The Python interpreter is not built with the sanitizer, so its runtime
+    is preloaded."""
     runtime = subprocess.run(["cc", "-print-file-name=libasan.so"],
                              capture_output=True, text=True).stdout.strip()
     if not os.path.isabs(runtime) or not os.path.exists(runtime):
         pytest.skip("no AddressSanitizer runtime")
-    lib = tmp_path / "_kernel_asan.so"
-    subprocess.run(["cc", "-O1", "-fsanitize=address",
-                    "-fno-omit-frame-pointer", "-shared", "-fPIC", "-o",
-                    str(lib), str(kernel._SOURCE)], check=True,
-                   capture_output=True)
+    lib = build_kernel(tmp_path, flags=["-O1", "-fsanitize=address",
+                                        "-fno-omit-frame-pointer"])
     out = run_parity_script(lib, LD_PRELOAD=runtime,
                             ASAN_OPTIONS="detect_leaks=0")
     assert out.returncode == 0, out.stderr

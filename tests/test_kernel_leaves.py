@@ -31,13 +31,11 @@ J(4,2) and K6.  `wdrd.search` derives the unpruned counters from N
 import ctypes
 import functools
 import itertools
-import subprocess
-import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import compiled_variant, pure_variant
 from oracles import (degree_prune_by_words, leaf_stage_by_matrices,
                      not_strong_by_words, rows_to_masks_by_bits)
 from wdrd import _kernel_py, kernel
@@ -144,17 +142,10 @@ def expected_stages(name):
     return out
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request):
-    if request.param == "compiled":
-        request.getfixturevalue("compiled")  # skips without a C compiler
-    return request.param
-
-
 @pytest.mark.parametrize("name", BRANCHES)
 def test_survivors_are_the_wdrd_words(backend, name):
     n, edges, prefix, prune = BRANCHES[name]
-    got = kernel.backends()[backend](n, edges, [prefix], prune_degree=prune)
+    got = backend.search_run(n, edges, [prefix], prune_degree=prune)
     assert got["survivors"] == [w for w, _, rep in leaves(name)
                                 if rep.is_wdrd]
     if not prune:
@@ -164,17 +155,16 @@ def test_survivors_are_the_wdrd_words(backend, name):
 
 @pytest.mark.parametrize("name", BRANCHES)
 def test_each_leaf_fails_at_its_first_violated_condition(backend, name):
-    stage = kernel.leaf_stages()[backend]
     n = BRANCHES[name][0]
     expected = expected_stages(name)
-    assert [stage(n, out_m, in_m) for out_m, in_m, _ in expected] == \
-        [want for *_, want in expected]
+    assert [backend.leaf_stage(n, out_m, in_m)
+            for out_m, in_m, _ in expected] == [want for *_, want in expected]
 
 
 @pytest.mark.parametrize("name", LEAVES)
 def test_largest_leaves_agree_with_the_pure_kernel(compiled, name):
     n, out_m, in_m = LEAVES[name]
-    assert kernel.leaf_stages()["compiled"](n, out_m, in_m) == \
+    assert compiled.leaf_stage(n, out_m, in_m) == \
         _kernel_py.leaf_stage(n, out_m, in_m)
 
 
@@ -199,7 +189,7 @@ def test_the_tensor_check_compares_multisets(backend):
     adj = generalized_petersen(12, 5)
     masks = rows_to_masks_by_bits(adj)
     assert leaf_stage_by_matrices(adj) == "tensor"
-    assert kernel.leaf_stages()[backend](24, masks, masks) == "tensor"
+    assert backend.leaf_stage(24, masks, masks) == "tensor"
 
 
 def test_the_branches_reach_every_stage():
@@ -219,71 +209,52 @@ def test_some_k4_leaves_fail_only_at_the_in_layers():
                zip(non_symmetric("K4"), expected_stages("K4"))) == 12
 
 
+# counter -> the head of the function whose calls it counts, dfs() or the
+# leaf pipeline, in the pure kernel and in the C kernel
+COUNTERS = {
+    "wdrd_nodes": ("    def dfs(depth, dmax, fmax):\n",
+                   "static void dfs(Ctx *c, int depth, int dmax, int fmax)\n"
+                   "{\n"),
+    "wdrd_pipelines": ("def _leaf_stage(n, out_m, in_m):\n",
+                       "static int leaf_stage(Ctx *c)\n{\n"),
+}
+
+
 @functools.cache
 def counting_pure_kernel():
-    """A copy of `_kernel_py` with a counter added at the top of dfs() and
-    one at the top of leaf_stage()."""
-    source = Path(_kernel_py.__file__).read_text()
-    heads = {"dfs": "    def dfs(depth, dmax, fmax):\n",
-             "leaf_stage": "def leaf_stage(n, out_m, in_m):\n"}
-    for name, head in heads.items():
-        assert source.count(head) == 1, "the kernel changed; update this copy"
-        body = " " * (head.index("def") + 4)
-        source = source.replace(head, f"{head}{body}CALLS[{name!r}] += 1\n")
-    module = types.ModuleType("wdrd._kernel_py_counting")
-    module.__package__ = "wdrd"
-    module.CALLS = dict.fromkeys(heads, 0)
-    exec(compile(source, _kernel_py.__file__, "exec"), module.__dict__)
-    return module
-
-
-def pure_pruned_run(n, edges, prefix, prune):
-    """(stats, calls of dfs, calls of leaf_stage) of a run of the pure
-    kernel."""
-    module = counting_pure_kernel()
-    module.CALLS.update(dfs=0, leaf_stage=0)
-    stats = module.search_run(n, edges, [prefix], prune_degree=prune)
-    return stats, module.CALLS["dfs"], module.CALLS["leaf_stage"]
+    """A copy of `_kernel_py` that counts in COUNTERS, and its counters."""
+    variant = pure_variant(*(
+        (head, f"{head}{' ' * (head.index('def') + 4)}{name}.value += 1\n")
+        for name, (head, _) in COUNTERS.items()))
+    for name in COUNTERS:
+        setattr(variant, name, ctypes.c_long())
+    return variant, [getattr(variant, name) for name in COUNTERS]
 
 
 @pytest.fixture(scope="module")
-def compiled_pruned_run(tmp_path_factory):
-    """The compiled twin of `pure_pruned_run`: a build of `_kernel.c` with
-    a counter added at the top of dfs() and one at the top of
-    leaf_stage()."""
-    source = kernel._SOURCE.read_text()
-    heads = {"wdrd_nodes": "static void dfs(Ctx *c, int depth, int dmax, "
-                           "int fmax)\n{\n",
-             "wdrd_pipelines": "static int leaf_stage(Ctx *c)\n{\n"}
-    for counter, head in heads.items():
-        assert source.count(head) == 1, "kernel changed; update this fixture"
-        source = source.replace(head, f"long {counter};\n\n{head}"
-                                      f"    {counter}++;\n")
-    build = tmp_path_factory.mktemp("counting")
-    (build / "kernel.c").write_text(source)
-    subprocess.run([*kernel._COMPILE, "-o", str(build / "kernel.so"),
-                    str(build / "kernel.c")], check=True, capture_output=True)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "_library_path", lambda: build / "kernel.so")
-        lib = kernel._load()
-    counters = [ctypes.c_long.in_dll(lib, counter) for counter in heads]
-
-    def run(n, edges, prefix, prune):
-        for counter in counters:
-            counter.value = 0
-        stats = kernel._run_compiled(lib, n, edges, [prefix],
-                                     prune_degree=prune)
-        return (stats, *(counter.value for counter in counters))
-
-    return run
+def counting_compiled_kernel(tmp_path_factory):
+    """The compiled twin of `counting_pure_kernel`."""
+    variant = compiled_variant(tmp_path_factory.mktemp("counting"), *(
+        (head, f"long {name};\n\n{head}    {name}++;\n")
+        for name, (_, head) in COUNTERS.items()))
+    return variant, [ctypes.c_long.in_dll(variant.lib, name)
+                     for name in COUNTERS]
 
 
 @pytest.fixture
 def counted_run(request, backend):
-    """`pure_pruned_run` or `compiled_pruned_run`, as `backend` says."""
-    if backend == "pure":
-        return pure_pruned_run
-    return request.getfixturevalue("compiled_pruned_run")
+    """A run of one prefix through a counting copy of `backend`: its
+    stats, its calls of dfs() and its leaf pipelines."""
+    variant, counters = (counting_pure_kernel() if backend is _kernel_py else
+                         request.getfixturevalue("counting_compiled_kernel"))
+
+    def run(n, edges, prefix, prune):
+        for counter in counters:
+            counter.value = 0
+        stats = variant.search_run(n, edges, [prefix], prune_degree=prune)
+        return (stats, *(counter.value for counter in counters))
+
+    return run
 
 
 @pytest.mark.parametrize("name", PRUNED)
@@ -311,7 +282,7 @@ def test_full_sweep_counts_in_bulk_where_the_rule_settles(backend,
                                                          counted_run, name):
     n, edges, prefix = FULL[name]
     got, nodes, pipelines = counted_run(n, edges, prefix, False)
-    kept = kernel.backends()[backend](n, edges, [prefix], prune_degree=True)
+    kept = backend.search_run(n, edges, [prefix], prune_degree=True)
     assert got == {**kept, kernel.NOT_STRONG_KEY: not_strong(name)}
     assert nodes == pruned_nodes(name)
     assert pipelines == kept["examined"] - kept["symmetric"]
@@ -333,57 +304,39 @@ BUDGETS = (0, 1024)
 
 def pure_kernel_with_budget(budget):
     """A copy of `_kernel_py` whose memo budget is `budget` bytes."""
-    source = Path(_kernel_py.__file__).read_text()
     line = f"MEMO_BYTES = 1 << {_kernel_py.MEMO_BYTES.bit_length() - 1}\n"
-    assert source.count(line) == 1, "the kernel changed; update this copy"
-    module = types.ModuleType("wdrd._kernel_py_budget")
-    module.__package__ = "wdrd"
-    exec(compile(source.replace(line, f"MEMO_BYTES = {budget}\n"),
-                 _kernel_py.__file__, "exec"), module.__dict__)
-    return module.search_run
+    return pure_variant((line, f"MEMO_BYTES = {budget}\n"))
 
 
 @pytest.fixture(scope="module")
 def compiled_with_budget(compiled, tmp_path_factory):
-    """search_run of builds of `_kernel.c` whose memo budgets are BUDGETS,
-    by budget."""
-    source = kernel._SOURCE.read_text()
+    """Builds of `_kernel.c` whose memo budgets are BUDGETS, by budget."""
     line = ("#define MEMO_BYTES "
             f"(1 << {_kernel_py.MEMO_BYTES.bit_length() - 1})\n")
-    assert source.count(line) == 1, "kernel changed; update this fixture"
-    build = tmp_path_factory.mktemp("budget")
-    runs = {}
-    for budget in BUDGETS:
-        path = build / f"kernel{budget}.c"
-        path.write_text(source.replace(line, f"#define MEMO_BYTES {budget}\n"))
-        subprocess.run([*kernel._COMPILE, "-o", str(path.with_suffix(".so")),
-                        str(path)], check=True, capture_output=True)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernel, "_library_path",
-                       lambda: path.with_suffix(".so"))
-            runs[budget] = functools.partial(kernel._run_compiled,
-                                             kernel._load())
-    return runs
+    return {budget: compiled_variant(tmp_path_factory.mktemp("budget"),
+                                     (line, f"#define MEMO_BYTES {budget}\n"))
+            for budget in BUDGETS}
 
 
-def check_budget_run(run, backend, name):
+def check_budget_run(variant, backend, name):
     n, edges, prefix, want = BUDGET[name]
-    kept = kernel.backends()[backend](n, edges, [prefix], prune_degree=True)
-    assert run(n, edges, [prefix]) == {**kept, kernel.NOT_STRONG_KEY: want}
+    kept = backend.search_run(n, edges, [prefix], prune_degree=True)
+    assert variant.search_run(n, edges, [prefix]) == \
+        {**kept, kernel.NOT_STRONG_KEY: want}
 
 
 # The pure kernel takes 15 s for all of K6 with a cut memo, so it runs the
 # K6 branch 22 instead.
 @pytest.mark.parametrize("name", ["J(4,2)", "K6 22"])
 def test_a_cut_memo_keeps_the_pure_counters(name):
-    check_budget_run(pure_kernel_with_budget(1024), "pure", name)
+    check_budget_run(pure_kernel_with_budget(1024), _kernel_py, name)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("name", BUDGET)
-def test_a_cut_memo_keeps_the_compiled_counters(compiled_with_budget, name,
-                                                budget):
-    check_budget_run(compiled_with_budget[budget], "compiled", name)
+def test_a_cut_memo_keeps_the_compiled_counters(compiled, compiled_with_budget,
+                                                name, budget):
+    check_budget_run(compiled_with_budget[budget], compiled, name)
 
 
 def test_a_cut_memo_keeps_a_multi_prefix_call_exact(compiled_with_budget):
@@ -392,6 +345,6 @@ def test_a_cut_memo_keeps_a_multi_prefix_call_exact(compiled_with_budget):
     memo, with 8 states and with the full budget."""
     prefixes = _branches(len(J42), 2, True)[0]
     want = _kernel_py.search_run(6, J42, prefixes)
-    for budget in BUDGETS:
-        assert compiled_with_budget[budget](6, J42, prefixes) == want, budget
-    assert pure_kernel_with_budget(1024)(6, J42, prefixes) == want
+    for variant in [*compiled_with_budget.values(),
+                    pure_kernel_with_budget(1024)]:
+        assert variant.search_run(6, J42, prefixes) == want

@@ -45,6 +45,14 @@ THREADED = [(6, search._underlying_edges(johnson(4, 2).graph), prefix)
             for prefix in itertools.product((0, 1, 2), repeat=2)]
 
 
+def agreed(compiled, n, edges, prefixes=((),), prune=False):
+    """The result of the pure kernel, which `compiled` must equal."""
+    want = _kernel_py.search_run(n, edges, prefixes, prune_degree=prune)
+    got = compiled.search_run(n, edges, prefixes, prune_degree=prune)
+    assert got == want, (n, edges, prefixes, prune)
+    return want
+
+
 def check_threaded_runs(run, rounds=4, threads=4):
     """Run every THREADED branch `rounds` times on `threads` threads, with
     a short thread switch interval, and check each result, stats and
@@ -70,17 +78,13 @@ def test_full_runs_agree(compiled, n, edges, prune, reversal):
     prefixes up to the full word length."""
     prefixes, _ = search._branches(len(edges), 0, reversal)
     for prefix in prefixes:
-        a = _kernel_py.search_run(n, edges, [prefix], prune_degree=prune)
-        b = compiled(n, edges, [prefix], prune_degree=prune)
-        assert a == b
+        agreed(compiled, n, edges, [prefix], prune)
 
 
 @pytest.mark.parametrize("n,edges,prefix", BRANCHES)
 @pytest.mark.parametrize("prune", [False, True])
 def test_branches_agree(compiled, n, edges, prefix, prune):
-    a = _kernel_py.search_run(n, edges, [prefix], prune_degree=prune)
-    b = compiled(n, edges, [prefix], prune_degree=prune)
-    assert a == b
+    agreed(compiled, n, edges, [prefix], prune)
 
 
 @pytest.mark.parametrize("n,edges", CASES[:4])
@@ -90,9 +94,7 @@ def test_prefix_branches_agree_and_partition(compiled, n, edges):
         total = {key: 0 for key in kernel.STAT_KEYS}
         survivors = []
         for prefix in itertools.product((0, 1, 2), repeat=k):
-            a = _kernel_py.search_run(n, edges, [prefix], prune_degree=prune)
-            b = compiled(n, edges, [prefix], prune_degree=prune)
-            assert a == b
+            a = agreed(compiled, n, edges, [prefix], prune)
             assert a["examined"] + a["skipped_degree"] == \
                 3 ** (len(edges) - k)
             for key in kernel.STAT_KEYS:
@@ -140,8 +142,8 @@ def test_one_call_over_prefixes_sums_the_single_prefix_calls(backend, name,
     n, edges = MULTI[name]
     keys = kernel.STAT_KEYS + ((kernel.NOT_STRONG_KEY,) if not prune else ())
     for prefixes in prefix_lists(len(edges)):
-        got = backend(n, edges, prefixes, prune_degree=prune)
-        singles = [backend(n, edges, [p], prune_degree=prune)
+        got = backend.search_run(n, edges, prefixes, prune_degree=prune)
+        singles = [backend.search_run(n, edges, [p], prune_degree=prune)
                    for p in prefixes]
         assert {key: got[key] for key in keys} == \
             {key: sum(r[key] for r in singles) for key in keys}
@@ -151,7 +153,7 @@ def test_one_call_over_prefixes_sums_the_single_prefix_calls(backend, name,
                                             prune_degree=prune)
         if not prune:
             assert got == {
-                **backend(n, edges, prefixes, prune_degree=True),
+                **backend.search_run(n, edges, prefixes, prune_degree=True),
                 kernel.NOT_STRONG_KEY: sum(not_strong(name, tuple(p))
                                            for p in prefixes)}
 
@@ -164,21 +166,18 @@ def test_random_graphs_agree(compiled):
         if len(edges) > 9:
             edges = edges[:9]
         for prune in (False, True):
-            a = _kernel_py.search_run(n, edges, prune_degree=prune)
-            b = compiled(n, edges, prune_degree=prune)
-            assert a == b
+            agreed(compiled, n, edges, prune=prune)
 
 
 def test_compiled_kernel_runs_concurrently_on_threads(compiled):
     """The C kernel keeps all state per call, so `wdrd.search` may run its
     branches on threads."""
-    check_threaded_runs(compiled)
+    check_threaded_runs(compiled.search_run)
 
 
 def test_selected_backend_exposed():
     assert kernel.BACKEND in ("pure", "compiled")
-    names = kernel.backends()
-    assert "pure" in names
+    assert kernel.backends()["pure"] is _kernel_py
 
 
 # name -> (graph, prune) of the search-level parity runs
@@ -199,14 +198,6 @@ def search_with(monkeypatch, run, name, jobs, reversal):
         graph, graph_id=name, prune=prune, jobs=jobs, use_reversal=reversal))
 
 
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request):
-    """search_run of each kernel; the compiled one skips without cc."""
-    if request.param == "pure":
-        return _kernel_py.search_run
-    return request.getfixturevalue("compiled")
-
-
 @pytest.mark.parametrize("name", SEARCHES)
 @pytest.mark.parametrize("reversal", [False, True])
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -214,5 +205,5 @@ def test_search_reports_agree(monkeypatch, backend, name, reversal, jobs):
     """The whole search, pool and merge included, reports the same on
     every kernel and worker count as the pure kernel in one process."""
     want = search_with(monkeypatch, _kernel_py.search_run, name, 1, reversal)
-    got = search_with(monkeypatch, backend, name, jobs, reversal)
+    got = search_with(monkeypatch, backend.search_run, name, jobs, reversal)
     assert got == {**want, "jobs": jobs}

@@ -4,9 +4,7 @@ import itertools
 import json
 import multiprocessing
 import threading
-import types
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +19,7 @@ from wdrd import (
     search_commutative_wdrd,
     wdrd_report,
 )
-from wdrd import _kernel_py, canon, kernel, search
+from wdrd import canon, kernel, search
 from wdrd.search import report_to_dict, word_to_digraph
 from wdrd.errors import (
     AccountingError,
@@ -31,6 +29,7 @@ from wdrd.errors import (
     TooLargeError,
     TooManyEdgesError,
 )
+from conftest import pure_variant
 from oracles import full_sweep_by_words, search_by_brute_force
 
 
@@ -341,14 +340,9 @@ class TestSoundness:
         """A copy of the pure kernel whose cut() adds one leaf less than
         it skips.  The unpruned counters are derived from N, so only the
         check of the kernel's own counters can see it."""
-        source = Path(_kernel_py.__file__).read_text()
         line = '        stats["skipped_degree"] += leaves\n'
-        assert source.count(line) == 1, "the kernel changed; update this copy"
-        module = types.ModuleType("wdrd._kernel_py_short_cut")
-        module.__package__ = "wdrd"
-        exec(compile(source.replace(line, line[:-1] + " - 1\n"),
-                     _kernel_py.__file__, "exec"), module.__dict__)
-        monkeypatch.setattr(kernel, "search_run", module.search_run)
+        variant = pure_variant((line, line[:-1] + " - 1\n"))
+        monkeypatch.setattr(kernel, "search_run", variant.search_run)
         with pytest.raises(AccountingError, match="expected 3\\^6"):
             search_commutative_wdrd(complete_graph(4), prune=prune)
 
