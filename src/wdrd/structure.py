@@ -12,6 +12,11 @@ is replaced by its complement representative whenever the two canonical
 representatives meet in a single point, after which all identities are
 checked at the subset level and only distances are measured in the
 quotient graph.
+
+The oracles compute on the label bitmasks `LabeledGraph` holds and on the
+adjacency bitmasks of its `Digraph`: one routine gives the Y1/Y2 label
+masks of an edge, and common neighbourhoods are ANDs of out-masks.
+`y_sets`, the `SubsetVertex` form of the split, wraps the same routine.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .digraph import _mask_bits
 from .errors import (
     AlphaNotInXError,
     BetaIntersectsXError,
     DiameterTooSmallError,
     NotAdjacentError,
+    NotSymmetricError,
     SizeMismatchError,
 )
 from .generators import LabeledGraph, _subset_mask
@@ -69,33 +77,39 @@ def subset_swap(x: SubsetVertex, alpha: Iterable[int],
     return SubsetVertex(x.m, (x.members - a) | b)
 
 
+def _y_masks(m: int, x: int, y: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Y1/Y2 label masks of the edge between Johnson-adjacent label masks.
+
+    With y = x(a1, b1): Y1 = {x(a, b1) : a in x minus a1} (size e-1),
+    Y2 = {x(a1, b) : b outside x and b1} (size m-e-1)."""
+    b1 = y & ~x
+    keep = x & y
+    outside = ((1 << m) - 1) & ~(x | y)
+    return (frozenset((x ^ 1 << a) | b1 for a in _mask_bits(keep)),
+            frozenset(keep | 1 << b for b in _mask_bits(outside)))
+
+
 def y_sets(x: SubsetVertex, y: SubsetVertex
            ) -> tuple[frozenset[SubsetVertex], frozenset[SubsetVertex]]:
-    """The Y1/Y2 split of the common neighbourhood of a Johnson edge.
-
-    With y = x(a1, b1): Y1 collects x(a, b1) for a in x minus a1 (size
-    e-1), Y2 collects x(a1, b) for b outside x and b1 (size m-e-1)."""
+    """The Y1/Y2 split of the common neighbourhood of a Johnson edge, as
+    subsets (see `_y_masks` for the rule)."""
     if x.m != y.m or len(x.members) != len(y.members):
         raise NotAdjacentError("subsets live in different Johnson graphs")
     if len(x.members & y.members) != len(x.members) - 1:
         raise NotAdjacentError(
             f"{sorted(x.members)} and {sorted(y.members)} do not meet in e-1 points")
-    (a1,) = x.members - y.members
-    (b1,) = y.members - x.members
-    ground = range(x.m)
-    y1 = frozenset(SubsetVertex(x.m, (x.members - {a}) | {b1})
-                   for a in x.members - {a1})
-    y2 = frozenset(SubsetVertex(x.m, (x.members - {a1}) | {b})
-                   for b in ground if b not in x.members and b != b1)
-    return y1, y2
+    y1, y2 = _y_masks(x.m, x.mask, y.mask)
+    return (frozenset(SubsetVertex(x.m, _mask_bits(s)) for s in y1),
+            frozenset(SubsetVertex(x.m, _mask_bits(s)) for s in y2))
 
 
 @dataclass(frozen=True)
 class NeighbourhoodReport:
     """Per-edge outcome of the three neighbourhood-structure checks.
 
-    distances_ok: Y1/Y2 partition the common neighbourhood with the right
-    sizes, distance 1 inside each part and distance 2 across parts.
+    distances_ok: the vertices of Y1 and Y2 (e-1 and m-e-1 swaps) make up
+    the common neighbourhood, at distance 1 inside each part and distance 2
+    across parts.
     symmetry_ok: Y_i(x,y) = Y_i(y,x).
     exchange_ok: for z in Y_i, Y_i(x,y) + y = Y_i(x,z) + z and Y_j(x,y)
     misses both Y-sets of (x,z).
@@ -111,8 +125,8 @@ class NeighbourhoodReport:
         return self.distances_ok and self.symmetry_ok and self.exchange_ok
 
 
-def _edge_lift(g: LabeledGraph, x: int, y: int) -> tuple[SubsetVertex, SubsetVertex]:
-    """Represent the edge (x, y) by a Johnson-adjacent subset pair.
+def _edge_lift(g: LabeledGraph, x: int, y: int) -> tuple[int, int]:
+    """Represent the edge (x, y) by a Johnson-adjacent label mask pair.
 
     For folded graphs the partner representative is complemented when the
     two canonical labels meet in a single point."""
@@ -127,62 +141,62 @@ def _edge_lift(g: LabeledGraph, x: int, y: int) -> tuple[SubsetVertex, SubsetVer
         else:
             raise NotAdjacentError(
                 f"labels of ({x}, {y}) do not meet in e-1 points")
-    return (SubsetVertex(g.m, frozenset(_mask_bits(mx))),
-            SubsetVertex(g.m, frozenset(_mask_bits(my))))
+    return mx, my
+
+
+def _distance_witness(dist, v1: list[int], v2: list[int]) -> dict | None:
+    """First pair, scanning Y1 then Y2 in ascending vertex order, at a
+    distance other than 1 inside its part or other than 2 across parts."""
+    for part, other in ((v1, v2), (v2, v1)):
+        for a in part:
+            for b in part:
+                if a != b and dist[a, b] != 1:
+                    return {"check": "within-distance", "pair": [a, b]}
+            for b in other:
+                if dist[a, b] != 2:
+                    return {"check": "cross-distance", "pair": [a, b]}
+    return None
+
+
+def _exchange_failure(m: int, x: int, y: int, y1: frozenset[int],
+                      y2: frozenset[int]) -> int | None:
+    """First z in Y_i(x,y) with Y_i(x,y) + y != Y_i(x,z) + z, or with
+    Y_j(x,y) meeting a Y-set of (x,z); None when the exchange law holds."""
+    for i, (part, other) in enumerate(((y1, y2), (y2, y1))):
+        for z in part:
+            zy = _y_masks(m, x, z)
+            if part | {y} != zy[i] | {z} or other & (zy[0] | zy[1]):
+                return z
+    return None
 
 
 def verify_neighbourhood_structure(g: LabeledGraph, x: int, y: int
                                    ) -> NeighbourhoodReport:
     """Run the three Y-set checks on one edge of a (folded) Johnson graph."""
-    sx, sy = _edge_lift(g, x, y)
-    y1, y2 = y_sets(sx, sy)
-    dist = g.graph.distance_matrix()
-    project = {s: g.vertex_of_mask(s.mask) for s in y1 | y2}
+    mx, my = _edge_lift(g, x, y)
+    y1, y2 = _y_masks(g.m, mx, my)
+    v1 = sorted(map(g.vertex_of_mask, y1))
+    v2 = sorted(map(g.vertex_of_mask, y2))
+    graph = g.graph
+    if graph.out_masks != graph.in_masks:
+        raise NotSymmetricError("common neighbours defined on graphs only")
 
-    witness = None
-    sizes_ok = (len(y1) == g.e - 1 and len(y2) == g.m - g.e - 1)
-    union_ok = ({project[s] for s in y1 | y2}
-                == set(g.graph.common_neighbours(x, y)))
-    dist_ok = sizes_ok and union_ok
-    if not dist_ok:
+    if _subset_mask(v1 + v2) != graph.out_masks[x] & graph.out_masks[y]:
         witness = {"check": "partition", "edge": [x, y]}
     else:
-        for part, want_other in ((y1, y2), (y2, y1)):
-            for a in part:
-                for b in part:
-                    if a != b and int(dist[project[a], project[b]]) != 1:
-                        dist_ok = False
-                        witness = {"check": "within-distance",
-                                   "pair": [project[a], project[b]]}
-                for b in want_other:
-                    if int(dist[project[a], project[b]]) != 2:
-                        dist_ok = False
-                        witness = {"check": "cross-distance",
-                                   "pair": [project[a], project[b]]}
+        witness = _distance_witness(graph.distance_matrix(), v1, v2)
+    dist_ok = witness is None
 
-    ry1, ry2 = y_sets(sy, sx)
-    sym_ok = (y1 == ry1 and y2 == ry2)
+    sym_ok = _y_masks(g.m, my, mx) == (y1, y2)
     if not sym_ok and witness is None:
         witness = {"check": "symmetry", "edge": [x, y]}
 
-    exch_ok = True
-    for i, (part, other) in enumerate(((y1, y2), (y2, y1)), start=1):
-        for z in part:
-            zy1, zy2 = y_sets(sx, z)
-            zi = zy1 if i == 1 else zy2
-            if part | {sy} != zi | {z}:
-                exch_ok = False
-            if other & zy1 or other & zy2:
-                exch_ok = False
-            if not exch_ok:
-                if witness is None:
-                    witness = {"check": "exchange", "edge": [x, y],
-                               "z": sorted(z.members)}
-                break
-        if not exch_ok:
-            break
+    bad_z = _exchange_failure(g.m, mx, my, y1, y2)
+    if bad_z is not None and witness is None:
+        witness = {"check": "exchange", "edge": [x, y],
+                   "z": list(_mask_bits(bad_z))}
 
-    return NeighbourhoodReport(dist_ok, sym_ok, exch_ok, witness)
+    return NeighbourhoodReport(dist_ok, sym_ok, bad_z is None, witness)
 
 
 @dataclass(frozen=True)
@@ -206,39 +220,32 @@ def mu_graph_property(g) -> MuPropertyReport:
     dist = graph.distance_matrix()
     if int(dist.max()) < 2:
         raise DiameterTooSmallError("mu-graph property needs diameter >= 2")
+    if graph.out_masks != graph.in_masks:
+        raise NotSymmetricError("mu-graph property is defined on graphs only")
     out = graph.out_masks
-    n = graph.n
     checked = 0
-    for x in range(n):
-        for z in range(x + 1, n):
-            if int(dist[x, z]) != 2:
-                continue
-            checked += 1
-            mu = sorted(graph.common_neighbours(x, z))
-            if len(mu) != 4:
-                return MuPropertyReport(False, checked, (x, z), len(mu),
-                                        "mu-size differs from 4")
-            cell = mu + [x, z]
-            cell_mask = 0
-            for v in cell:
-                cell_mask |= 1 << v
-            for v in cell:
-                if (out[v] & cell_mask).bit_count() != 4:
-                    return MuPropertyReport(False, checked, (x, z), 4,
-                                            "induced subgraph is not an octahedron")
-            # unique partner at distance 2 within the mu-set, with the
-            # exchanged common neighbourhood
-            for y1 in mu:
-                partners = [y2 for y2 in mu
-                            if y2 != y1 and int(dist[y1, y2]) == 2]
-                if len(partners) != 1:
-                    return MuPropertyReport(False, checked, (x, z), 4,
-                                            f"vertex {y1} has {len(partners)} "
-                                            "antipodes in the mu-set")
-                y2 = partners[0]
-                want = {x, z} | (set(mu) - {y1, y2})
-                if set(graph.common_neighbours(y1, y2)) != want:
-                    return MuPropertyReport(False, checked, (x, z), 4,
-                                            "antipodal pair has a different "
-                                            "common neighbourhood")
+    for x, z in np.argwhere(np.triu(dist == 2, 1)).tolist():
+        checked += 1
+        mu = out[x] & out[z]
+        if mu.bit_count() != 4:
+            return MuPropertyReport(False, checked, (x, z), mu.bit_count(),
+                                    "mu-size differs from 4")
+        cell = mu | 1 << x | 1 << z
+        if any((out[v] & cell).bit_count() != 4 for v in _mask_bits(cell)):
+            return MuPropertyReport(False, checked, (x, z), 4,
+                                    "induced subgraph is not an octahedron")
+        # unique partner at distance 2 within the mu-set, with the exchanged
+        # common neighbourhood; two vertices of the mu-set are both next to
+        # x, so they are at distance 2 when distinct and not adjacent
+        for y1 in _mask_bits(mu):
+            partners = mu & ~out[y1] & ~(1 << y1)
+            if partners.bit_count() != 1:
+                return MuPropertyReport(False, checked, (x, z), 4,
+                                        f"vertex {y1} has {partners.bit_count()} "
+                                        "antipodes in the mu-set")
+            y2 = partners.bit_length() - 1
+            if out[y1] & out[y2] != cell & ~(1 << y1 | partners):
+                return MuPropertyReport(False, checked, (x, z), 4,
+                                        "antipodal pair has a different "
+                                        "common neighbourhood")
     return MuPropertyReport(True, checked)

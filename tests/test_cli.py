@@ -367,6 +367,29 @@ class TestGoldenSearch:
             GOLDEN_SEARCH[args]
 
 
+# sha256 and length of the `wdrd structure` JSON for these arguments before
+# the structure oracles moved onto label and adjacency bitmasks
+GOLDEN_STRUCTURE = {
+    "--graph johnson 6 2": (
+        "59853182656316135b58670ee7ae936c786b5ca3147456de16cd073f6de4153a", 472),
+    "--graph johnson 7 3": (
+        "102a660c71de8a8dc92f1f65569f61813891ad07c8b002017424a35ab7f6ff00", 502),
+    "--graph folded-johnson 4": (
+        "6692b435375bf5b8d320daef1fd71e3f18e780ecaa19c10acad5e435b9f1db9e", 516),
+    "--graph folded-johnson 5 --sample 60 --seed 1": (
+        "5f7b82b30282dd2dcf09922cedc806c0f7652ce880033c2e3351092611bd6e7d", 482),
+}
+
+
+class TestGoldenStructure:
+    @pytest.mark.parametrize("args", sorted(GOLDEN_STRUCTURE))
+    def test_byte_identical(self, args, capsys):
+        code, out, _ = invoke(capsys, "structure", *args.split())
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == \
+            GOLDEN_STRUCTURE[args]
+
+
 class TestIso:
     def test_expectations(self, tmp_path, capsys):
         a = tmp_path / "a.dgf"

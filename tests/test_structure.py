@@ -3,7 +3,9 @@ import random
 import pytest
 
 from wdrd import (
+    Digraph,
     SubsetVertex,
+    cayley_cyclic,
     folded_johnson,
     johnson,
     mu_graph_property,
@@ -17,9 +19,17 @@ from wdrd.errors import (
     BetaIntersectsXError,
     DiameterTooSmallError,
     NotAdjacentError,
+    NotSymmetricError,
     SizeMismatchError,
 )
-from wdrd import complete_graph
+from wdrd import complete_graph, structure
+
+
+def relabelled_johnson_62(arcs) -> LabeledGraph:
+    """J(6,2)'s labels on the digraph with these arcs."""
+    g = johnson(6, 2)
+    return LabeledGraph(Digraph.from_arcs(g.graph.n, arcs), 6, 2,
+                        g.label_masks, "johnson")
 
 
 class TestSubsetSwap:
@@ -113,6 +123,21 @@ class TestNeighbourhoodStructure:
                 break
         assert failed
 
+    def test_first_failing_pair_is_reported(self):
+        # edge (0, 1) = ({0,1}, {0,2}): Y1 = {vertex 2}, Y2 = {3, 6, 10};
+        # the chord {2, 3} puts 2 and 3 at distance 1, so both (2, 3) and
+        # (3, 2) fail the cross-distance check, and (2, 3) comes first
+        bad = relabelled_johnson_62([*johnson(6, 2).graph.arcs(), (2, 3), (3, 2)])
+        rep = verify_neighbourhood_structure(bad, 0, 1)
+        assert (rep.distances_ok, rep.symmetry_ok, rep.exchange_ok) == \
+            (False, True, True)
+        assert rep.witness == {"check": "cross-distance", "pair": [2, 3]}
+
+    def test_non_symmetric_graph_rejected(self):
+        arcs = [a for a in johnson(6, 2).graph.arcs() if a != (4, 2)]
+        with pytest.raises(NotSymmetricError):
+            verify_neighbourhood_structure(relabelled_johnson_62(arcs), 0, 1)
+
     def test_non_edge_rejected(self):
         g = johnson(6, 2)
         dist = g.graph.distance_matrix()
@@ -134,11 +159,36 @@ class TestMuProperty:
         assert rep.ok and rep.pairs_checked > 0
 
     def test_folded_four_fails_with_mu_eight(self):
-        rep = mu_graph_property(folded_johnson(4))
-        assert not rep.ok
-        assert rep.witness_mu_size == 8
-        assert rep.witness_pair is not None
+        assert mu_graph_property(folded_johnson(4)) == structure.MuPropertyReport(
+            ok=False, pairs_checked=1, witness_pair=(0, 7), witness_mu_size=8,
+            witness_detail="mu-size differs from 4")
+
+    def test_antipodal_pair_with_a_further_common_neighbour_fails(self):
+        # the chord {1, 7} leaves the first distance-2 pair's mu-set and
+        # octahedron intact but adds a common neighbour to an antipodal pair
+        g = relabelled_johnson_62([*johnson(6, 2).graph.arcs(), (1, 7), (7, 1)])
+        assert mu_graph_property(g) == structure.MuPropertyReport(
+            ok=False, pairs_checked=1, witness_pair=(0, 5), witness_mu_size=4,
+            witness_detail="antipodal pair has a different common neighbourhood")
+
+    def test_directed_graph_rejected(self):
+        with pytest.raises(NotSymmetricError):
+            mu_graph_property(cayley_cyclic(6, {1}))
 
     def test_diameter_guard(self):
         with pytest.raises(DiameterTooSmallError):
             mu_graph_property(complete_graph(4))
+
+
+def test_oracles_compute_on_masks(monkeypatch):
+    """Neither oracle goes through the subset API or the digraph's
+    per-pair common-neighbour query."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("subset-level path taken")
+    monkeypatch.setattr(structure, "SubsetVertex", refuse)
+    monkeypatch.setattr(structure, "y_sets", refuse)
+    monkeypatch.setattr(Digraph, "common_neighbours", refuse)
+    for g in (johnson(6, 3), folded_johnson(4)):
+        assert all(verify_neighbourhood_structure(g, u, v).ok
+                   for u, v in g.graph.arcs() if u < v)
+    assert mu_graph_property(johnson(6, 3)).ok
