@@ -4,6 +4,11 @@ Johnson graphs J(n,e) on e-subsets, folded Johnson graphs on complementary
 subset pairs, Cayley digraphs over cyclic groups, complete graphs, plus
 distance-regularity detection (`intersection_array`) and the closed-form
 arrays (`predicted_array`).
+
+`intersection_array` works on whole arrays: two float64 matrix products
+give the count toward layers i-1 and i+1 of every pair at distance i (see
+`_layer_counts`), and the result is kept on the graph, so each graph's
+array is computed once however often it is asked for.
 """
 
 from __future__ import annotations
@@ -22,6 +27,11 @@ from .errors import (
     NotConnectedError,
     NotSymmetricError,
 )
+
+
+# Entries of the distance matrix per row block in `_layer_counts`; bounds
+# each of its float64 buffers to 8 MB.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -199,39 +209,76 @@ def intersection_array(g) -> IntersectionArray | NotDistanceRegular:
     Returns the intersection array when every pair at distance i sees
     constant counts toward layers i-1 and i+1, otherwise the first witness
     pair that breaks constancy (scanned by distance, then source, then
-    target vertex)."""
+    target vertex, the c count before the b count).  The result is computed
+    once per graph and kept on it."""
     d = g.graph if isinstance(g, LabeledGraph) else g
     if not d.is_symmetric():
         raise NotSymmetricError("intersection arrays are defined for graphs")
     if not d.is_strongly_connected():
         raise NotConnectedError("intersection arrays need a connected graph")
+    if d._array is None:
+        d._array = _layer_counts(d)
+    return d._array
+
+
+def _layer_counts(d: Digraph) -> IntersectionArray | NotDistanceRegular:
+    """`intersection_array` of a connected graph, on whole arrays.
+
+    For a pair (x, y) at distance i, each neighbour z of y lies at distance
+    i-1, i or i+1 from x; say c, a and b of them.  Then the sums over those
+    z of d(x,z) - i and of (d(x,z) - i)^2 are b - c and b + c.  With
+    S = dist @ A, T = (dist * dist) @ A and k the degree of y they are
+    S - i k and T - 2 i S + i^2 k, so two matrix products give the c and b
+    count of every pair, whatever the diameter.  They run in float64 BLAS
+    and are exact: every partial sum is an integer of at most n^3 < 2^53.
+
+    The expected counts at distance i are those of the scan's first pair
+    there: vertex 0 and its first vertex at distance i.  A pair farther
+    apart than vertex 0's eccentricity e never decides the outcome.  When
+    one exists, some x has a vertex at distance e+1, so the vertex before
+    it on a shortest path from x is a pair at distance e with b >= 1, while
+    vertex 0's pairs at distance e have b = 0: a witness at distance e or
+    nearer exists.  Such pairs expect the count -1 and always fail."""
     n = d.n
+    adj = d.adjacency
     dist = d.distance_matrix()
     diam = int(dist.max())
-    out = d.out_masks
-    # layer bitmasks per source vertex
-    layers = [[0] * (diam + 2) for _ in range(n)]
-    for x in range(n):
-        row = dist[x]
-        for y in range(n):
-            layers[x][int(row[y])] |= 1 << y
-    b_vals: list[int | None] = [None] * (diam + 1)
-    c_vals: list[int | None] = [None] * (diam + 1)
-    for i in range(diam + 1):
-        for x in range(n):
-            for y in _mask_bits(layers[x][i]):
-                if i > 0:
-                    cnt = (out[y] & layers[x][i - 1]).bit_count()
-                    if c_vals[i] is None:
-                        c_vals[i] = cnt
-                    elif c_vals[i] != cnt:
-                        return NotDistanceRegular(i, (x, y), "c", c_vals[i], cnt)
-                cnt = (out[y] & layers[x][i + 1]).bit_count()
-                if b_vals[i] is None:
-                    b_vals[i] = cnt
-                elif b_vals[i] != cnt:
-                    return NotDistanceRegular(i, (x, y), "b", b_vals[i], cnt)
-    return IntersectionArray(b=tuple(b_vals[:diam]), c=tuple(c_vals[1:]))
+    row = dist[0]
+    ecc = int(row.max())
+    layer = np.arange(ecc + 1)[:, None]
+    nbrs = adj[(row == layer).argmax(axis=1)]
+    want_c = np.full(diam + 1, -1)
+    want_b = np.full(diam + 1, -1)
+    want_c[:ecc + 1] = ((row == layer - 1) & nbrs).sum(axis=1)
+    want_b[:ecc + 1] = ((row == layer + 1) & nbrs).sum(axis=1)
+
+    a = adj.astype(np.float64)
+    k = a.sum(axis=0)
+    block = max(1, _BLOCK_ENTRIES // n)
+    worst = None
+    for x0 in range(0, n, block):
+        blk = dist[x0:x0 + block]
+        df = blk.astype(np.float64)
+        s = df @ a
+        diff = s - df * k                       # b - c
+        both = (df * df) @ a - df * (s + diff)  # b + c
+        c = (both - diff) / 2
+        b = (both + diff) / 2
+        bad_c = c != want_c[blk]
+        cells = np.flatnonzero(bad_c | (b != want_b[blk]))
+        if cells.size:
+            # the first bad cell of the nearest distance, in row-major order
+            flat = blk.ravel()
+            cell = int(cells[flat[cells].argmin()])
+            kind, got = ("c", c) if bad_c.ravel()[cell] else ("b", b)
+            cand = (int(flat[cell]), x0 * n + cell, kind, int(got.ravel()[cell]))
+            worst = cand if worst is None else min(worst, cand)
+    if worst is not None:
+        i, pos, kind, found = worst
+        expected = int((want_c if kind == "c" else want_b)[i])
+        return NotDistanceRegular(i, divmod(pos, n), kind, expected, found)
+    return IntersectionArray(b=tuple(want_b[:diam].tolist()),
+                             c=tuple(want_c[1:].tolist()))
 
 
 def predicted_array(kind: str, *params: int) -> IntersectionArray:

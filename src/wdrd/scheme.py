@@ -21,7 +21,9 @@ matrices in float64, which BLAS runs.  This is exact: every tensor entry is
 an integer in 0..n and every sum has nc terms, so each partial sum is an
 integer of at most nc*n^2 < 2^53.  A valid scheme has at most n classes,
 so the bound holds up to n = 208,063; AssociationScheme enforces the entry
-range and the bound and raises TensorRangeError otherwise.
+range and the bound and raises TensorRangeError otherwise.  The axiom (iv)
+witness product of two 0/1 class matrices runs in float64 BLAS too; its
+partial sums are at most n.
 """
 
 from __future__ import annotations
@@ -252,7 +254,8 @@ def verify_association_scheme(part: RelationPartition):
     if worst is not None:
         ij, l = divmod(worst, nc)
         i, j = divmod(ij, nc)
-        m = ((co == i).astype(np.int64) @ (co == j).astype(np.int64)).ravel()
+        # exact in float64: see the module docstring
+        m = ((co == i).astype(np.float64) @ (co == j).astype(np.float64)).ravel()
         cells = np.flatnonzero(flat == l)
         vals = m[cells]
         a = int(cells[0])

@@ -32,6 +32,7 @@ from .errors import (
     BetaIntersectsXError,
     DiameterTooSmallError,
     NotAdjacentError,
+    NotConnectedError,
     NotSymmetricError,
     SizeMismatchError,
 )
@@ -215,13 +216,17 @@ def mu_graph_property(g) -> MuPropertyReport:
     subgraph on the pair plus its mu-set is an octahedron, and the unique
     antipodal pairing inside the mu-set exchanges common neighbourhoods.
 
-    Reports the first violating pair with its mu-size."""
+    Reports the first violating pair with its mu-size.  Raises
+    DiameterTooSmallError below diameter 2, NotSymmetricError on a digraph
+    and NotConnectedError on a disconnected graph."""
     graph = g.graph if isinstance(g, LabeledGraph) else g
     dist = graph.distance_matrix()
     if int(dist.max()) < 2:
         raise DiameterTooSmallError("mu-graph property needs diameter >= 2")
     if graph.out_masks != graph.in_masks:
         raise NotSymmetricError("mu-graph property is defined on graphs only")
+    if not graph.is_strongly_connected():
+        raise NotConnectedError("mu-graph property needs a connected graph")
     out = graph.out_masks
     checked = 0
     for x, z in np.argwhere(np.triu(dist == 2, 1)).tolist():

@@ -23,6 +23,39 @@ def floyd_warshall(adj: np.ndarray) -> np.ndarray:
     return dist
 
 
+def intersection_array_by_loops(adj: np.ndarray):
+    """Intersection array of a connected graph by a loop over vertex pairs:
+    ("array", b, c), or ("witness", i, (x, y), kind, expected, found) for
+    the first pair whose count toward layer i-1 ("c") or i+1 ("b") differs
+    from the first one seen at distance i, scanned by distance, source,
+    target, c before b.  None when the graph is disconnected."""
+    n = adj.shape[0]
+    dist = floyd_warshall(adj)
+    if (dist >= BIG).any():
+        return None
+    diam = int(dist.max())
+    nbrs = [set(np.flatnonzero(adj[y]).tolist()) for y in range(n)]
+    layers = [[{y for y in range(n) if dist[x, y] == i} for i in range(diam + 2)]
+              for x in range(n)]
+    b_vals = [None] * (diam + 1)
+    c_vals = [None] * (diam + 1)
+    for i in range(diam + 1):
+        for x in range(n):
+            for y in sorted(layers[x][i]):
+                if i > 0:
+                    cnt = len(nbrs[y] & layers[x][i - 1])
+                    if c_vals[i] is None:
+                        c_vals[i] = cnt
+                    elif c_vals[i] != cnt:
+                        return ("witness", i, (x, y), "c", c_vals[i], cnt)
+                cnt = len(nbrs[y] & layers[x][i + 1])
+                if b_vals[i] is None:
+                    b_vals[i] = cnt
+                elif b_vals[i] != cnt:
+                    return ("witness", i, (x, y), "b", b_vals[i], cnt)
+    return ("array", tuple(b_vals[:diam]), tuple(c_vals[1:]))
+
+
 def girth_by_walks(adj: np.ndarray) -> int | None:
     """Shortest closed walk length >= 2 via boolean matrix powers."""
     n = adj.shape[0]

@@ -17,6 +17,7 @@ from wdrd import (
     verify_local_counts,
     wdrd_report,
 )
+from wdrd import generators
 from wdrd.analysis import MuCase
 from wdrd.errors import (
     BadDistanceError,
@@ -167,6 +168,18 @@ class TestLocalCounts:
                 x0, y0 = s.partition.members(lbl)[0]
                 if int(und[x0, y0]) in (1, 2):
                     assert verify_local_counts(d, s, lbl), lbl
+
+    def test_one_array_per_underlying_graph(self, monkeypatch):
+        calls = []
+        real = generators._layer_counts
+        monkeypatch.setattr(generators, "_layer_counts",
+                            lambda g: calls.append(g) or real(g))
+        d = cayley_cyclic(6, {1, 2})
+        s = scheme_of(d)
+        checked = [verify_local_counts(d, s, lbl)
+                   for lbl in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 2))]
+        assert all(checked)
+        assert calls == [d.underlying_graph()]
 
     def test_underlying_must_be_distance_regular(self):
         # directed path glued to a cycle: underlying graph irregular

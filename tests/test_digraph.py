@@ -75,6 +75,43 @@ class TestConnectivityAndDistance:
         d14 = cayley_cyclic(6, {1, 4}).distance_matrix()
         assert d14[0, 3] == 3 and d14[3, 0] == 3
 
+    def test_distances_match_floyd_warshall_on_both_paths(self):
+        """Seeded digraphs on each side of the layer-product rule: n = 1,
+        not strongly connected, directed cycles up to 128 and random ones."""
+        rng = np.random.default_rng(7)
+        adjs = [np.zeros((1, 1), dtype=bool)]
+        adjs += [cayley_cyclic(m, {1}).adjacency
+                 for m in (2, 3, 16, 64, 65, 100, 128)]
+        for n, p in ((5, 0.3), (30, 0.08), (40, 0.5), (90, 0.05), (150, 0.03)):
+            adj = rng.random((n, n)) < p
+            np.fill_diagonal(adj, False)
+            adjs += [adj, adj & ~np.eye(n, k=1, dtype=bool)]
+        sides = set()
+        for adj in adjs:
+            d = Digraph(len(adj), adj)
+            ref = floyd_warshall(adj)
+            finite = ref < BIG
+            dist = d.distance_matrix()
+            assert (dist[finite] == ref[finite]).all()
+            assert (dist[~finite] == INFINITY).all()
+            assert d.is_strongly_connected() == bool(finite.all())
+            ecc = d._eccentricity0()
+            sides.add((ecc >= 0, 0 <= ecc and d.n * ecc <= digraph._PRODUCT_BUDGET))
+            if finite.all():  # the products also hold past the rule's budget
+                assert (digraph._layer_products(adj) == ref).all()
+        assert sides == {(False, False), (True, False), (True, True)}
+
+    def test_connectivity_decided_once(self, monkeypatch):
+        calls = []
+        real = digraph._bfs
+        monkeypatch.setattr(digraph, "_bfs",
+                            lambda *args: calls.append(args[1]) or real(*args))
+        d = cayley_cyclic(12, {1, 5})
+        for _ in range(3):
+            assert d.is_strongly_connected()
+        d.distance_matrix()
+        assert calls == [0, 0]  # out and in from vertex 0; then products
+
     def test_two_way_distance_sets(self):
         assert cayley_cyclic(6, {1, 4}).two_way_distance_set() == \
             {(0, 0), (1, 2), (2, 1), (3, 3)}
@@ -205,6 +242,32 @@ class TestDgf:
     def test_malformed_rejected(self, text):
         with pytest.raises(DgfError):
             parse_dgf(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("n 3\n1 2\n0 3\n2 2\n", "arc (0, 3) outside 0..2"),
+        ("n 3\n1 2\n2 2\n0 3\n", "loop arc (2, 2)"),
+        ("n 3\n0 1\n1 0\n0 1\n", "duplicate arc (0, 1)"),
+        ("n 0\n", "vertex count must be >= 1, got 0"),
+        ("n 5000\n0 1\n", "vertex count 5000 exceeds the DGF limit 4096"),
+        ("n 2\n0 1 1\n", "bad arc line '0 1 1'"),
+    ])
+    def test_first_fault_reported(self, text, message):
+        with pytest.raises(DgfError) as info:
+            parse_dgf(text)
+        assert str(info.value) == message
+
+    def test_plain_form_parsed_whole(self):
+        """`format_dgf` output takes the whole-array parse; other spellings,
+        and plain text with a fault, are left to the line parser."""
+        d = cayley_cyclic(9, {1, 3, 7})
+        text = format_dgf(d)
+        assert digraph._parse_plain_dgf(text) == d
+        for other in (format_dgf(d, comment="c"), text.rstrip("\n"),
+                      text.replace(" ", "  "), text.replace("\n", "\r\n"),
+                      text.replace("n 9\n", "n 9\n0 1\n")):
+            assert digraph._parse_plain_dgf(other) is None
+        assert parse_dgf(format_dgf(d, comment="c")) == d
+        assert parse_dgf(text.replace(" ", "  ")) == d
 
     def test_oversize_header_rejected_before_allocation(self):
         with pytest.raises(DgfError, match="DGF limit"):

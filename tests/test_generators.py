@@ -11,8 +11,10 @@ from wdrd import (
     johnson,
     predicted_array,
 )
+from wdrd import generators
 from wdrd.digraph import DGF_MAX_N, Digraph
 from wdrd.errors import BadParametersError, NotConnectedError, NotSymmetricError
+from oracles import intersection_array_by_loops
 
 
 class TestJohnson:
@@ -135,6 +137,64 @@ class TestIntersectionArray:
     def test_folded_matches_prediction(self, e):
         # e = 6 is the largest fold under 500 vertices (462)
         assert intersection_array(folded_johnson(e)) == predicted_array("folded", e)
+
+    @pytest.mark.parametrize("block_entries", [1 << 20, 40])
+    def test_matches_loop_oracle(self, block_entries, monkeypatch):
+        """Arrays and first witnesses equal those of the pair loop, on the
+        families and on copies with edges added or removed (a degree-keeping
+        switch among them), in one row block and in many.  The 4 x 5 torus,
+        edge-regular but with mu 1 and 2, gives a "c" witness."""
+        monkeypatch.setattr(generators, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(23)
+        graphs = [johnson(m, e).graph for m in range(4, 10)
+                  for e in range(2, m // 2 + 1)]
+        graphs += [folded_johnson(e).graph for e in (4, 5)]
+        graphs.append(cayley_cyclic(20, {4, 5, 15, 16}))
+        seen = set()
+        for g in graphs:
+            adj = g.adjacency
+            n = len(adj)
+            copies = [adj]
+            for flips in (1, 1, 2, 3):
+                a = adj.copy()
+                for _ in range(flips):
+                    u, v = rng.choice(n, 2, replace=False)
+                    a[u, v] = a[v, u] = not a[u, v]
+                copies.append(a)
+            while True:  # edges uv and xy become ux and vy
+                u, v, x, y = rng.choice(n, 4, replace=False)
+                if adj[u, v] and adj[x, y] and not adj[u, x] | adj[v, y]:
+                    break
+            a = adj.copy()
+            a[[u, v, x, y], [v, u, y, x]] = False
+            a[[u, x, v, y], [x, u, y, v]] = True
+            copies.append(a)
+            for a in copies:
+                ref = intersection_array_by_loops(a)
+                if ref is None:  # a removed edge disconnected the copy
+                    with pytest.raises(NotConnectedError):
+                        intersection_array(Digraph(n, a))
+                    continue
+                got = intersection_array(Digraph(n, a))
+                if isinstance(got, NotDistanceRegular):
+                    got = ("witness", got.i, got.pair, got.kind, got.expected,
+                           got.found)
+                else:
+                    got = ("array", got.b, got.c)
+                assert got == ref
+                seen.add(got[0] if got[0] == "array" else (got[1], got[3]))
+        assert {"array", (0, "b"), (1, "b"), (2, "c")} <= seen
+
+    def test_computed_once_per_graph(self, monkeypatch):
+        calls = []
+        real = generators._layer_counts
+        monkeypatch.setattr(generators, "_layer_counts",
+                            lambda d: calls.append(d) or real(d))
+        g = johnson(7, 3)
+        first = intersection_array(g)
+        assert intersection_array(g) is first
+        assert intersection_array(g.graph) is first
+        assert len(calls) == 1
 
     def test_sum_rule(self):
         for arr in (intersection_array(johnson(7, 3)),

@@ -19,6 +19,7 @@ from wdrd.errors import (
     BetaIntersectsXError,
     DiameterTooSmallError,
     NotAdjacentError,
+    NotConnectedError,
     NotSymmetricError,
     SizeMismatchError,
 )
@@ -178,6 +179,14 @@ class TestMuProperty:
     def test_diameter_guard(self):
         with pytest.raises(DiameterTooSmallError):
             mu_graph_property(complete_graph(4))
+
+    def test_disconnected_graph_rejected(self):
+        # no pair lies at distance 2, so only the connectivity check stops
+        # a vacuous pass
+        triangles = [(u, v) for t in (0, 3) for u in range(t, t + 3)
+                     for v in range(t, t + 3) if u != v]
+        with pytest.raises(NotConnectedError):
+            mu_graph_property(Digraph.from_arcs(6, triangles))
 
 
 def test_oracles_compute_on_masks(monkeypatch):
