@@ -7,6 +7,15 @@ local machinery used to study such digraphs: the type set of arcs, the
 six-way classification of common neighbours, the a_1/c_2 counting identity
 over the intersection tensor, arc purity, and the five-case taxonomy of
 (2,2)-pairs with four common neighbours.
+
+The checks read what the digraph already holds: its out-masks, its
+distance matrix and the partition's `class_of`.  Common neighbours are one
+AND of the underlying graph's out-masks.  Arc purity walks two frontiers
+from the head v of each type-q arc for q steps: `pure`, the vertices that
+walks of type-q arcs alone reach, and `mixed`, those reached by walks that
+used another arc.  A circuit of length q+1 through an arc (u, v) of type q
+is such a walk of q arcs from v to u, so some circuit through a type-q arc
+into v is mixed exactly when `mixed` meets the tails of those arcs.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .digraph import Digraph, _mask_bits
+from .digraph import Digraph, _mask_bits, _rows_to_masks
 from .errors import (
     BadDistanceError,
     BadMuSizeError,
@@ -103,11 +112,12 @@ def classify_common_neighbour(d: Digraph, x: int, z: int, y: int) -> PathClass:
     if not d.is_strongly_connected():
         raise NotStronglyConnectedError("digraph not strongly connected")
     und = d.underlying_graph()
-    du = und.distance_matrix()
-    if x == z or int(du[x, z]) not in (1, 2):
+    if x == z or int(und.distance_matrix()[x, z]) not in (1, 2):
         raise BadDistanceError(
             f"pair ({x}, {z}) not at underlying distance 1 or 2")
-    if y in (x, z) or not (und.has_arc(x, y) and und.has_arc(y, z)):
+    out = und.out_masks
+    # the graph is loop-free, so y = x or y = z fails this test too
+    if not (out[x] & out[z]) >> y & 1:
         raise NotCommonNeighbourError(
             f"{y} is not a common neighbour of {x} and {z}")
     dist = d.distance_matrix()
@@ -138,9 +148,8 @@ def verify_local_counts(d: Digraph, s: AssociationScheme, h) -> bool:
     lies at underlying distance 1, and c_2 at distance 2."""
     arr = _underlying_array(d)
     hi = s.class_index(h)
-    und = d.underlying_graph().distance_matrix()
-    x0, y0 = s.partition.members(tuple(h))[0]
-    ud = int(und[x0, y0])
+    x0, y0 = s.partition.first_pair(h)
+    ud = int(d.underlying_graph().distance_matrix()[x0, y0])
     if ud == 1:
         target = arr.a[1]
     elif ud == 2:
@@ -148,10 +157,8 @@ def verify_local_counts(d: Digraph, s: AssociationScheme, h) -> bool:
     else:
         raise BadDistanceError(
             f"class {tuple(h)} lies at underlying distance {ud}, need 1 or 2")
-    arc_classes = [i for i, (f, b) in enumerate(s.classes)
-                   if (f == 1 or b == 1) and (f, b) != (0, 0)]
-    total = int(sum(s.p[i, j, hi] for i in arc_classes for j in arc_classes))
-    return total == target
+    arcs = [i for i, label in enumerate(s.classes) if 1 in label]
+    return int(s.p[arcs][:, arcs, hi].sum()) == target
 
 
 class Purity(Enum):
@@ -169,29 +176,30 @@ def arc_purity(d: Digraph, q: int) -> Purity:
     through a type-(1,q) arc uses an arc of a different type."""
     if not d.is_strongly_connected():
         raise NotStronglyConnectedError("arc purity requires strong connectivity")
-    dist = d.distance_matrix()
-    arcs_q = [(u, v) for u, v in d.arcs() if int(dist[v, u]) == q]
-    if not arcs_q:
+    # typed[w, x]: the arc w -> x has type (1, q), that is d(x, w) == q
+    typed = d.adjacency & (d.distance_matrix().T == q)
+    if not typed.any():
         return Purity.NO_SUCH_TYPE
     out = d.out_masks
-    for u, v in arcs_q:
-        # walks (u, v, w_2, ..., w_q) closed by the arc (w_q, u); search over
-        # states (vertex, steps taken, mixed arc seen) -- at most 2*n*q states
-        seen = {(v, 1, False)}
-        frontier = [(v, 1, False)]
-        while frontier:
-            pos, steps, mixed = frontier.pop()
-            if steps == q:
-                if (out[pos] >> u) & 1:
-                    if mixed or int(dist[u, pos]) != q:
-                        return Purity.MIXED
-                continue
-            for w in _mask_bits(out[pos]):
-                state = (w, steps + 1, mixed or int(dist[w, pos]) != q)
-                if state not in seen:
-                    seen.add(state)
-                    frontier.append(state)
+    pure_out = _rows_to_masks(typed)
+    other_out = [m & ~t for m, t in zip(out, pure_out)]
+    for v, tails in enumerate(_rows_to_masks(typed.T)):
+        if tails:
+            pure, mixed = 1 << v, 0
+            for _ in range(q):
+                pure, mixed = (_image(pure_out, pure),
+                               _image(out, mixed) | _image(other_out, pure))
+            if mixed & tails:
+                return Purity.MIXED
     return Purity.PURE
+
+
+def _image(masks, frontier: int) -> int:
+    """The union of masks[w] over the vertices w of `frontier`."""
+    image = 0
+    for w in _mask_bits(frontier):
+        image |= masks[w]
+    return image
 
 
 @dataclass(frozen=True)
@@ -235,7 +243,8 @@ def mu_case(d: Digraph, x: int, z: int) -> MuCase:
         raise NotType22Error(
             f"pair ({x}, {z}) has two-way distance "
             f"({int(dist[x, z])}, {int(dist[z, x])}), not (2, 2)")
-    common = sorted(d.underlying_graph().common_neighbours(x, z))
+    out = d.underlying_graph().out_masks
+    common = list(_mask_bits(out[x] & out[z]))
     if len(common) != 4:
         raise BadMuSizeError(
             f"pair ({x}, {z}) has {len(common)} common neighbours, need 4")

@@ -13,12 +13,15 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import arc_purity, mu_case, verify_local_counts, wdrd_report
@@ -31,6 +34,7 @@ from .errors import (
     WdrdError,
 )
 from .generators import (
+    IntersectionArray,
     LabeledGraph,
     cayley_cyclic,
     complete_graph,
@@ -124,9 +128,7 @@ def _scheme_payload(rep) -> dict:
         return {"valid": False, "reason": "not strongly connected"}
     if isinstance(rep.scheme, AssociationScheme):
         return {"valid": True, **scheme_table(rep.scheme)}
-    v = rep.scheme
-    return {"valid": False, "axiom": v.axiom, "message": v.message,
-            "witness": v.witness}
+    return {"valid": False, **dataclasses.asdict(rep.scheme)}
 
 
 def _cmd_check(args) -> int:
@@ -173,8 +175,7 @@ def _local_payload(d: Digraph, rep) -> dict:
         for lbl in s.classes:
             if lbl == (0, 0):
                 continue
-            x0, y0 = s.partition.members(lbl)[0]
-            ud = int(und[x0, y0])
+            ud = int(und[s.partition.first_pair(lbl)])
             if ud in (1, 2):
                 counts.append({"class": list(lbl), "underlying_distance": ud,
                                "ok": verify_local_counts(d, s, lbl)})
@@ -184,15 +185,14 @@ def _local_payload(d: Digraph, rep) -> dict:
     out["purity"] = [{"q": t - 1, "result": arc_purity(d, t - 1).value}
                      for t in sorted(rep.type_set)]
     mu_stats: dict[str, int] = {}
-    if s.partition.classes.count((2, 2)):
-        for x, y in s.partition.members((2, 2)):
-            if x < y:
-                try:
-                    mc = mu_case(d, x, y)
-                    key = f"case {mc.case} params {list(mc.params)}"
-                except (BadMuSizeError, MuCaseMatchError):
-                    key = "not covered"
-                mu_stats[key] = mu_stats.get(key, 0) + 1
+    dist = d.distance_matrix()
+    for x, y in np.argwhere(np.triu((dist == 2) & (dist.T == 2), 1)).tolist():
+        try:
+            mc = mu_case(d, x, y)
+            key = f"case {mc.case} params {list(mc.params)}"
+        except (BadMuSizeError, MuCaseMatchError):
+            key = "not covered"
+        mu_stats[key] = mu_stats.get(key, 0) + 1
     out["mu_cases"] = dict(sorted(mu_stats.items()))
     return out
 
@@ -229,16 +229,10 @@ def _cmd_structure(args) -> int:
         "graph": gid,
         "edges_checked": len(edges),
         "neighbourhood": {**agg, "first_failure": first_failure},
-        "mu_property": {
-            "ok": mu.ok,
-            "pairs_checked": mu.pairs_checked,
-            "witness_pair": list(mu.witness_pair) if mu.witness_pair else None,
-            "witness_mu_size": mu.witness_mu_size,
-            "witness_detail": mu.witness_detail,
-        },
+        "mu_property": dataclasses.asdict(mu),
         "intersection_array": (
-            {"b": list(arr.b), "c": list(arr.c), "a": list(arr.a)}
-            if hasattr(arr, "b") else {"not_distance_regular": True}),
+            dataclasses.asdict(arr) if isinstance(arr, IntersectionArray)
+            else {"not_distance_regular": True}),
     }
     _emit_json(doc, args.out)
     if args.expect == "pass" and not (all(agg.values()) and mu.ok):

@@ -61,7 +61,7 @@ class Digraph:
     """Immutable loop-free digraph on vertices 0..n-1."""
 
     __slots__ = ("n", "_adj", "_out_masks", "_in_masks", "_dist", "_underlying",
-                 "_ecc0", "_array")
+                 "_ecc0", "_array", "_mirror")
 
     def __init__(self, n: int, adj: np.ndarray):
         # Internal constructor: `adj` must already be validated.  Use
@@ -78,6 +78,8 @@ class Digraph:
         # the intersection array or witness `generators.intersection_array`
         # found for this graph
         self._array = None
+        # the digraph this one is the reverse of; derived data is read off it
+        self._mirror: Digraph | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -135,21 +137,27 @@ class Digraph:
     @property
     def out_masks(self) -> tuple[int, ...]:
         if self._out_masks is None:
-            self._out_masks = tuple(_rows_to_masks(self._adj))
+            self._out_masks = (self._mirror.in_masks if self._mirror else
+                               tuple(_rows_to_masks(self._adj)))
         return self._out_masks
 
     @property
     def in_masks(self) -> tuple[int, ...]:
         if self._in_masks is None:
-            self._in_masks = tuple(_rows_to_masks(self._adj.T))
+            self._in_masks = (self._mirror.out_masks if self._mirror else
+                              tuple(_rows_to_masks(self._adj.T)))
         return self._in_masks
 
     def is_symmetric(self) -> bool:
-        return bool((self._adj == self._adj.T).all())
+        return self.out_masks == self.in_masks
 
     def reverse(self) -> "Digraph":
-        """The digraph with every arc reversed."""
-        return Digraph(self.n, self._adj.T.copy())
+        """The digraph with every arc reversed.  It shares this digraph's
+        derived data: swapped masks, the transposed distance matrix, the
+        eccentricity of vertex 0 and the underlying graph."""
+        r = Digraph(self.n, self._adj.T)
+        r._mirror = self
+        return r
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
@@ -171,6 +179,8 @@ class Digraph:
     def _eccentricity0(self) -> int:
         """The larger of vertex 0's out- and in-eccentricity, or -1 when the
         digraph is not strongly connected.  One BFS each way, once."""
+        if self._ecc0 is None and self._mirror:
+            self._ecc0 = self._mirror._eccentricity0()
         if self._ecc0 is None:
             full = (1 << self.n) - 1
             self._ecc0 = -1
@@ -187,7 +197,9 @@ class Digraph:
         if self._dist is None:
             n = self.n
             ecc = self._eccentricity0()
-            if 0 <= ecc and n * ecc <= _PRODUCT_BUDGET:
+            if self._mirror:
+                dist = self._mirror.distance_matrix().T
+            elif 0 <= ecc and n * ecc <= _PRODUCT_BUDGET:
                 dist = _layer_products(self._adj)
             else:
                 out = self.out_masks
@@ -219,7 +231,9 @@ class Digraph:
     def underlying_graph(self) -> "Digraph":
         """Symmetrization: an edge wherever at least one arc exists."""
         if self._underlying is None:
-            if self.is_symmetric():
+            if self._mirror:
+                self._underlying = self._mirror.underlying_graph()
+            elif self.is_symmetric():
                 self._underlying = self
             else:
                 self._underlying = Digraph(self.n, self._adj | self._adj.T)
@@ -227,15 +241,10 @@ class Digraph:
 
     def girth(self) -> int:
         """Length of a shortest circuit; a digon counts as a circuit of length 2."""
-        d = self.distance_matrix()
-        best = INFINITY
-        for u, v in self.arcs():
-            back = int(d[v, u])
-            if back + 1 < best:
-                best = back + 1
-        if best >= INFINITY:
+        back = self.distance_matrix().T[self._adj]  # d(v, u) of each arc (u, v)
+        if not back.size or back.min() >= INFINITY:
             raise NoCircuitError("digraph contains no circuit")
-        return best
+        return int(back.min()) + 1
 
     def common_neighbours(self, x: int, z: int) -> frozenset[int]:
         """Common neighbours of x and z; requires a symmetric digraph."""

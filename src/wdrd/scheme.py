@@ -75,6 +75,12 @@ class RelationPartition:
         idx = self.class_index(label)
         return [(int(x), int(y)) for x, y in np.argwhere(self.class_of == idx)]
 
+    def first_pair(self, label: Label) -> tuple[int, int]:
+        """The first pair of the class in row-major order: `members(label)[0]`
+        without the list (IndexError for an empty class, as there)."""
+        idx = self.class_index(label)
+        return divmod(int(np.flatnonzero(self.class_of == idx)[0]), self.n)
+
     def __repr__(self):
         return f"RelationPartition(n={self.n}, classes={list(self.classes)})"
 

@@ -179,7 +179,7 @@ def verify_neighbourhood_structure(g: LabeledGraph, x: int, y: int
     v1 = sorted(map(g.vertex_of_mask, y1))
     v2 = sorted(map(g.vertex_of_mask, y2))
     graph = g.graph
-    if graph.out_masks != graph.in_masks:
+    if not graph.is_symmetric():
         raise NotSymmetricError("common neighbours defined on graphs only")
 
     if _subset_mask(v1 + v2) != graph.out_masks[x] & graph.out_masks[y]:
@@ -223,7 +223,7 @@ def mu_graph_property(g) -> MuPropertyReport:
     dist = graph.distance_matrix()
     if int(dist.max()) < 2:
         raise DiameterTooSmallError("mu-graph property needs diameter >= 2")
-    if graph.out_masks != graph.in_masks:
+    if not graph.is_symmetric():
         raise NotSymmetricError("mu-graph property is defined on graphs only")
     if not graph.is_strongly_connected():
         raise NotConnectedError("mu-graph property needs a connected graph")
@@ -239,17 +239,16 @@ def mu_graph_property(g) -> MuPropertyReport:
         if any((out[v] & cell).bit_count() != 4 for v in _mask_bits(cell)):
             return MuPropertyReport(False, checked, (x, z), 4,
                                     "induced subgraph is not an octahedron")
-        # unique partner at distance 2 within the mu-set, with the exchanged
-        # common neighbourhood; two vertices of the mu-set are both next to
-        # x, so they are at distance 2 when distinct and not adjacent
+        # each mu vertex y1 has its partner y2 at distance 2 within the
+        # mu-set, and the pair must exchange common neighbourhoods.  The
+        # partner is unique: y1 has four neighbours in the cell, x and z
+        # among them, so it is next to exactly two of the three other mu
+        # vertices (no loop puts y1 in its own out-mask).  Two mu vertices
+        # are both next to x, so distinct non-adjacent ones are at distance 2.
         for y1 in _mask_bits(mu):
-            partners = mu & ~out[y1] & ~(1 << y1)
-            if partners.bit_count() != 1:
-                return MuPropertyReport(False, checked, (x, z), 4,
-                                        f"vertex {y1} has {partners.bit_count()} "
-                                        "antipodes in the mu-set")
-            y2 = partners.bit_length() - 1
-            if out[y1] & out[y2] != cell & ~(1 << y1 | partners):
+            partner = mu & ~out[y1] & ~(1 << y1)
+            y2 = partner.bit_length() - 1
+            if out[y1] & out[y2] != cell & ~(1 << y1 | partner):
                 return MuPropertyReport(False, checked, (x, z), 4,
                                         "antipodal pair has a different "
                                         "common neighbourhood")

@@ -67,6 +67,33 @@ def girth_by_walks(adj: np.ndarray) -> int | None:
     return None
 
 
+def arc_purity_by_walks(adj: np.ndarray, q: int) -> str:
+    """Arc purity of type q by enumerating every closed walk of length q+1
+    through every arc (u, v) with d(v, u) = q: "mixed" when one of them
+    uses an arc (a, b) with d(b, a) != q, "pure" when none does, and
+    "no-such-type" without such an arc."""
+    dist = floyd_warshall(adj)
+    arcs = [(int(u), int(v)) for u, v in np.argwhere(adj)]
+    typed = [(u, v) for u, v in arcs if dist[v, u] == q]
+    if not typed:
+        return "no-such-type"
+
+    def walks(start, length):
+        if length == 0:
+            yield [start]
+            return
+        for w in np.flatnonzero(adj[start]).tolist():
+            for rest in walks(w, length - 1):
+                yield [start, *rest]
+
+    for u, v in typed:
+        for walk in walks(v, q):
+            if walk[-1] == u and any(dist[b, a] != q
+                                     for a, b in zip(walk, walk[1:])):
+                return "mixed"
+    return "pure"
+
+
 def tensor_by_loops(class_of: np.ndarray, nclasses: int):
     """Intersection counts per ordered pair, or None when not constant."""
     n = class_of.shape[0]

@@ -1,3 +1,8 @@
+import itertools
+import math
+import random
+
+import numpy as np
 import pytest
 
 from wdrd import (
@@ -18,6 +23,7 @@ from wdrd import (
     wdrd_report,
 )
 from wdrd import generators
+from wdrd.scheme import RelationPartition
 from wdrd.analysis import MuCase
 from wdrd.errors import (
     BadDistanceError,
@@ -30,6 +36,7 @@ from wdrd.errors import (
     VertexOutOfRangeError,
 )
 from wdrd.search import _underlying_edges, word_to_digraph
+from oracles import BIG, arc_purity_by_walks, floyd_warshall
 
 
 def johnson42_orientation(word):
@@ -202,6 +209,72 @@ class TestArcPurity:
     def test_digon_type_always_pure(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 0), (0, 2)])
         assert arc_purity(d, 1) is Purity.PURE
+
+    def test_matches_walk_oracle(self):
+        verdicts = {p.value: 0 for p in Purity}
+        for d in purity_corpus():
+            diam = int(floyd_warshall(d.adjacency).max())
+            for q in range(1, diam + 2):
+                want = arc_purity_by_walks(d.adjacency, q)
+                assert arc_purity(d, q).value == want, (d.adjacency, q)
+                verdicts[want] += 1
+        assert all(verdicts.values()), verdicts
+
+    def test_requires_connectivity(self):
+        with pytest.raises(NotStronglyConnectedError):
+            arc_purity(Digraph.from_arcs(2, [(0, 1)]), 2)
+
+
+def refuse_lists(monkeypatch):
+    """Make the per-call neighbourhood and member lists raise: the local
+    checks read masks, distances and `class_of` instead."""
+    def refuse(*args):
+        raise AssertionError("a per-call list was built")
+
+    monkeypatch.setattr(Digraph, "common_neighbours", refuse)
+    monkeypatch.setattr(Digraph, "has_arc", refuse)
+    monkeypatch.setattr(RelationPartition, "members", refuse)
+
+
+def test_local_checks_build_no_lists(cay12, monkeypatch):
+    s = scheme_of(cay12)
+    refuse_lists(monkeypatch)
+    assert all(verify_local_counts(cay12, s, lbl)
+               for lbl in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 2)))
+    assert [arc_purity(cay12, q) for q in (2, 3, 4)] == \
+        [Purity.PURE, Purity.MIXED, Purity.NO_SUCH_TYPE]
+    pairs = [(x, z) for x in range(6) for z in range(x + 1, 6)
+             if cay12.two_way_distance(x, z) == (2, 2)]
+    assert [mu_case(cay12, x, z) for x, z in pairs] == [MuCase(3, (2, 3))] * 3
+    out = cay12.underlying_graph().out_masks
+    tags = {classify_common_neighbour(cay12, 0, z, y).tag
+            for z in (1, 2, 3) for y in range(6) if (out[0] & out[z]) >> y & 1}
+    assert tags == {"C1", "C2", "C3", "C4", "C5", "C6"}
+    with pytest.raises(NotCommonNeighbourError):
+        classify_common_neighbour(cay12, 0, 2, 0)
+
+
+def purity_corpus():
+    """Seeded random strongly connected digraphs on n <= 8 vertices and the
+    strongly connected cyclic Cayley digraphs on m <= 16 with connection
+    sets of one to three elements."""
+    rng = random.Random(24)
+    found = 0
+    while found < 120:
+        n = rng.randint(2, 8)
+        density = rng.uniform(0.2, 0.6)
+        adj = np.array([[u != v and rng.random() < density for v in range(n)]
+                        for u in range(n)])
+        if (floyd_warshall(adj) < BIG).all():
+            found += 1
+            yield Digraph(n, adj)
+    for m in range(3, 17):
+        for size in (1, 2, 3):
+            for conn in rng.sample(list(itertools.combinations(range(1, m), size)),
+                                   min(3, math.comb(m - 1, size))):
+                d = cayley_cyclic(m, set(conn))
+                if d.is_strongly_connected():
+                    yield d
 
 
 class TestMuCase:

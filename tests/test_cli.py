@@ -8,6 +8,7 @@ import pytest
 from wdrd import Digraph, kernel
 from wdrd.cli import run
 from wdrd.digraph import DGF_MAX_N, format_dgf
+from test_analysis import refuse_lists
 from test_scheme import wide_digraph
 from test_search import fake_sweep_with_digon_survivor
 
@@ -388,6 +389,44 @@ class TestGoldenStructure:
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == \
             GOLDEN_STRUCTURE[args]
+
+
+# sha256 and length of the `wdrd check --local` JSON for these Cayley
+# digraphs before the local checks moved onto the digraph's masks
+GOLDEN_LOCAL = {
+    "6 1,2": (
+        "0c475d7b7e43e7b79e1b1c0a9b69e15c69ef88962b4f6c8758a10847ce320112", 5292),
+    "6 1,4": (
+        "250329cecf03baf23259a07144def9e3c8825b3656032f1136fbdce9b19275b9", 2361),
+    "7 1,2,4": (
+        "7fee8b2398062be055fd7aceceb6db3ecd09596b44bd8f7fc5dfb997308ebf4c", 1514),
+    "8 1,2": (
+        "e4ce6cc67c15344f722312c064dc69bce317ce1b03ed2974e984119dac648ff3", 9379),
+    "16 1": (
+        "917fdbc8d0af05612559e88adf592dfd411baa49625e9c115440b58bb88438a1", 60946),
+}
+
+
+class TestGoldenLocal:
+    @pytest.mark.parametrize("cayley", sorted(GOLDEN_LOCAL))
+    def test_byte_identical(self, cayley, tmp_path, capsys):
+        target = tmp_path / "g.dgf"
+        invoke(capsys, "gen", "cayley", *cayley.split(), "--out", str(target))
+        code, out, _ = invoke(capsys, "check", str(target), "--local")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == \
+            GOLDEN_LOCAL[cayley]
+
+    @pytest.mark.parametrize("cayley", sorted(GOLDEN_LOCAL))
+    def test_local_payload_builds_no_lists(self, cayley, tmp_path, capsys,
+                                           monkeypatch):
+        target = tmp_path / "g.dgf"
+        invoke(capsys, "gen", "cayley", *cayley.split(), "--out", str(target))
+        refuse_lists(monkeypatch)
+        code, out, _ = invoke(capsys, "check", str(target), "--local")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest(), len(out)) == \
+            GOLDEN_LOCAL[cayley]
 
 
 class TestIso:

@@ -149,6 +149,41 @@ class TestUnderlyingAndGirth:
             Digraph.from_arcs(3, [(0, 1), (1, 2)]).girth()
 
 
+class TestReverse:
+    def test_shares_derived_data(self, monkeypatch):
+        d = cayley_cyclic(8, {1, 2, 5})
+        d.distance_matrix()
+        d.underlying_graph().distance_matrix()
+
+        def refuse(*args):
+            raise AssertionError("a distance layer was computed")
+
+        monkeypatch.setattr(digraph, "_bfs", refuse)
+        monkeypatch.setattr(digraph, "_layer_products", refuse)
+        r = d.reverse()
+        assert r.is_strongly_connected()
+        assert (r.distance_matrix() == d.distance_matrix().T).all()
+        assert not r.distance_matrix().flags.writeable
+        assert r.out_masks == d.in_masks and r.in_masks == d.out_masks
+        assert d.reverse().underlying_graph() is d.underlying_graph()
+        r.underlying_graph().distance_matrix()
+
+    def test_reverse_before_the_original_computes(self):
+        d = cayley_cyclic(7, {1, 3})
+        r = d.reverse()
+        assert r.underlying_graph() is d.underlying_graph()
+        assert (r.distance_matrix() == floyd_warshall(d.adjacency.T)).all()
+        assert r.reverse() == d
+        assert (r.reverse().distance_matrix() == d.distance_matrix()).all()
+
+    def test_disconnected(self):
+        r = Digraph.from_arcs(3, [(0, 1), (1, 2)]).reverse()
+        assert not r.is_strongly_connected()
+        assert r == Digraph.from_arcs(3, [(1, 0), (2, 1)])
+        with pytest.raises(NoCircuitError):
+            r.girth()
+
+
 class TestCommonNeighbours:
     def test_octahedron_antipodal(self):
         assert octahedron().common_neighbours(0, 3) == {1, 2, 4, 5}
@@ -195,6 +230,19 @@ class TestProperties:
     def test_arc_iff_distance_one(self, d):
         dist = d.distance_matrix()
         assert ((dist == 1) == d.adjacency).all()
+
+    @given(digraphs())
+    @settings(max_examples=80, deadline=None)
+    def test_reverse_matches_transposed_adjacency(self, d):
+        r = d.reverse()
+        assert r == Digraph(d.n, d.adjacency.T)
+        assert r.is_symmetric() == bool((d.adjacency == d.adjacency.T).all())
+        ref = floyd_warshall(d.adjacency.T)
+        finite = ref < BIG
+        assert (r.distance_matrix()[finite] == ref[finite]).all()
+        assert (r.distance_matrix()[~finite] == INFINITY).all()
+        assert r.is_strongly_connected() == bool(finite.all())
+        assert list(r.out_masks) == rows_to_masks_by_bits(d.adjacency.T)
 
     @given(digraphs())
     @settings(max_examples=80, deadline=None)

@@ -75,6 +75,20 @@ class TestAttachedPartition:
         assert distance_partition(g).classes == attached_partition(g).classes
 
 
+def test_first_pair_is_first_member():
+    rng = random.Random(7)
+    parts = [attached_partition(cayley_cyclic(8, {1, 2, 5}))]
+    parts += [random_partition(rng) for _ in range(200)]
+    for part in parts:
+        for label in part.classes:
+            members = part.members(label)
+            if members:
+                assert part.first_pair(label) == members[0]
+            else:
+                with pytest.raises(IndexError):
+                    part.first_pair(label)
+
+
 class TestVerification:
     def test_cay14_valencies(self):
         s = scheme_of(cayley_cyclic(6, {1, 4}))
