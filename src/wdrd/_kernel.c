@@ -1,4 +1,4 @@
-/* Compiled orientation-search kernel.
+/* Compiled orientation-search kernel and canonical search.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
    module for the contract, for the soundness of the degree prune and for
@@ -37,15 +37,31 @@
    the class l of (x,y).  Each rejects only leaves that the class or the
    tensor check would reject, and counts as AXIOM like them.
 
-   Limits: n <= 64 vertices (one 64-bit adjacency mask per vertex) and 39
-   edges (3^|E| must fit in a signed 64-bit counter).
+   Canonical search, wdrd_canonical_permutation(): the search of
+   `wdrd.canon`, with the output of `_kernel_py.canonical_permutation`.
+   The same colour refinement, its ids the ranks of the lexicographically
+   sorted signatures (refine()); the same candidates, the unplaced
+   vertices of the position's colour in vertex order, stably sorted by
+   key; the same automorphism pruning, over union-find orbits of the
+   automorphisms found that fix every placed vertex (join_orbits()).  A
+   key kin * 2^n + kout is held as the pair of u64 (kin, kout) and
+   compared as one.  The automorphism list doubles from AUTOS_MIN entries
+   of n bytes; when it cannot grow, the call returns -1 and `wdrd.kernel`
+   raises MemoryError.  The recursion is at most n + 1 frames deep, each
+   with three 64-byte arrays on the stack.
+
+   Limits: n <= 64 vertices (one 64-bit adjacency mask per vertex, and
+   one bit per position in each half of a key) and 39 edges (3^|E| must
+   fit in a signed 64-bit counter).  The search's cost still grows
+   exponentially on a large colour block; `wdrd.canon` caps it.
 
    Thread safety: the file has no mutable static data.  Each call keeps
-   all of its state in its own calloc'd Ctx and memo and writes only there
-   and to the caller's stats array and emit callback, so calls on
-   different arguments may run at once; `wdrd.search` runs its shares of
-   one search concurrently, one call per thread, and the calling thread
-   runs the first. */
+   all of its state in its own calloc'd Ctx and memo, or Canon and
+   automorphism list, and writes only there and to the caller's stats
+   array, emit callback or permutation, so calls on different arguments
+   may run at once; `wdrd.search` runs its shares of one search
+   concurrently, one call per thread, and the calling thread runs the
+   first. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -511,4 +527,258 @@ int wdrd_leaf_stage(int n, const u64 *out_m, const u64 *in_m)
     stage = leaf_stage(c);
     free(c);
     return stage;
+}
+
+/* ---- Canonical permutation ------------------------------------------
+
+   The search of `wdrd.canon`, whose docstring defines it, step for step
+   as `_kernel_py._canonical_permutation` runs it. */
+
+/* The first number of automorphisms the list holds; it then doubles. */
+#define AUTOS_MIN 16
+
+/* A candidate's layered key kin * 2^n + kout, as the pair (kin, kout):
+   each half has one bit per position, so n <= 64 bits. */
+typedef struct {
+    u64 in, out;
+} Key;
+
+static inline int key_cmp(Key a, Key b)
+{
+    if (a.in != b.in)
+        return a.in < b.in ? -1 : 1;
+    return a.out < b.out ? -1 : a.out > b.out;
+}
+
+typedef struct {
+    int n;
+    const u64 *out_m, *in_m;
+    u64 block_m[MAXN];        /* the vertices whose colour position p
+                                 takes: the p-th smallest colour */
+    int sig[MAXN * MAXN];     /* refinement signatures, one per row */
+    int color[MAXN];
+    Key key[MAXN], cur[MAXN], best[MAXN];
+    unsigned char perm[MAXN], best_perm[MAXN];
+    u64 used;                 /* the vertices of perm[0..p-1] */
+    unsigned char *autos;     /* the automorphisms found, n bytes each, as
+                                 vertex maps */
+    size_t nautos, autos_cap;
+    int failed;               /* an allocation failed: unwind */
+} Canon;
+
+/* Lexicographic comparison of two rows of len ints. */
+static int row_cmp(const int *a, const int *b, int len)
+{
+    for (int i = 0; i < len; i++)
+        if (a[i] != b[i])
+            return a[i] < b[i] ? -1 : 1;
+    return 0;
+}
+
+/* Write into ids each vertex's rank among the distinct signatures in
+   lexicographic order, the signatures being the rows of len ints of sig.
+   Returns whether some id changed. */
+static int canonical_ids(Canon *c, int len, int *ids)
+{
+    int n = c->n, order[MAXN], changed = 0;
+    for (int v = 0; v < n; v++) {
+        int i;
+        for (i = v; i && row_cmp(c->sig + order[i - 1] * len,
+                                 c->sig + v * len, len) > 0; i--)
+            order[i] = order[i - 1];
+        order[i] = v;
+    }
+    for (int i = 0, id = 0; i < n; i++) {
+        int v = order[i];
+        if (i && row_cmp(c->sig + order[i - 1] * len, c->sig + v * len, len))
+            id++;
+        changed |= ids[v] != id;
+        ids[v] = id;
+    }
+    return changed;
+}
+
+/* The colour refinement of `_kernel_py._refined_colors`: first the
+   signatures (out-degree, in-degree, digon degree), then, until no colour
+   changes, each vertex's colour followed by its sorted pair keys
+   colour(w) * 4 + 2 adj[w][v] + adj[v][w] over w != v.  Sets color and
+   block_m. */
+static void refine(Canon *c)
+{
+    int n = c->n, p = 0;
+    u64 members[MAXN] = {0};
+    for (int v = 0; v < n; v++) {
+        c->sig[3 * v] = popcount(c->out_m[v]);
+        c->sig[3 * v + 1] = popcount(c->in_m[v]);
+        c->sig[3 * v + 2] = popcount(c->out_m[v] & c->in_m[v]);
+    }
+    canonical_ids(c, 3, c->color);
+    do {
+        for (int v = 0; v < n; v++) {
+            int *row = c->sig + v * n, len = 1;
+            row[0] = c->color[v];
+            for (int w = 0; w < n; w++) {
+                int key, i;
+                if (w == v)
+                    continue;
+                key = 4 * c->color[w] + 2 * (int)(c->in_m[v] >> w & 1)
+                      + (int)(c->out_m[v] >> w & 1);
+                for (i = len++; i > 1 && row[i - 1] > key; i--)
+                    row[i] = row[i - 1];
+                row[i] = key;
+            }
+        }
+    } while (canonical_ids(c, n, c->color));
+    /* colours are the ranks 0, 1, ...: block by block in colour order */
+    for (int v = 0; v < n; v++)
+        members[c->color[v]] |= (u64)1 << v;
+    for (int col = 0; p < n; col++)
+        for (int i = popcount(members[col]); i; i--)
+            c->block_m[p++] = members[col];
+}
+
+/* The root of x in the union-find forest parent, halving its path. */
+static int find(unsigned char *parent, int x)
+{
+    while (parent[x] != x) {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    return x;
+}
+
+/* Merge the orbits of the union-find forest orbit by each automorphism
+   from the first-th on that fixes perm[0..p-1] pointwise.  *joined says
+   whether orbit holds a forest; the first such automorphism makes one
+   from singletons. */
+static void join_orbits(const Canon *c, size_t first, int p,
+                        unsigned char *orbit, int *joined)
+{
+    int n = c->n;
+    for (size_t i = first; i < c->nautos; i++) {
+        const unsigned char *g = c->autos + i * n;
+        int x = 0;
+        while (x < p && g[c->perm[x]] == c->perm[x])
+            x++;
+        if (x < p)
+            continue;
+        if (!*joined) {
+            for (x = 0; x < n; x++)
+                orbit[x] = (unsigned char)x;
+            *joined = 1;
+        }
+        for (x = 0; x < n; x++) {
+            int a = find(orbit, x), b = find(orbit, g[x]);
+            if (a != b)
+                orbit[b] = (unsigned char)a;
+        }
+    }
+}
+
+/* Append the automorphism best_perm[i] -> perm[i], growing the list; sets
+   failed when it cannot grow. */
+static void add_automorphism(Canon *c)
+{
+    int n = c->n;
+    if (c->nautos == c->autos_cap) {
+        size_t cap = c->autos_cap ? 2 * c->autos_cap : AUTOS_MIN;
+        unsigned char *autos = realloc(c->autos, cap * n);
+        if (!autos) {
+            c->failed = 1;
+            return;
+        }
+        c->autos = autos;
+        c->autos_cap = cap;
+    }
+    unsigned char *g = c->autos + c->nautos++ * n;
+    for (int i = 0; i < n; i++)
+        g[c->best_perm[i]] = c->perm[i];
+}
+
+/* Place every candidate for position p in turn.  tied says cur[0..p-1]
+   equals best[0..p-1]; otherwise it is smaller, or there is no best yet.
+   Returns whether best changed, which happens only at a leaf below every
+   open frame and then ties them all. */
+static int canon_dfs(Canon *c, int p, int tied)
+{
+    int n = c->n, ncand = 0, nexplored = 0, joined = 0, improved = 0;
+    unsigned char cands[MAXN], explored[MAXN], orbit[MAXN];
+    size_t folded = 0;
+    if (p == n) {
+        if (tied) {
+            add_automorphism(c);
+            return 0;
+        }
+        memcpy(c->best, c->cur, sizeof(Key) * n);
+        memcpy(c->best_perm, c->perm, n);
+        return 1;
+    }
+    /* the unplaced vertices of p's colour, in vertex order, stably sorted
+       by key */
+    for (u64 m = c->block_m[p] & ~c->used; m; m &= m - 1) {
+        int v = __builtin_ctzll(m), i;
+        for (i = ncand++; i && key_cmp(c->key[cands[i - 1]], c->key[v]) > 0;
+             i--)
+            cands[i] = cands[i - 1];
+        cands[i] = (unsigned char)v;
+    }
+    u64 low = (u64)1 << (n - 1 - p);
+    for (int i = 0; i < ncand && !c->failed; i++) {
+        int v = cands[i], skip = 0;
+        Key k = c->key[v];
+        if (tied && key_cmp(k, c->best[p]) > 0)
+            break; /* keys ascend: every later candidate is worse too */
+        /* the orbits of the automorphisms that fix perm[0..p-1],
+           extended when a child finds more */
+        if (folded < c->nautos) {
+            join_orbits(c, folded, p, orbit, &joined);
+            folded = c->nautos;
+        }
+        if (joined) {
+            int root = find(orbit, v);
+            for (int j = 0; j < nexplored && !skip; j++)
+                skip = find(orbit, explored[j]) == root;
+            if (skip)
+                continue; /* the image of an explored sibling's subtree */
+        }
+        explored[nexplored++] = (unsigned char)v;
+        c->cur[p] = k;
+        c->used |= (u64)1 << v;
+        c->perm[p] = (unsigned char)v;
+        for (u64 m = c->out_m[v]; m; m &= m - 1)
+            c->key[__builtin_ctzll(m)].in += low;
+        for (u64 m = c->in_m[v]; m; m &= m - 1)
+            c->key[__builtin_ctzll(m)].out += low;
+        if (canon_dfs(c, p + 1, tied && !key_cmp(k, c->best[p])))
+            improved = tied = 1;
+        for (u64 m = c->out_m[v]; m; m &= m - 1)
+            c->key[__builtin_ctzll(m)].in -= low;
+        for (u64 m = c->in_m[v]; m; m &= m - 1)
+            c->key[__builtin_ctzll(m)].out -= low;
+        c->used &= ~((u64)1 << v);
+    }
+    return improved;
+}
+
+/* Write into perm the vertex order minimizing the layered key of the
+   digraph with adjacency masks out_m and in_m on 1 <= n <= 64 vertices.
+   Returns 0, or -1 when out of memory. */
+int wdrd_canonical_permutation(int n, const u64 *out_m, const u64 *in_m,
+                               int *perm)
+{
+    Canon *c = calloc(1, sizeof(Canon));
+    int failed;
+    if (!c)
+        return -1;
+    c->n = n;
+    c->out_m = out_m;
+    c->in_m = in_m;
+    refine(c);
+    canon_dfs(c, 0, 0);
+    for (int i = 0; i < n; i++)
+        perm[i] = c->best_perm[i];
+    failed = c->failed;
+    free(c->autos);
+    free(c);
+    return failed ? -1 : 0;
 }

@@ -2,10 +2,12 @@
 
 Reference implementation of the hot loop: depth-first enumeration of edge
 states (Forward / Backward / Digon) over a fixed underlying graph, with a
-full candidate check at every leaf.  `_kernel.c` implements the same
-contract in C.  This module is the pure backend of `wdrd.kernel`: its
-`search_run` and `leaf_stage` are the two entry points every backend has,
-and `wdrd.kernel` selects it when the C kernel is unavailable.
+full candidate check at every leaf, and of the canonical search of
+`wdrd.canon`.  `_kernel.c` implements the same contract in C.  This
+module is the pure backend of `wdrd.kernel`: its `search_run`,
+`leaf_stage` and `canonical_permutation` are the three entry points every
+backend has, and `wdrd.kernel` selects it when the C kernel is
+unavailable.
 
 Contract: this module is the one definition of what `wdrd.search` and
 both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
@@ -13,7 +15,8 @@ both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
 codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the memo
 budget MEMO_BYTES, the counter keys STAT_KEYS and NOT_STRONG_KEY, the
 leaf stages LEAF_STAGES, and `check_arguments` and `check_masks`, the
-argument checks of the two entry points.  `search_run(n, edges,
+argument checks of the entry points (`check_masks` serves both
+`leaf_stage` and `canonical_permutation`).  `search_run(n, edges,
 prefixes=((),), prune_degree=False)` runs a list of disjoint prefixes in order, one
 degree-pruned depth-first search per prefix, which tries only
 `prefix[depth]` at the depths below len(prefix).  Each prefix p stands for
@@ -113,8 +116,8 @@ the memo stops inserting, and the count stays exact.
 
 from __future__ import annotations
 
-from .digraph import _bfs
-from .errors import TooLargeError, TooManyEdgesError
+from .digraph import _bfs, _mask_bits
+from .errors import CanonicalizationError, TooLargeError, TooManyEdgesError
 
 # Size limits of both kernels: one 64-bit adjacency mask per vertex in C,
 # and 3^|E| must fit in a signed 64-bit counter.
@@ -181,8 +184,9 @@ def check_arguments(n, edges, prefixes):
 
 
 def check_masks(n, out_m, in_m):
-    """Raise ValueError unless `leaf_stage` supports the arguments: 1..MAX_N
-    vertices, and n out-masks and n in-masks of vertices 0..n - 1."""
+    """Raise ValueError unless `leaf_stage` and `canonical_permutation`
+    support the arguments: 1..MAX_N vertices, and n out-masks and n
+    in-masks of vertices 0..n - 1."""
     if not 1 <= n <= MAX_N or len(out_m) != n or len(in_m) != n:
         raise ValueError(f"need 1..{MAX_N} vertices and a mask per vertex")
     if any(m < 0 or m >> n for m in (*out_m, *in_m)):
@@ -435,3 +439,144 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
     if not prune_degree:
         out[NOT_STRONG_KEY] = sum(map(not_strong_counter(n, edges), prefixes))
     return out
+
+
+def canonical_permutation(n, out_m, in_m):
+    """The vertex order minimizing the layered adjacency key of the digraph
+    with out- and in-neighbour masks `out_m` and `in_m`: the search of
+    `wdrd.canon`, whose docstring defines the key, the colour refinement
+    and the automorphism pruning.  Arguments as for `leaf_stage`."""
+    check_masks(n, out_m, in_m)
+    return _canonical_permutation(n, out_m, in_m)
+
+
+def _canonical_permutation(n, out_m, in_m):
+    """`canonical_permutation` without the argument check, on any number
+    of vertices: `wdrd.canon` runs it above MAX_N."""
+    colors = _refined_colors(n, out_m, in_m)
+    # positions are filled colour-block by colour-block
+    block_color = sorted(colors)
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    outs = [list(_mask_bits(m)) for m in out_m]
+    ins = [list(_mask_bits(m)) for m in in_m]
+
+    key = [0] * n
+    cur = [0] * n
+    perm: list[int] = []
+    used = [False] * n
+    best: list[int] | None = None
+    best_perm: tuple[int, ...] | None = None
+    autos: list[list[int]] = []  # automorphisms found, as vertex maps
+
+    # `tied` says cur[:p] == best[:p]; otherwise cur[:p] < best[:p], or
+    # there is no best yet.  `best` changes only at a leaf below every
+    # open frame, which then ties them all.  Returns whether it changed.
+    def dfs(p: int, tied: bool) -> bool:
+        nonlocal best, best_perm
+        if p == n:
+            if tied:
+                # perm relabels the digraph exactly as best_perm does
+                g = [0] * n
+                for a, b in zip(best_perm, perm):
+                    g[a] = b
+                autos.append(g)
+                return False
+            best = cur.copy()
+            best_perm = tuple(perm)
+            return True
+        improved = False
+        cands = [v for v in by_color[block_color[p]] if not used[v]]
+        cands.sort(key=key.__getitem__)
+        low = 1 << (n - 1 - p)
+        high = low << n
+        # orbits of the found automorphisms that fix perm[:p] pointwise,
+        # as a union-find forest, extended when a child finds more
+        orbit: list[int] | None = None
+        folded = 0
+        explored: list[int] = []
+        for v in cands:
+            k = key[v]
+            if tied and k > best[p]:
+                break  # keys ascend: every later candidate is worse too
+            if folded < len(autos):
+                orbit = _join_orbits(orbit, autos[folded:], perm, n)
+                folded = len(autos)
+            if orbit is not None:
+                root = _find(orbit, v)
+                if any(_find(orbit, u) == root for u in explored):
+                    continue  # the image of an explored sibling's subtree
+            explored.append(v)
+            cur[p] = k
+            used[v] = True
+            perm.append(v)
+            for w in outs[v]:
+                key[w] += high
+            for w in ins[v]:
+                key[w] += low
+            if dfs(p + 1, tied and k == best[p]):
+                improved = tied = True
+            for w in outs[v]:
+                key[w] -= high
+            for w in ins[v]:
+                key[w] -= low
+            perm.pop()
+            used[v] = False
+        return improved
+
+    dfs(0, False)
+    if best_perm is None:
+        raise CanonicalizationError("the canonical search reached no leaf")
+    return best_perm
+
+
+def _refined_colors(n, out_m, in_m) -> list[int]:
+    """Iterated neighbourhood refinement with canonical (sorted) colour ids.
+
+    A vertex's first colour is its signature (out-degree, in-degree, digon
+    degree).  Then a vertex's signature is its colour followed by the
+    sorted pairs (colour of w, link to w) over w != v, where the link
+    2·adj[w, v] + adj[v, w] is below 4; each pair is encoded as colour·4 +
+    link, which orders the pairs the same way."""
+    colors = _canonical_ids((o.bit_count(), i.bit_count(), (o & i).bit_count())
+                            for o, i in zip(out_m, in_m))
+    links = [[(w, 2 * (in_m[v] >> w & 1) + (out_m[v] >> w & 1))
+              for w in range(n) if w != v] for v in range(n)]
+    while True:
+        new = _canonical_ids(
+            (colors[v], *sorted(4 * colors[w] + link for w, link in row))
+            for v, row in enumerate(links))
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _canonical_ids(sigs) -> list[int]:
+    """Each signature's rank among the distinct signatures, sorted."""
+    sigs = list(sigs)
+    order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [order[s] for s in sigs]
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join_orbits(parent, gens, fixed, n: int):
+    """Merge the orbits in the union-find forest `parent` (None: all
+    singletons) by each of `gens` that fixes every vertex of `fixed`;
+    None while no generator qualifies."""
+    for g in gens:
+        if any(g[x] != x for x in fixed):
+            continue
+        if parent is None:
+            parent = list(range(n))
+        for x in range(n):
+            a, b = _find(parent, x), _find(parent, g[x])
+            if a != b:
+                parent[b] = a
+    return parent

@@ -38,60 +38,44 @@ returns the same permutation as without the pruning (McKay & Piperno,
 the vertices, so equal forms mean isomorphic digraphs whatever the
 search returns.
 
+The search runs in the kernel backend that `wdrd.kernel` selects, as its
+entry point `canonical_permutation(n, out_m, in_m)`: `_kernel.c` when the
+compiled kernel loaded, `_kernel_py` otherwise.  `_kernel_py` holds the
+reference, and `_kernel.c` the same refinement, candidate order and
+pruning, with each key held as the pair (kin[v], kout[v]) of 64-bit
+words; both return the same permutation.  `canonical_permutation` checks
+`max_n` first; a digraph past the kernels' limit of 64 vertices, which
+only `wdrd iso --max-n` reaches, goes to the pure search.
+
 Without refinement after each placement, the tree below the first
-vertex of a vertex-transitive digraph still grows about tenfold per two
-vertices.  On a 2-vCPU Xeon VM with Python 3.11 the directed 12-cycle
-takes about 0.005 s, the 14-cycle 0.03 s, the 16-cycle 0.2 s and the
-18-cycle 3.4 s, so `MAX_N` stays at 16.
+vertex of a vertex-transitive digraph still grows about threefold per
+vertex.  On a 2-vCPU Xeon VM with Python 3.11 and gcc 12, the directed
+cycles take (seconds, the median of up to five calls):
+
+    cycle     C12     C13     C14    C15    C16    C17    C18
+    pure      0.004   0.009   0.04   0.11   0.21   0.68   2.1
+    compiled  0.0002  0.0005  0.002  0.004  0.014  0.04   0.12
+
+`MAX_N` stays at 16 for both: without a C compiler the pure search runs,
+and a cap that moved with the backend would make the same search or
+`wdrd iso` call fail on one machine and pass on another.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .digraph import Digraph, _mask_bits
+from . import _kernel_py, kernel
+from .digraph import Digraph
 from .errors import CanonicalizationError, TooLargeError
 
 # Largest vertex count canonicalised exactly.  Automorphism pruning skips
 # only images of explored subtrees, and nothing refines the colours below
-# the root, so the cost still grows exponentially with the block size.
+# the root, so the cost still grows exponentially with the block size; the
+# pure search sets the cap (see above).
 MAX_N = 16
 # The form stores the vertex count in its first byte.
 FORM_MAX_N = 255
-
-
-def _refined_colors(d: Digraph) -> list[int]:
-    """Iterated neighbourhood refinement with canonical (sorted) colour ids.
-
-    A vertex's signature is its colour followed by the sorted pairs
-    (colour of w, link to w) over w != v, where the link 2·adj[w, v] +
-    adj[v, w] is below 4; each pair is encoded as colour·4 + link, which
-    orders the pairs the same way."""
-    adj = d.adjacency
-    n = d.n
-    out_deg = adj.sum(axis=1)
-    in_deg = adj.sum(axis=0)
-    digon = (adj & adj.T).sum(axis=1)
-    colors = _canonical_ids(zip(out_deg.tolist(), in_deg.tolist(),
-                                digon.tolist()))
-    link = 2 * adj.T.astype(np.int64) + adj
-    diagonal = np.eye(n, dtype=bool)
-    while True:
-        c = np.array(colors, dtype=np.int64)
-        keys = 4 * c + link
-        keys[diagonal] = -1          # sorts first; its column then holds c
-        keys.sort(axis=1)
-        keys[:, 0] = c
-        new = _canonical_ids(map(tuple, keys.tolist()))
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _canonical_ids(sigs) -> list[int]:
-    sigs = list(sigs)
-    order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return [order[s] for s in sigs]
 
 
 def canonical_permutation(d: Digraph, max_n: int = MAX_N) -> tuple[int, ...]:
@@ -99,107 +83,9 @@ def canonical_permutation(d: Digraph, max_n: int = MAX_N) -> tuple[int, ...]:
     n = d.n
     if n > max_n:
         raise TooLargeError(f"exact canonicalization capped at {max_n} vertices")
-    if n == 1:
-        return (0,)
-    colors = _refined_colors(d)
-    # positions are filled colour-block by colour-block
-    block_color = sorted(colors)
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    outs = [list(_mask_bits(m)) for m in d.out_masks]
-    ins = [list(_mask_bits(m)) for m in d.in_masks]
-
-    key = [0] * n
-    cur = [0] * n
-    perm: list[int] = []
-    used = [False] * n
-    best: list[int] | None = None
-    best_perm: tuple[int, ...] | None = None
-    autos: list[list[int]] = []  # automorphisms found, as vertex maps
-
-    # `tied` says cur[:p] == best[:p]; otherwise cur[:p] < best[:p], or
-    # there is no best yet.  `best` changes only at a leaf below every
-    # open frame, which then ties them all.  Returns whether it changed.
-    def dfs(p: int, tied: bool) -> bool:
-        nonlocal best, best_perm
-        if p == n:
-            if tied:
-                # perm relabels d exactly as best_perm does
-                g = [0] * n
-                for a, b in zip(best_perm, perm):
-                    g[a] = b
-                autos.append(g)
-                return False
-            best = cur.copy()
-            best_perm = tuple(perm)
-            return True
-        improved = False
-        cands = [v for v in by_color[block_color[p]] if not used[v]]
-        cands.sort(key=key.__getitem__)
-        low = 1 << (n - 1 - p)
-        high = low << n
-        # orbits of the found automorphisms that fix perm[:p] pointwise,
-        # as a union-find forest, extended when a child finds more
-        orbit: list[int] | None = None
-        folded = 0
-        explored: list[int] = []
-        for v in cands:
-            k = key[v]
-            if tied and k > best[p]:
-                break  # keys ascend: every later candidate is worse too
-            if folded < len(autos):
-                orbit = _join_orbits(orbit, autos[folded:], perm, n)
-                folded = len(autos)
-            if orbit is not None:
-                root = _find(orbit, v)
-                if any(_find(orbit, u) == root for u in explored):
-                    continue  # the image of an explored sibling's subtree
-            explored.append(v)
-            cur[p] = k
-            used[v] = True
-            perm.append(v)
-            for w in outs[v]:
-                key[w] += high
-            for w in ins[v]:
-                key[w] += low
-            if dfs(p + 1, tied and k == best[p]):
-                improved = tied = True
-            for w in outs[v]:
-                key[w] -= high
-            for w in ins[v]:
-                key[w] -= low
-            perm.pop()
-            used[v] = False
-        return improved
-
-    dfs(0, False)
-    if best_perm is None:
-        raise CanonicalizationError("the canonical search reached no leaf")
-    return best_perm
-
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _join_orbits(parent, gens, fixed, n: int):
-    """Merge the orbits in the union-find forest `parent` (None: all
-    singletons) by each of `gens` that fixes every vertex of `fixed`;
-    None while no generator qualifies."""
-    for g in gens:
-        if any(g[x] != x for x in fixed):
-            continue
-        if parent is None:
-            parent = list(range(n))
-        for x in range(n):
-            a, b = _find(parent, x), _find(parent, g[x])
-            if a != b:
-                parent[b] = a
-    return parent
+    if n > kernel.MAX_N:
+        return _kernel_py._canonical_permutation(n, d.out_masks, d.in_masks)
+    return kernel.canonical_permutation(n, d.out_masks, d.in_masks)
 
 
 def canonical_digraph(d: Digraph, max_n: int = MAX_N) -> Digraph:
@@ -209,7 +95,8 @@ def canonical_digraph(d: Digraph, max_n: int = MAX_N) -> Digraph:
         raise CanonicalizationError(
             f"canonical order {list(perm)} is not a permutation of "
             f"0..{d.n - 1}")
-    return Digraph(d.n, d.adjacency[np.ix_(perm, perm)])
+    order = np.array(perm)
+    return Digraph(d.n, d.adjacency[order[:, None], order])
 
 
 def canonical_form(d: Digraph, max_n: int = MAX_N) -> bytes:

@@ -1,7 +1,7 @@
 """Search-kernel backends.
 
 The kernel exists twice: `_kernel_py`, the pure-Python reference, and
-`_kernel.c`, the same search in plain C.  On import this module compiles
+`_kernel.c`, the same searches in plain C.  On import this module compiles
 `_kernel.c` with the system C compiler, caches the shared library in the
 package's `__pycache__` under a name keyed by the SHA-256 of the source and
 the compile command, and loads it with ctypes, which releases the GIL for
@@ -11,13 +11,15 @@ cached it falls back to the pure kernel when there is no compiler, when
 the compile fails or when the cache directory is read-only; nothing else
 picks the kernel.
 
-A backend is an object with the kernel's two entry points, `search_run`
-and `leaf_stage` (see `_kernel_py`), each of which checks its arguments
-first.  The pure backend is the `_kernel_py` module itself, the compiled
-one a `_Compiled` over the loaded library.  `backends()` maps the name of
-every available backend to it, for tests and benchmarks that compare them.
-`BACKEND` names the selected backend and `search_run` is its search.  The
-contract both kernels keep (state codes, size limits, counter keys, leaf
+A backend is an object with the kernel's three entry points, `search_run`,
+`leaf_stage` and `canonical_permutation` (see `_kernel_py`), each of which
+checks its arguments first.  The pure backend is the `_kernel_py` module
+itself, the compiled one a `_Compiled` over the loaded library.
+`backends()` maps the name of every available backend to it, for tests
+and benchmarks that compare them.
+`BACKEND` names the selected backend, `search_run` is its search and
+`canonical_permutation` its canonical search, which `wdrd.canon` calls.
+The contract both kernels keep (state codes, size limits, counter keys, leaf
 stages, `check_arguments`, `check_masks`) lives in `_kernel_py` and is
 re-exported here.
 """
@@ -113,6 +115,15 @@ class _Compiled:
             raise MemoryError("kernel scratch allocation failed")
         return LEAF_STAGES[stage]
 
+    def canonical_permutation(self, n, out_m, in_m):
+        """Compiled twin of `_kernel_py.canonical_permutation`."""
+        check_masks(n, out_m, in_m)
+        perm = (ctypes.c_int * n)()
+        if self.lib.wdrd_canonical_permutation(n, _MASKS(*out_m),
+                                               _MASKS(*in_m), perm):
+            raise MemoryError("canonical search allocation failed")
+        return tuple(perm)
+
 
 def _load() -> _Compiled | None:
     """The compiled backend over the library at `_library_path()`, built on
@@ -132,6 +143,9 @@ def _load() -> _Compiled | None:
     fn.restype = ctypes.c_int
     lib.wdrd_leaf_stage.argtypes = [ctypes.c_int, _MASKS, _MASKS]
     lib.wdrd_leaf_stage.restype = ctypes.c_int
+    fn = lib.wdrd_canonical_permutation
+    fn.argtypes = [ctypes.c_int, _MASKS, _MASKS, ctypes.POINTER(ctypes.c_int)]
+    fn.restype = ctypes.c_int
     return _Compiled(lib)
 
 
@@ -148,3 +162,4 @@ def backends() -> dict:
 
 BACKEND = "pure" if _compiled() is None else "compiled"
 search_run = backends()[BACKEND].search_run
+canonical_permutation = backends()[BACKEND].canonical_permutation

@@ -176,12 +176,21 @@ def test_bad_arguments_are_rejected_before_the_c_call(args):
         raised(_kernel_py.search_run, args)
 
 
-@pytest.mark.parametrize("args", [(0, [], []), (65, [0] * 65, [0] * 65),
-                                  (2, [2], [1, 1]), (2, [4, 1], [2, 1]),
-                                  (2, [-1, 1], [2, 1])])
+BAD_MASKS = [(0, [], []), (65, [0] * 65, [0] * 65), (2, [2], [1, 1]),
+             (2, [4, 1], [2, 1]), (2, [-1, 1], [2, 1])]
+
+
+@pytest.mark.parametrize("args", BAD_MASKS)
 def test_bad_leaf_stage_arguments_are_rejected_before_the_c_call(args):
     assert raised(NO_LIBRARY.leaf_stage, args) is \
         raised(_kernel_py.leaf_stage, args)
+
+
+@pytest.mark.parametrize("args", BAD_MASKS)
+def test_bad_canonical_permutation_arguments_are_rejected_before_the_c_call(
+        args):
+    assert raised(NO_LIBRARY.canonical_permutation, args) is \
+        raised(_kernel_py.canonical_permutation, args)
 
 
 @pytest.mark.parametrize("args", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
@@ -200,13 +209,16 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
 
 # Runs the parity cases, two unpruned branches, the unpruned K6 sweep
 # (whose count memo grows from its first size to 32,768 slots), multi-prefix
-# calls (whose prefixes share that memo as it grows), the largest leaves and
-# the threaded runs through a kernel library built elsewhere, given as
-# argv[1], and compares it with the pure kernel.  Each unpruned call must
-# be the pruned one plus N, and N the word-by-word count where one is known.
+# calls (whose prefixes share that memo as it grows), the largest leaves,
+# the canonical search on digraphs large and symmetric enough to grow its
+# automorphism list, and the threaded runs through a kernel library built
+# elsewhere, given as argv[1], and compares it with the pure kernel.  Each
+# unpruned call must be the pruned one plus N, and N the word-by-word count
+# where one is known.
 PARITY_SCRIPT = """
 import sys
 from pathlib import Path
+from test_canon import LARGE_CASES, check_threaded_forms
 from test_kernel_leaves import BUDGET, FULL, J42, K6, LEAVES, not_strong
 from test_kernel_parity import BRANCHES, CASES, agreed, check_threaded_runs
 from wdrd import _kernel_py, kernel
@@ -240,7 +252,14 @@ for n, edges, prefixes in [(6, K6, _branches(15, 2, True)[0]),
 for name, (n, out_m, in_m) in LEAVES.items():
     want = _kernel_py.leaf_stage(n, out_m, in_m)
     assert compiled.leaf_stage(n, out_m, in_m) == want, name
+for cases in LARGE_CASES.values():
+    for d in cases():
+        args = d.n, d.out_masks, d.in_masks
+        assert compiled.canonical_permutation(*args) == \\
+            _kernel_py.canonical_permutation(*args), args
 check_threaded_runs(compiled.search_run)
+kernel.canonical_permutation = compiled.canonical_permutation
+check_threaded_forms()
 """
 
 
