@@ -1,21 +1,20 @@
 /* Compiled orientation-search kernel and canonical search.
 
    Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the contract, for the soundness of the degree prune and for
-   the closure lemma behind not_strong().  One call runs a list of
-   disjoint prefixes in order on one Ctx and sums their counters.  Both
-   modes run one degree-pruned depth-first search per prefix.  It carries
-   the largest digon degree dmax and the largest out-only or in-only
-   degree fmax of any vertex so far; cut() skips a child past the bound
-   dmax + 2 fmax > k, the common degree (-1 on an irregular graph, so
-   that the first edge passes it on every branch).  The search tries only
-   prefix[depth] at the depths below the prefix length and emits every
-   weakly distance-regular word it finds; the kernel knows nothing of arc
-   reversal, and `wdrd.search` classifies the survivors and derives the
-   unpruned counters.  An unpruned call also sums N, each prefix's count
-   of not_strong(), whose memo grows in the Ctx up to MEMO_BYTES.  The
-   prefixes of a call share the memo: a state is (depth, closure), and its
-   count does not depend on the prefix that reached it.
+   module for the contract and for the soundness of the degree prune.  One
+   call runs a list of disjoint prefixes in order on one Ctx and sums
+   their counters, one degree-pruned depth-first search per prefix.  It
+   carries the largest digon degree dmax and the largest out-only or
+   in-only degree fmax of any vertex so far; cut() skips a child past the
+   bound dmax + 2 fmax > k, the common degree (-1 on an irregular graph,
+   so that the first edge passes it on every branch).  The search tries
+   only prefix[depth] at the depths below the prefix length and emits
+   every weakly distance-regular word it finds.  The kernel knows nothing
+   of arc reversal and counts only the leaves it visits: `wdrd.search`
+   classifies the survivors, and derives the counters of an unpruned sweep
+   from the number of words that are not strongly connected, which it
+   counts once per graph by the source-component recurrence of its
+   docstring.
    `wdrd.kernel` compiles this file with the system C compiler, loads it
    with ctypes and validates every argument before calling
    `wdrd_search_run`; the C code trusts that no prefix extends another.
@@ -56,12 +55,11 @@
    exponentially on a large colour block; `wdrd.canon` caps it.
 
    Thread safety: the file has no mutable static data.  Each call keeps
-   all of its state in its own calloc'd Ctx and memo, or Canon and
-   automorphism list, and writes only there and to the caller's stats
-   array, emit callback or permutation, so calls on different arguments
-   may run at once; `wdrd.search` runs its shares of one search
-   concurrently, one call per thread, and the calling thread runs the
-   first. */
+   all of its state in its own calloc'd Ctx, or Canon and automorphism
+   list, and writes only there and to the caller's stats array, emit
+   callback or permutation, so calls on different arguments may run at
+   once; `wdrd.search` runs its shares of one search concurrently, one
+   call per thread, and the calling thread runs the first. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -69,9 +67,6 @@
 
 #define MAXN 64
 #define MAXE 39
-/* Per-call byte budget of the not_strong() memo, and its first size. */
-#define MEMO_BYTES (1 << 26)
-#define MEMO_MIN 16
 
 typedef uint64_t u64;
 typedef int64_t i64;
@@ -95,14 +90,6 @@ typedef struct {
     u64 out_m[MAXN], in_m[MAXN];
     int dd[MAXN], oo[MAXN], ii[MAXN]; /* digon, out-only, in-only degrees */
     i64 pow3[MAXE + 1];
-    u64 rest[MAXE + 1][MAXN];         /* rest[d][x]: x's neighbours over
-                                         edges d.. (none at d = ne) */
-    /* not_strong(): reach[d] and coreach[d] hold the closure of the arcs
-       of the edges before d, as the set each vertex reaches and the set
-       that reaches it */
-    u64 reach[MAXE + 1][MAXN], coreach[MAXE + 1][MAXN];
-    u64 *memo;                        /* memo_cap slots of n + 2 words */
-    size_t memo_cap, memo_used;
     unsigned char states[MAXE];
     i64 *stats;
     emit_fn emit;
@@ -352,121 +339,14 @@ static void dfs(Ctx *c, int depth, int dmax, int fmax)
     }
 }
 
-/* Write into depth + 1 the closure at depth with the arcs of edge `depth`
-   in state s added.  x reaches y after the arc u -> v when it did before,
-   or when x reaches u and v reaches y. */
-static void close_edge(Ctx *c, int depth, int s)
-{
-    int n = c->n, u = c->eu[depth], v = c->ev[depth];
-    u64 *r = c->reach[depth + 1], *t = c->coreach[depth + 1];
-    memcpy(r, c->reach[depth], sizeof(u64) * n);
-    memcpy(t, c->coreach[depth], sizeof(u64) * n);
-    if (s == BWD) {
-        int w = u;
-        u = v;
-        v = w;
-    }
-    for (int arc = 0; arc < 1 + (s == DIG); arc++) {
-        u64 rv = r[v], tu = t[u];
-        for (u64 m = tu; m; m &= m - 1)
-            r[__builtin_ctzll(m)] |= rv;
-        for (u64 m = rv; m; m &= m - 1)
-            t[__builtin_ctzll(m)] |= tu;
-        int w = u;
-        u = v;
-        v = w;
-    }
-}
-
-/* The memo slot of the state (depth, reach[depth]): the slot that holds
-   it, or the empty slot where it goes.  The table has memo_cap > 0 slots
-   of n + 2 words, depth + 1 (0 when empty), the count and the n reach
-   masks, and is at most half full. */
-static u64 *memo_slot(const Ctx *c, u64 *memo, size_t cap, int depth,
-                      const u64 *r)
-{
-    int n = c->n;
-    u64 h = (u64)depth * 0x9e3779b97f4a7c15ULL;
-    for (int x = 0; x < n; x++)
-        h = (h ^ r[x]) * 0xff51afd7ed558ccdULL;
-    for (size_t i = (h ^ h >> 29) & (cap - 1);; i = (i + 1) & (cap - 1)) {
-        u64 *slot = memo + i * (n + 2);
-        if (!slot[0] || (slot[0] == (u64)depth + 1
-                         && !memcmp(slot + 2, r, sizeof(u64) * n)))
-            return slot;
-    }
-}
-
-/* Store count for the state (depth, reach[depth]), doubling the table
-   first when it would be more than half full.  Past MEMO_BYTES, or when
-   the allocation fails, it stores nothing. */
-static void memo_put(Ctx *c, int depth, i64 count)
-{
-    size_t w = (size_t)c->n + 2;
-    if (2 * (c->memo_used + 1) > c->memo_cap) {
-        size_t cap = c->memo_cap ? 2 * c->memo_cap : MEMO_MIN;
-        u64 *memo;
-        if (cap * w * sizeof(u64) > MEMO_BYTES
-                || !(memo = calloc(cap * w, sizeof(u64))))
-            return;
-        for (size_t i = 0; i < c->memo_cap; i++) {
-            const u64 *old = c->memo + i * w;
-            if (old[0])
-                memcpy(memo_slot(c, memo, cap, (int)old[0] - 1, old + 2),
-                       old, sizeof(u64) * w);
-        }
-        free(c->memo);
-        c->memo = memo;
-        c->memo_cap = cap;
-    }
-    u64 *slot = memo_slot(c, c->memo, c->memo_cap, depth, c->reach[depth]);
-    slot[0] = (u64)depth + 1;
-    slot[1] = (u64)count;
-    memcpy(slot + 2, c->reach[depth], sizeof(u64) * c->n);
-    c->memo_used++;
-}
-
-/* The completions of edges depth.. whose digraph, with the arcs whose
-   closure is reach[depth], is not strongly connected: the DP of
-   `_kernel_py.not_strong_counter`. */
-static i64 not_strong(Ctx *c, int depth)
-{
-    int n = c->n;
-    const u64 *r = c->reach[depth], *t = c->coreach[depth];
-    const u64 *e = c->rest[depth];
-    u64 out_m[MAXN], in_m[MAXN], full = vertex_set(n);
-    if (r[0] == full && t[0] == full)
-        return 0;
-    if (c->memo_cap) {
-        const u64 *slot = memo_slot(c, c->memo, c->memo_cap, depth, r);
-        if (slot[0])
-            return (i64)slot[1];
-    }
-    for (int x = 0; x < n; x++) {
-        out_m[x] = r[x] | e[x];
-        in_m[x] = t[x] | e[x];
-    }
-    if (bfs(out_m, 0, NULL, NULL, NULL) != full
-            || bfs(in_m, 0, NULL, NULL, NULL) != full)
-        return c->pow3[c->ne - depth];
-    i64 count = 0;
-    for (int s = FWD; s <= DIG; s++) {
-        close_edge(c, depth, s);
-        count += not_strong(c, depth + 1);
-    }
-    memo_put(c, depth, count);
-    return count;
-}
-
 /* Enumerate and check every completion of each of the nprefixes prefixes
    over the edges (eu[i], ev[i]) = (edges[2i], edges[2i+1]), in order.
    Prefix i is the next lengths[i] bytes of prefixes, which holds them
-   back to back.  Adds the counters into stats[0..NSTATS - 1] and, unless
-   prune_degree, N into stats[NSTATS].  Returns 0, or -1 when out of
-   memory. */
+   back to back.  Adds the counters into stats[0..NSTATS - 1].  Returns 0,
+   or -1 when out of memory. */
 int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
                     const int *lengths, const unsigned char *prefixes,
-                    int prune_degree, i64 *stats, emit_fn emit)
+                    i64 *stats, emit_fn emit)
 {
     Ctx *c = calloc(1, sizeof(Ctx));
     int deg[MAXN] = {0}, regular = 1;
@@ -484,14 +364,6 @@ int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
         deg[c->ev[i]]++;
         c->pow3[i + 1] = 3 * c->pow3[i];
     }
-    for (int i = ne - 1; i >= 0; i--) {
-        memcpy(c->rest[i], c->rest[i + 1], sizeof(u64) * n);
-        c->rest[i][c->eu[i]] |= (u64)1 << c->ev[i];
-        c->rest[i][c->ev[i]] |= (u64)1 << c->eu[i];
-    }
-    /* the closure of no arc, from which each prefix's closure is built */
-    for (int x = 0; x < n; x++)
-        c->reach[0][x] = c->coreach[0][x] = (u64)1 << x;
     /* An irregular graph carries no scheme: with k = -1 the first edge
        cuts every branch. */
     for (int v = 1; v < n; v++)
@@ -501,13 +373,7 @@ int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
         c->np = lengths[i];
         c->prefix = prefixes;
         dfs(c, 0, 0, 0);
-        if (prune_degree)
-            continue;
-        for (int d = 0; d < c->np; d++)
-            close_edge(c, d, c->prefix[d]);
-        stats[NSTATS] += not_strong(c, c->np);
     }
-    free(c->memo);
     free(c);
     return 0;
 }

@@ -12,24 +12,23 @@ unavailable.
 Contract: this module is the one definition of what `wdrd.search` and
 both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
 (tests/test_kernel_backend.py checks the C side).  It holds the edge-state
-codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the memo
-budget MEMO_BYTES, the counter keys STAT_KEYS and NOT_STRONG_KEY, the
-leaf stages LEAF_STAGES, and `check_arguments` and `check_masks`, the
-argument checks of the entry points (`check_masks` serves both
-`leaf_stage` and `canonical_permutation`).  `search_run(n, edges,
-prefixes=((),), prune_degree=False)` runs a list of disjoint prefixes in order, one
+codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the counter
+keys STAT_KEYS, the leaf stages LEAF_STAGES, and `check_arguments` and
+`check_masks`, the argument checks of the entry points (`check_masks`
+serves both `leaf_stage` and `canonical_permutation`).  `search_run(n,
+edges, prefixes=((),))` runs a list of disjoint prefixes in order, one
 degree-pruned depth-first search per prefix, which tries only
 `prefix[depth]` at the depths below len(prefix).  Each prefix p stands for
 its 3^(|E| - len(p)) completions.  The call returns the search's counters
 of STAT_KEYS summed over its prefixes, which account for every leaf of
 every prefix (examined + skipped_degree = the sum of 3^(|E| - len(p))),
 and the surviving words in prefix order, each prefix's in visiting order.
-Unless `prune_degree`, it also returns, under NOT_STRONG_KEY, the number N
-of completions whose digraph is not strongly connected, summed over the
-prefixes; `wdrd.search` derives the unpruned counters from it.  One call
-over a list equals the sum of one call per prefix; the prefixes share only
-the memo of N's count.  The kernel knows no symmetry; `wdrd.search`
-applies arc reversal by choosing the prefixes.
+One call over a list equals the sum of one call per prefix.  The kernel
+knows no symmetry and counts only the leaves it visits: `wdrd.search`
+applies arc reversal by choosing the prefixes, and derives the counters of
+an unpruned sweep from the graph alone: `search._not_strong_words` counts
+the words whose digraph is not strongly connected once per graph, by the
+source-component recurrence that the `wdrd.search` docstring states.
 `check_arguments` rejects what neither kernel supports: more than
 MAX_EDGES edges (TooManyEdgesError) or MAX_N vertices (TooLargeError), and
 with ValueError no vertex, an endpoint out of range, a graph that is not
@@ -74,14 +73,14 @@ Steps 3 and 5 reject only leaves that steps 4 and 6 would reject, so all
 of steps 3-6 count as `axiom`.  Every word that passes is a survivor;
 `wdrd.search` classifies the survivors when it re-verifies them.
 
-The search is degree-pruned in both modes.  The prune cuts subtrees
-that cannot satisfy the valency constancy a scheme forces: every
-vertex must carry the same digon degree d, the same out-only degree f and
-the same in-only degree f (out-only equals in-only because dual classes
-have equal valencies), with d + 2f = k on a k-regular underlying graph;
-an irregular graph carries no scheme.  These are necessary conditions, so
-pruning never discards a candidate that would have survived the full
-check.  The search tests them as one inequality.  It carries dmax, the
+The search is degree-pruned.  The prune cuts subtrees that cannot
+satisfy the valency constancy a scheme forces: every vertex must carry
+the same digon degree d, the same out-only degree f and the same in-only
+degree f (out-only equals in-only because dual classes have equal
+valencies), with d + 2f = k on a k-regular underlying graph; an irregular
+graph carries no scheme.  These are necessary conditions, so pruning
+never discards a candidate that would have survived the full check.  The
+search tests them as one inequality.  It carries dmax, the
 largest digon degree of any vertex so far, and fmax, the largest out-only
 or in-only degree, and cuts a subtree when dmax + 2 fmax > k, with k = -1
 on an irregular graph so that the first edge cuts every branch.  Degrees
@@ -91,27 +90,6 @@ d = k (mod 2).  The top one, k - 2 fmax, has the parity of k, so some
 target stays exactly when dmax + 2 fmax <= k.  One function, `cut`,
 decides a child past the bound before the search visits it and adds its
 3^(|E| - max(d, len(prefix))) leaves, d its depth, to `skipped_degree`.
-
-`not_strong_counter` computes N by a DP over the edges in search order,
-from the end of the prefix.  Its state is the depth and the reachability
-closure of the arcs oriented so far, kept as the set each vertex reaches
-and the set that reaches it; the memo key is the depth and the reach sets.
-The closure lemma, closure(D + X) = closure(closure(D) + X), makes the
-strong connectivity of every completion a function of the depth and the
-closure, so the DP may memoise on them.  A state counts 0 when its closure
-is complete (strongly connected already), 3^(|E| - depth) when the arcs
-plus every remaining edge as a digon are not strongly connected (adding
-arcs never breaks strong connectivity, so no completion is), and otherwise
-the sum over Forward, Backward and Digon for the next edge.  The memo
-lives per call and starts small; the prefixes of a call share it, which is
-sound because a state's count depends on its depth and closure alone, not
-on the prefix that reached it.  It holds at most `_memo_states(n)`
-states, as many as the memo of `_kernel.c`: a hash table of (n + 2)-word
-slots that doubles from the C constant MEMO_MIN (16) slots while it fits
-in MEMO_BYTES, and is at most half full.  MEMO_MIN is a power of two and
-below the largest table (65,536 slots or more at n <= MAX_N), so that is
-half of the largest power of two of slots within MEMO_BYTES.  Past that
-the memo stops inserting, and the count stays exact.
 """
 
 from __future__ import annotations
@@ -123,16 +101,12 @@ from .errors import CanonicalizationError, TooLargeError, TooManyEdgesError
 # and 3^|E| must fit in a signed 64-bit counter.
 MAX_N = 64
 MAX_EDGES = 39
-# Per-call byte budget of the memo of `not_strong_counter` (see above).
-MEMO_BYTES = 1 << 26
 
 # Edge states, in search order.
 FWD, BWD, DIG = 0, 1, 2
 # Counter keys of every search_run result, in the order of the C counters.
 STAT_KEYS = ("examined", "skipped_degree", "symmetric",
              "not_strongly_connected", "axiom")
-# Key of N in the result of an unpruned search_run (see above).
-NOT_STRONG_KEY = "not_strong_completions"
 # What rejects a leaf that is not symmetric, in the order of the C leaf
 # stages; None when nothing does (see `leaf_stage`).
 LEAF_STAGES = (None, "not_strongly_connected", "layers", "classes", "arcs",
@@ -269,76 +243,7 @@ def _leaf_stage(n, out_m, in_m):
     return None
 
 
-def _memo_states(n):
-    """The most states the memo of `not_strong_counter` holds on n
-    vertices: half of the largest power of two of (n + 2)-word slots in
-    MEMO_BYTES, as `_kernel.c` keeps it."""
-    return (1 << (MEMO_BYTES // (8 * (n + 2))).bit_length()) // 4
-
-
-def not_strong_counter(n, edges):
-    """The function that gives, for a prefix over `edges`, the number N of
-    its completions whose digraph is not strongly connected, by the
-    memoised reachability DP of the module docstring.  Its calls share
-    one memo."""
-    ne = len(edges)
-    full = (1 << n) - 1
-    # rest[d][x]: x's neighbours over edges d.. (none at d = ne)
-    rest = [[0] * n for _ in range(ne + 1)]
-    for d in range(ne - 1, -1, -1):
-        rest[d] = rest[d + 1][:]
-        u, v = edges[d]
-        rest[d][u] |= 1 << v
-        rest[d][v] |= 1 << u
-    limit = _memo_states(n)
-    memo: dict[tuple[int, ...], int] = {}
-
-    def add_arc(reach, coreach, u, v):
-        """The closure with arc u -> v added: x reaches y when it did, or
-        when x reaches u and v reaches y.  reach[x] is the set x reaches,
-        coreach[y] the set that reaches y."""
-        rv, cu = reach[v], coreach[u]
-        return ([r | rv if cu >> x & 1 else r for x, r in enumerate(reach)],
-                [c | cu if rv >> y & 1 else c for y, c in enumerate(coreach)])
-
-    def orient(reach, coreach, depth, s):
-        u, v = edges[depth]
-        if s == BWD:
-            u, v = v, u
-        reach, coreach = add_arc(reach, coreach, u, v)
-        if s == DIG:
-            reach, coreach = add_arc(reach, coreach, v, u)
-        return reach, coreach
-
-    def count(depth, reach, coreach):
-        if reach[0] == full and coreach[0] == full:
-            return 0
-        key = (depth, *reach)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        extra = rest[depth]
-        if (_bfs([r | e for r, e in zip(reach, extra)], 0)[0] != full
-                or _bfs([c | e for c, e in zip(coreach, extra)], 0)[0]
-                != full):
-            return 3 ** (ne - depth)
-        got = sum(count(depth + 1, *orient(reach, coreach, depth, s))
-                  for s in (FWD, BWD, DIG))
-        if len(memo) < limit:
-            memo[key] = got
-        return got
-
-    def completions(prefix):
-        reach = [1 << x for x in range(n)]
-        coreach = reach[:]
-        for depth, s in enumerate(prefix):
-            reach, coreach = orient(reach, coreach, depth, s)
-        return count(len(prefix), reach, coreach)
-
-    return completions
-
-
-def search_run(n, edges, prefixes=((),), prune_degree=False):
+def search_run(n, edges, prefixes=((),)):
     """Enumerate and check all completions of each of `prefixes` over
     `edges`, the prefixes in order.
 
@@ -346,8 +251,7 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
     prefixes: disjoint prefixes, each the states fixed for
     edges[:len(prefix)].
     Returns the counters of the degree-pruned search, summed over the
-    prefixes, with survivor edge-state words (bytes), and unless
-    `prune_degree` the summed N under NOT_STRONG_KEY.
+    prefixes, with survivor edge-state words (bytes).
     """
     edges = list(edges)
     prefixes = list(prefixes)
@@ -435,10 +339,7 @@ def search_run(n, edges, prefixes=((),), prune_degree=False):
     for prefix in prefixes:
         np_ = len(prefix)
         dfs(0, 0, 0)
-    out = {**stats, "survivors": survivors}
-    if not prune_degree:
-        out[NOT_STRONG_KEY] = sum(map(not_strong_counter(n, edges), prefixes))
-    return out
+    return {**stats, "survivors": survivors}
 
 
 def canonical_permutation(n, out_m, in_m):

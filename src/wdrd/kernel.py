@@ -36,8 +36,7 @@ from pathlib import Path
 
 from . import _kernel_py
 from ._kernel_py import (BWD, DIG, FWD, LEAF_STAGES, MAX_EDGES,  # noqa: F401
-                         MAX_N, NOT_STRONG_KEY, STAT_KEYS, check_arguments,
-                         check_masks)
+                         MAX_N, STAT_KEYS, check_arguments, check_masks)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
@@ -80,7 +79,7 @@ class _Compiled:
     def __init__(self, lib):
         self.lib = lib
 
-    def search_run(self, n, edges, prefixes=((),), prune_degree=False):
+    def search_run(self, n, edges, prefixes=((),)):
         """Compiled twin of `_kernel_py.search_run`."""
         edges = [(int(u), int(v)) for u, v in edges]
         prefixes = list(prefixes)
@@ -94,18 +93,13 @@ class _Compiled:
             survivors.append(ctypes.string_at(word, ne))
 
         flat = (ctypes.c_int * (2 * ne + 1))(*(x for e in edges for x in e))
-        # the counters, then N
-        stats = (ctypes.c_longlong * (len(STAT_KEYS) + 1))()
+        stats = (ctypes.c_longlong * len(STAT_KEYS))()
         callback = _EMIT(emit)
         lengths = (ctypes.c_int * len(prefixes))(*map(len, prefixes))
         if self.lib.wdrd_search_run(n, ne, flat, len(prefixes), lengths,
-                                    b"".join(prefixes), bool(prune_degree),
-                                    stats, callback):
+                                    b"".join(prefixes), stats, callback):
             raise MemoryError("kernel scratch allocation failed")
-        out = {**dict(zip(STAT_KEYS, stats)), "survivors": survivors}
-        if not prune_degree:
-            out[NOT_STRONG_KEY] = stats[len(STAT_KEYS)]
-        return out
+        return {**dict(zip(STAT_KEYS, stats)), "survivors": survivors}
 
     def leaf_stage(self, n, out_m, in_m):
         """Compiled twin of `_kernel_py.leaf_stage`."""
@@ -138,8 +132,7 @@ def _load() -> _Compiled | None:
     fn = lib.wdrd_search_run
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int),
                    ctypes.c_int, ctypes.POINTER(ctypes.c_int),
-                   ctypes.c_char_p, ctypes.c_int,
-                   ctypes.POINTER(ctypes.c_longlong), _EMIT]
+                   ctypes.c_char_p, ctypes.POINTER(ctypes.c_longlong), _EMIT]
     fn.restype = ctypes.c_int
     lib.wdrd_leaf_stage.argtypes = [ctypes.c_int, _MASKS, _MASKS]
     lib.wdrd_leaf_stage.restype = ctypes.c_int

@@ -21,27 +21,52 @@ valencies are isomorphism invariants.
 Leaf accounting holds in both modes, or the search raises AccountingError:
 each kernel call's examined leaves split exactly into its rejection
 counters and survivors, and over the whole search examined +
-skipped_degree + skipped_reversal = 3^|E|.  `prune="none"` then reports
-every leaf that the plan keeps as examined.  An unpruned kernel call also
-returns N, the number of completions of its prefixes whose digraph is not
-strongly connected.  A kept leaf is the all-digon word (symmetric), or not
-strongly connected, or a survivor, or else it breaks an axiom, so:
+skipped_degree + skipped_reversal = 3^|E|.  `prune="none"` runs the same
+kernel calls and then reports every leaf that the plan keeps as examined.
+A kept leaf is the all-digon word (symmetric), or not strongly connected,
+or a survivor, or else it breaks an axiom, so:
   examined = 3^|E| - skipped_reversal and skipped_degree = 0;
   symmetric = 1, since the plan always keeps the all-digon word;
-  not_strongly_connected = the sum of N, less 1 when the underlying graph
-    is disconnected, since the all-digon word then counts as symmetric;
+  not_strongly_connected = N - dis, or (N - dis) / 2 under reversal;
   axiom = examined - symmetric - not_strongly_connected - #survivors;
 and the survivors are the degree-pruned search's, since the prune never
-cuts one.  A derived count below zero raises AccountingError.
+cuts one.  N is the number of the 3^|E| words whose digraph is not
+strongly connected, and dis is 1 when the graph is disconnected, else 0:
+the all-digon word is then not strongly connected, but it counts as
+symmetric.  Reversal keeps strong connectivity and maps every other word
+to a distinct one, and the plan keeps one word of each such pair, so
+under reversal N - dis must be even.  A derived count below zero, or an
+odd N - dis under reversal, raises AccountingError.
+
+`_not_strong_words` counts N once per graph G = (V, E) by the classical
+count of strongly connected digraphs by their source components
+(Liskovets, Math. Notes 8, 1970; Wright, Bull. LMS 3, 1971).  For S a set
+of vertices, e(S) is the number of edges inside S, c(S) the number of
+components of G[S], and s(S) the number of words over the edges of G[S]
+whose digraph is strongly connected (0 when G[S] is disconnected).  For
+G[S] connected,
+  s(S) = 3^e(S) - sum over nonempty T < S of
+         (-1)^(c(T)+1) * prod over components C of G[T] of s(C) * 3^e(S - T),
+and N = 3^|E| - s(V).  Sound because every digraph has a source
+component, a strong component that no arc enters.  The source components
+inside T are exactly the components of G[T] when T is a union of them:
+two of them share no arc, so no edge, since every edge carries an arc.
+So the words on S in which T is a union of source components are those in
+which every component of G[T] is strongly connected and each edge between
+T and S - T points out of T, with the edges inside S - T free.
+Inclusion-exclusion over the nonempty sets of source components counts
+each word on S once, which gives 3^e(S) as the same sum over every
+nonempty T <= S, and the term T = S is s(S).  The sums run over the
+subsets of every connected S, at most 3^|V| terms in all.
 
 The search runs as a list of branches, each a fixed prefix of edge states,
 all planned by `_branches`: the one branch () for a single worker, or the
 3^k prefixes of length k under `jobs > 1`.  Each worker gets one share of
 the branches, every `workers`-th in search order, and hands it to the
-kernel in one call, whose prefixes share one context and one memo.  The
-calling thread runs the first share; the others run on threads over the
-compiled kernel, whose ctypes call releases the GIL and keeps all state
-per call, and on processes over the pure kernel, which holds the GIL.
+kernel in one call, whose prefixes share one context.  The calling
+thread runs the first share; the others run on threads over the compiled
+kernel, whose ctypes call releases the GIL and keeps all state per call,
+and on processes over the pure kernel, which holds the GIL.
 `use_reversal` halves the sweep through the same planner, which drops the
 prefixes that reversal maps onto kept ones; the kernel itself knows no
 symmetry.  The state codes, kernel limits and counter keys this module
@@ -60,7 +85,7 @@ from dataclasses import dataclass
 from . import kernel
 from .analysis import WdrdReport, wdrd_report
 from .canon import MAX_N as CANON_MAX_N, canonical_form, form_digraph
-from .digraph import Digraph, format_dgf
+from .digraph import Digraph, _mask_bits, format_dgf
 from .errors import (
     AccountingError,
     BadJobsError,
@@ -172,8 +197,7 @@ def _usable_cpus() -> int:
 
 
 def _share(args):
-    n, edges, prefixes, prune_degree = args
-    return kernel.search_run(n, edges, prefixes, prune_degree=prune_degree)
+    return kernel.search_run(*args)
 
 
 def _split_length(workers: int, ne: int) -> int:
@@ -224,6 +248,43 @@ def _branches(ne: int, k: int, use_reversal: bool):
     return kept, skipped
 
 
+def _not_strong_words(n, edges) -> int:
+    """N, the number of the 3^|E| words over `edges` on vertices 0..n-1
+    whose digraph is not strongly connected, by the source-component
+    recurrence of the module docstring.  g[X] is the product of -s(C)
+    over the components C of G[X], so g[S] = -s(S) for G[S] connected, and
+    s(S) = 3^e(S) + the sum of g[T] 3^e(S - T) over nonempty T < S."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    size = 1 << n
+    pow3 = [1] * size  # 3^e(X)
+    g = [1] * size
+    for x in range(1, size):
+        low = x & -x
+        v = low.bit_length() - 1
+        pow3[x] = pow3[x ^ low] * 3 ** (adj[v] & x).bit_count()
+        comp = new = low  # v's component in G[x]
+        while new:
+            reach = 0
+            for w in _mask_bits(new):
+                reach |= adj[w]
+            new = reach & x & ~comp
+            comp |= new
+        if comp != x:
+            g[x] = g[comp] * g[x ^ comp]
+            continue
+        total = pow3[x]
+        t = (x - 1) & x
+        while t:
+            total += g[t] * pow3[x ^ t]
+            t = (t - 1) & x
+        g[x] = -total
+    # the last x is V, and s(V) = 0 when G is disconnected
+    return 3 ** len(edges) + (g[-1] if comp == size - 1 else 0)
+
+
 def search_commutative_wdrd(g, *, graph_id: str | None = None,
                             prune: str = "none", jobs: int = 1,
                             max_edges: int = 20,
@@ -253,7 +314,6 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
             f"exact canonicalization capped at {CANON_MAX_N} vertices")
     if graph_id is None:
         graph_id = f"graph(n={d.n}, edges={ne})"
-    prune_degree = prune == "degree"
 
     # More workers than usable CPUs only adds start-up cost; the report
     # still records the requested `jobs`.
@@ -262,7 +322,7 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
                                            use_reversal)
     shares = [prefixes[w::workers]
               for w in range(min(workers, len(prefixes)))]
-    work = [(d.n, edges, share, prune_degree) for share in shares]
+    work = [(d.n, edges, share) for share in shares]
     if len(work) == 1:
         results = [_share(work[0])]
     else:
@@ -294,11 +354,16 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     if accounted != total:
         raise AccountingError(
             f"examined + skipped leaves = {accounted}, expected 3^{ne} = {total}")
-    if not prune_degree:
+    if prune == "none":
         # the unpruned counters, by the identities of the module docstring
         examined = total - skipped_reversal
-        nsc = (sum(r[kernel.NOT_STRONG_KEY] for r in results)
-               - (not d.is_strongly_connected()))
+        nsc = _not_strong_words(d.n, edges) - (not d.is_strongly_connected())
+        if use_reversal:
+            if nsc % 2:
+                raise AccountingError(
+                    f"{nsc} words besides the all-digon one are not strongly "
+                    "connected, an odd number, which reversal cannot pair")
+            nsc //= 2
         stats = dict(examined=examined, skipped_degree=0, symmetric=1,
                      not_strongly_connected=nsc,
                      axiom=examined - 1 - nsc - len(words))

@@ -136,7 +136,7 @@ def cayley_digraphs(seed=12, max_m=12):
 
 def survivors(graph, max_edges, count):
     d, edges = _orientable(graph, max_edges)
-    words = kernel.search_run(d.n, edges, [()], prune_degree=True)["survivors"]
+    words = kernel.search_run(d.n, edges, [()])["survivors"]
     assert len(words) == count
     return [word_to_digraph(d.n, edges, w) for w in words]
 

@@ -106,25 +106,6 @@ def test_c_limits_are_the_kernel_limits():
                       "MAXE": str(kernel.MAX_EDGES)}
 
 
-def test_c_memo_budget_is_the_kernel_budget():
-    budget = re.search(r"#define MEMO_BYTES \(1 << (\d+)\)",
-                       kernel._SOURCE.read_text())
-    assert budget is not None
-    assert 1 << int(budget.group(1)) == _kernel_py.MEMO_BYTES
-
-
-def test_c_memo_holds_as_many_states_as_the_pure_memo():
-    """C doubles its table of (n + 2)-word slots from MEMO_MIN slots while
-    it fits in MEMO_BYTES, and fills it at most half."""
-    first = re.search(r"#define MEMO_MIN (\d+)", kernel._SOURCE.read_text())
-    assert first is not None
-    for n in range(1, 17):
-        table, slots = 0, int(first.group(1))
-        while slots * 8 * (n + 2) <= _kernel_py.MEMO_BYTES:
-            table, slots = slots, 2 * slots
-        assert table // 2 == _kernel_py._memo_states(n), n
-
-
 def test_c_leaf_stages_are_the_leaf_stages():
     """wdrd_leaf_stage returns an index into LEAF_STAGES."""
     enum = re.search(r"enum\s*\{\s*(PASS\b[^}]*)\}",
@@ -207,19 +188,16 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
             backend.search_run(*BAD_ARGUMENTS[case])
 
 
-# Runs the parity cases, two unpruned branches, the unpruned K6 sweep
-# (whose count memo grows from its first size to 32,768 slots), multi-prefix
-# calls (whose prefixes share that memo as it grows), the largest leaves,
-# the canonical search on digraphs large and symmetric enough to grow its
-# automorphism list, and the threaded runs through a kernel library built
-# elsewhere, given as argv[1], and compares it with the pure kernel.  Each
-# unpruned call must be the pruned one plus N, and N the word-by-word count
-# where one is known.
+# Runs the parity cases, two branches of unpruned sweeps, the whole K6
+# sweep, multi-prefix calls, the largest leaves, the canonical search on
+# digraphs large and symmetric enough to grow its automorphism list, and
+# the threaded runs through a kernel library built elsewhere, given as
+# argv[1], and compares it with the pure kernel.
 PARITY_SCRIPT = """
 import sys
 from pathlib import Path
 from test_canon import LARGE_CASES, check_threaded_forms
-from test_kernel_leaves import BUDGET, FULL, J42, K6, LEAVES, not_strong
+from test_kernel_leaves import FULL, J42, K6, LEAVES
 from test_kernel_parity import BRANCHES, CASES, agreed, check_threaded_runs
 from wdrd import _kernel_py, kernel
 from wdrd.search import _branches
@@ -228,27 +206,15 @@ kernel._library_path = lambda: Path(sys.argv[1])
 compiled = kernel._load()
 assert compiled is not None, "the library did not load"
 
-
-def check(n, edges, prefixes):
-    \"\"\"Compare both modes with the pure kernel and the unpruned call with
-    the pruned one; return N.\"\"\"
-    pruned, unpruned = (agreed(compiled, n, edges, prefixes, prune)
-                        for prune in (True, False))
-    count = unpruned.pop(kernel.NOT_STRONG_KEY)
-    assert unpruned == pruned, (n, edges, prefixes)
-    return count
-
-
 for n, edges, *prefixes in CASES + BRANCHES:
-    check(n, edges, prefixes or [()])
+    agreed(compiled, n, edges, prefixes or [()])
 for name in ("J(4,2) 01", "K4 minus an edge"):
     n, edges, prefix = FULL[name]
-    assert check(n, edges, [prefix]) == not_strong(name), name
-n, edges, prefix, count = BUDGET["K6"]
-assert check(n, edges, [prefix]) == count, "K6"
+    agreed(compiled, n, edges, [prefix])
+agreed(compiled, 6, K6)
 for n, edges, prefixes in [(6, K6, _branches(15, 2, True)[0]),
                            (6, J42, _branches(12, 4, False)[0][1::2])]:
-    check(n, edges, prefixes)
+    agreed(compiled, n, edges, prefixes)
 for name, (n, out_m, in_m) in LEAVES.items():
     want = _kernel_py.leaf_stage(n, out_m, in_m)
     assert compiled.leaf_stage(n, out_m, in_m) == want, name

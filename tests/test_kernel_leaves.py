@@ -16,16 +16,12 @@ alone cannot see a prune that cuts later than it could (leaving out the
 in-only degrees, say): at a leaf every vertex's degrees sum to k, which
 makes any such rule cut the same words.
 
-Both modes run the degree-pruned search, and an unpruned call also returns
-N, the number of completions that are not strongly connected (see
-`_kernel_py`).  On a few unpruned branches, the result of both kernels
-must be that of the pruned call plus N, and N must be the count of
-`oracles.not_strong_by_words`, which decides each word by its own digraph;
-the search must visit the nodes that `oracles.degree_prune_by_words`
-counts for the pruned branch, and the full leaf pipeline must run only on
-the non-symmetric leaves that the degree prune keeps.  A kernel whose
-count memo holds only a few states, or none, must give the same result on
-J(4,2) and K6.  `wdrd.search` derives the unpruned counters from N
+The kernel runs the same degree-pruned search for an unpruned sweep (see
+`_kernel_py`).  On the branches of a few more graphs, irregular and
+disconnected ones among them, the search must visit the nodes that
+`oracles.degree_prune_by_words` counts, and the full leaf pipeline must
+run only on the non-symmetric leaves that the degree prune keeps.
+`wdrd.search` derives the unpruned counters from the graph alone
 (tests/test_search.py checks them against the word-by-word counts)."""
 
 import ctypes
@@ -37,25 +33,26 @@ import pytest
 
 from conftest import compiled_variant, pure_variant
 from oracles import (degree_prune_by_words, leaf_stage_by_matrices,
-                     not_strong_by_words, rows_to_masks_by_bits)
+                     rows_to_masks_by_bits)
 from wdrd import _kernel_py, kernel
 from wdrd.analysis import wdrd_report
 from wdrd.generators import complete_graph, johnson
-from wdrd.search import _branches, _underlying_edges, word_to_digraph
+from wdrd.search import _underlying_edges, word_to_digraph
 
 K4 = _underlying_edges(complete_graph(4))
 K6 = _underlying_edges(complete_graph(6))
 J42 = _underlying_edges(johnson(4, 2).graph)
 
-# name -> (n, edges, prefix, prune_degree)
+# name -> (n, edges, prefix), each leaf checked by `leaf_stage` and the
+# survivors by the search
 BRANCHES = {
     # row and class failures and six survivors; on 12 leaves only vertex
     # 0's in-layers differ
-    "K4": (4, K4, (), False),
+    "K4": (4, K4, ()),
     # row, class, two-arc and tensor failures
-    "J(4,2) 0122": (6, J42, (0, 1, 2, 2), False),
+    "J(4,2) 0122": (6, J42, (0, 1, 2, 2)),
     # the degree prune leaves one survivor and two two-arc failures
-    "K6 degree 001122001": (6, K6, (0, 0, 1, 1, 2, 2, 0, 0, 1), True),
+    "K6 degree 001122001": (6, K6, (0, 0, 1, 1, 2, 2, 0, 0, 1)),
 }
 
 # name -> (n, edges, prefix) of the degree-pruned branches checked against
@@ -68,16 +65,16 @@ PRUNED = {
                     (1, 4), (2, 5)], ()),
     "P3": (3, [(0, 1), (1, 2)], ()),
     "P3 centred at 0": (3, [(0, 1), (0, 2)], ()),
-    "J(4,2) 0122": BRANCHES["J(4,2) 0122"][:3],
-    "K6 001122001": BRANCHES["K6 degree 001122001"][:3],
+    "J(4,2) 0122": BRANCHES["J(4,2) 0122"],
+    "K6 001122001": BRANCHES["K6 degree 001122001"],
 }
 
 K4_MINUS_AN_EDGE = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
 
-# name -> (n, edges, prefix) of the unpruned branches checked against the
-# word-by-word count; K4 minus an edge and P3 are irregular, so the pruned
-# search cuts every child
+# name -> (n, edges, prefix) of the branches of unpruned sweeps whose
+# nodes and leaf pipelines are counted; K4 minus an edge and P3 are
+# irregular, so the search cuts every child
 FULL = {
     "K4 minus an edge": (4, K4_MINUS_AN_EDGE, ()),
     "K4": (4, K4, ()),
@@ -88,11 +85,9 @@ FULL = {
     "J(4,2)": (6, J42, ()),
     "J(4,2) 01": (6, J42, (0, 1)),
     "J(4,2) 0122": (6, J42, (0, 1, 2, 2)),
-    # the prefix alone decides: after depth 3 of 4 vertex 0 has only
-    # out-arcs and no edge left, so no completion is strongly connected ...
+    # vertex 0 has only out-arcs after depth 3 of 4 ...
     "K4 0000": (4, K4, (0, 0, 0, 0)),
-    # ... and the arcs at depth 4 of 5 are strongly connected, so every
-    # completion is
+    # ... and the arcs at depth 4 of 5 are strongly connected
     "K4 02200": (4, K4, (0, 2, 2, 0, 0)),
     # all-digon prefixes: the all-digon word is symmetric, and on the two
     # triangles it is not strongly connected either
@@ -118,7 +113,7 @@ LEAVES = {
 def leaves(name):
     """(word, digraph, wdrd_report) for every leaf of the branch, in
     visiting order."""
-    n, edges, prefix, _ = BRANCHES[name]
+    n, edges, prefix = BRANCHES[name]
     out = []
     for rest in itertools.product((0, 1, 2), repeat=len(edges) - len(prefix)):
         word = bytes(prefix + rest)
@@ -144,13 +139,10 @@ def expected_stages(name):
 
 @pytest.mark.parametrize("name", BRANCHES)
 def test_survivors_are_the_wdrd_words(backend, name):
-    n, edges, prefix, prune = BRANCHES[name]
-    got = backend.search_run(n, edges, [prefix], prune_degree=prune)
+    n, edges, prefix = BRANCHES[name]
+    got = backend.search_run(n, edges, [prefix])
     assert got["survivors"] == [w for w, _, rep in leaves(name)
                                 if rep.is_wdrd]
-    if not prune:
-        assert got[kernel.NOT_STRONG_KEY] == sum(
-            not rep.strongly_connected for *_, rep in leaves(name))
 
 
 @pytest.mark.parametrize("name", BRANCHES)
@@ -248,10 +240,10 @@ def counted_run(request, backend):
     variant, counters = (counting_pure_kernel() if backend is _kernel_py else
                          request.getfixturevalue("counting_compiled_kernel"))
 
-    def run(n, edges, prefix, prune):
+    def run(n, edges, prefix):
         for counter in counters:
             counter.value = 0
-        stats = variant.search_run(n, edges, [prefix], prune_degree=prune)
+        stats = variant.search_run(n, edges, [prefix])
         return (stats, *(counter.value for counter in counters))
 
     return run
@@ -260,91 +252,23 @@ def counted_run(request, backend):
 @pytest.mark.parametrize("name", PRUNED)
 def test_degree_prune_cuts_where_the_target_table_cuts(counted_run, name):
     n, edges, prefix = PRUNED[name]
-    got, nodes, _ = counted_run(n, edges, prefix, True)
+    got, nodes, _ = counted_run(n, edges, prefix)
     assert (got["examined"], got["skipped_degree"], nodes) == \
         degree_prune_by_words(n, edges, prefix)
-
-
-@functools.cache
-def not_strong(name):
-    """N of the unpruned branch `name`, word by word."""
-    return not_strong_by_words(*FULL[name])
-
-
-@functools.cache
-def pruned_nodes(name):
-    """The nodes of the degree-pruned search of branch `name`."""
-    return degree_prune_by_words(*FULL[name])[2]
 
 
 @pytest.mark.parametrize("name", FULL)
 def test_full_sweep_counts_in_bulk_where_the_rule_settles(backend,
                                                          counted_run, name):
+    """An unpruned sweep runs the degree-pruned search: it visits only the
+    nodes of the degree rule, counts the leaves the rule settles in bulk,
+    and runs the full leaf pipeline only on the non-symmetric leaves that
+    the rule keeps."""
     n, edges, prefix = FULL[name]
-    got, nodes, pipelines = counted_run(n, edges, prefix, False)
-    kept = backend.search_run(n, edges, [prefix], prune_degree=True)
-    assert got == {**kept, kernel.NOT_STRONG_KEY: not_strong(name)}
-    assert nodes == pruned_nodes(name)
-    assert pipelines == kept["examined"] - kept["symmetric"]
+    got, nodes, pipelines = counted_run(n, edges, prefix)
+    assert got == backend.search_run(n, edges, [prefix])
+    assert (got["examined"], got["skipped_degree"], nodes) == \
+        degree_prune_by_words(n, edges, prefix)
+    assert pipelines == got["examined"] - got["symmetric"]
     if name == "J(4,2)":
         assert nodes == 667 and pipelines < 100
-
-
-# name -> (n, edges, prefix, N) of the unpruned runs with a cut memo: the
-# not_strongly_connected counts the search gave before it counted with the
-# memoised DP (no all-digon word is among them, as each graph is connected)
-BUDGET = {
-    "J(4,2)": (6, J42, (), 77_970),
-    "K6": (6, K6, (), 709_578),
-    "K6 22": (6, K6, (2, 2), 39_438),
-}
-# memo budgets in bytes: none at all, and 8 states of 6 vertices
-BUDGETS = (0, 1024)
-
-
-def pure_kernel_with_budget(budget):
-    """A copy of `_kernel_py` whose memo budget is `budget` bytes."""
-    line = f"MEMO_BYTES = 1 << {_kernel_py.MEMO_BYTES.bit_length() - 1}\n"
-    return pure_variant((line, f"MEMO_BYTES = {budget}\n"))
-
-
-@pytest.fixture(scope="module")
-def compiled_with_budget(compiled, tmp_path_factory):
-    """Builds of `_kernel.c` whose memo budgets are BUDGETS, by budget."""
-    line = ("#define MEMO_BYTES "
-            f"(1 << {_kernel_py.MEMO_BYTES.bit_length() - 1})\n")
-    return {budget: compiled_variant(tmp_path_factory.mktemp("budget"),
-                                     (line, f"#define MEMO_BYTES {budget}\n"))
-            for budget in BUDGETS}
-
-
-def check_budget_run(variant, backend, name):
-    n, edges, prefix, want = BUDGET[name]
-    kept = backend.search_run(n, edges, [prefix], prune_degree=True)
-    assert variant.search_run(n, edges, [prefix]) == \
-        {**kept, kernel.NOT_STRONG_KEY: want}
-
-
-# The pure kernel takes 15 s for all of K6 with a cut memo, so it runs the
-# K6 branch 22 instead.
-@pytest.mark.parametrize("name", ["J(4,2)", "K6 22"])
-def test_a_cut_memo_keeps_the_pure_counters(name):
-    check_budget_run(pure_kernel_with_budget(1024), _kernel_py, name)
-
-
-@pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("name", BUDGET)
-def test_a_cut_memo_keeps_the_compiled_counters(compiled, compiled_with_budget,
-                                                name, budget):
-    check_budget_run(compiled_with_budget[budget], compiled, name)
-
-
-def test_a_cut_memo_keeps_a_multi_prefix_call_exact(compiled_with_budget):
-    """The prefixes of one call share the memo, up to its budget: the
-    reversal plan of J(4,2) at split length 2 counts the same with no
-    memo, with 8 states and with the full budget."""
-    prefixes = _branches(len(J42), 2, True)[0]
-    want = _kernel_py.search_run(6, J42, prefixes)
-    for variant in [*compiled_with_budget.values(),
-                    pure_kernel_with_budget(1024)]:
-        assert variant.search_run(6, J42, prefixes) == want

@@ -1,6 +1,5 @@
 """The compiled kernel must agree with the pure-Python reference bit for bit."""
 
-import functools
 import itertools
 import random
 import sys
@@ -8,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from oracles import not_strong_by_words
 from wdrd import _kernel_py
 from wdrd import kernel, search
 from wdrd.digraph import Digraph
@@ -45,11 +43,11 @@ THREADED = [(6, search._underlying_edges(johnson(4, 2).graph), prefix)
             for prefix in itertools.product((0, 1, 2), repeat=2)]
 
 
-def agreed(compiled, n, edges, prefixes=((),), prune=False):
+def agreed(compiled, n, edges, prefixes=((),)):
     """The result of the pure kernel, which `compiled` must equal."""
-    want = _kernel_py.search_run(n, edges, prefixes, prune_degree=prune)
-    got = compiled.search_run(n, edges, prefixes, prune_degree=prune)
-    assert got == want, (n, edges, prefixes, prune)
+    want = _kernel_py.search_run(n, edges, prefixes)
+    got = compiled.search_run(n, edges, prefixes)
+    assert got == want, (n, edges, prefixes)
     return want
 
 
@@ -71,38 +69,43 @@ def check_threaded_runs(run, rounds=4, threads=4):
 
 
 @pytest.mark.parametrize("n,edges", CASES)
-@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("shares", [False, True])
 @pytest.mark.parametrize("reversal", [False, True])
-def test_full_runs_agree(compiled, n, edges, prune, reversal):
+def test_full_runs_agree(compiled, n, edges, shares, reversal):
     """With `reversal`, on every branch of the reversal plan, which runs
-    prefixes up to the full word length."""
-    prefixes, _ = search._branches(len(edges), 0, reversal)
-    for prefix in prefixes:
-        agreed(compiled, n, edges, [prefix], prune)
+    prefixes up to the full word length; with `shares`, on the two shares
+    of the plan of two workers, one call each, as `search` runs them."""
+    ne = len(edges)
+    plan, _ = search._branches(
+        ne, search._split_length(2 if shares else 1, ne), reversal)
+    calls = [plan[0::2], plan[1::2]] if shares else [[p] for p in plan]
+    for prefixes in calls:
+        if prefixes:
+            agreed(compiled, n, edges, prefixes)
 
 
 @pytest.mark.parametrize("n,edges,prefix", BRANCHES)
-@pytest.mark.parametrize("prune", [False, True])
-def test_branches_agree(compiled, n, edges, prefix, prune):
-    agreed(compiled, n, edges, [prefix], prune)
+@pytest.mark.parametrize("refined", [False, True])
+def test_branches_agree(compiled, n, edges, prefix, refined):
+    """With `refined`, as the branch's three children in one call."""
+    prefixes = [prefix + (s,) for s in (0, 1, 2)] if refined else [prefix]
+    agreed(compiled, n, edges, prefixes)
 
 
 @pytest.mark.parametrize("n,edges", CASES[:4])
 def test_prefix_branches_agree_and_partition(compiled, n, edges):
     k = min(2, len(edges))
-    for prune in (False, True):
-        total = {key: 0 for key in kernel.STAT_KEYS}
-        survivors = []
-        for prefix in itertools.product((0, 1, 2), repeat=k):
-            a = agreed(compiled, n, edges, [prefix], prune)
-            assert a["examined"] + a["skipped_degree"] == \
-                3 ** (len(edges) - k)
-            for key in kernel.STAT_KEYS:
-                total[key] += a[key]
-            survivors.extend(a["survivors"])
-        full = _kernel_py.search_run(n, edges, prune_degree=prune)
-        assert {key: full[key] for key in kernel.STAT_KEYS} == total
-        assert survivors == full["survivors"]
+    total = {key: 0 for key in kernel.STAT_KEYS}
+    survivors = []
+    for prefix in itertools.product((0, 1, 2), repeat=k):
+        a = agreed(compiled, n, edges, [prefix])
+        assert a["examined"] + a["skipped_degree"] == 3 ** (len(edges) - k)
+        for key in kernel.STAT_KEYS:
+            total[key] += a[key]
+        survivors.extend(a["survivors"])
+    full = _kernel_py.search_run(n, edges)
+    assert {key: full[key] for key in kernel.STAT_KEYS} == total
+    assert survivors == full["survivors"]
 
 
 K4 = search._underlying_edges(complete_graph(4))
@@ -116,12 +119,6 @@ MULTI = {
 }
 
 
-@functools.cache
-def not_strong(name, prefix):
-    """N of `prefix` over the graph MULTI[name], word by word."""
-    return not_strong_by_words(*MULTI[name], prefix)
-
-
 def prefix_lists(ne):
     """Prefix lists of one kernel call over `ne` edges: the reversal plans
     at split lengths 0 to 2, whose prefixes differ in length, every prefix
@@ -133,29 +130,23 @@ def prefix_lists(ne):
 
 
 @pytest.mark.parametrize("name", MULTI)
-@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("backwards", [False, True])
 def test_one_call_over_prefixes_sums_the_single_prefix_calls(backend, name,
-                                                             prune):
-    """Counters and N add up, survivors come in prefix order, both
-    kernels agree on the whole call, and an unpruned call is the pruned
-    one plus N, the word-by-word count."""
+                                                             backwards):
+    """Counters add up, survivors come in the order of the prefixes, also
+    with each list run `backwards`, and both kernels agree on the whole
+    call."""
     n, edges = MULTI[name]
-    keys = kernel.STAT_KEYS + ((kernel.NOT_STRONG_KEY,) if not prune else ())
     for prefixes in prefix_lists(len(edges)):
-        got = backend.search_run(n, edges, prefixes, prune_degree=prune)
-        singles = [backend.search_run(n, edges, [p], prune_degree=prune)
-                   for p in prefixes]
-        assert {key: got[key] for key in keys} == \
-            {key: sum(r[key] for r in singles) for key in keys}
+        if backwards:
+            prefixes = prefixes[::-1]
+        got = backend.search_run(n, edges, prefixes)
+        singles = [backend.search_run(n, edges, [p]) for p in prefixes]
+        assert {key: got[key] for key in kernel.STAT_KEYS} == \
+            {key: sum(r[key] for r in singles) for key in kernel.STAT_KEYS}
         assert got["survivors"] == [w for r in singles
                                     for w in r["survivors"]]
-        assert got == _kernel_py.search_run(n, edges, prefixes,
-                                            prune_degree=prune)
-        if not prune:
-            assert got == {
-                **backend.search_run(n, edges, prefixes, prune_degree=True),
-                kernel.NOT_STRONG_KEY: sum(not_strong(name, tuple(p))
-                                           for p in prefixes)}
+        assert got == _kernel_py.search_run(n, edges, prefixes)
 
 
 def test_random_graphs_agree(compiled):
@@ -165,8 +156,7 @@ def test_random_graphs_agree(compiled):
         edges = edges_of(n, rnd, p=rnd.uniform(0.3, 0.9))
         if len(edges) > 9:
             edges = edges[:9]
-        for prune in (False, True):
-            agreed(compiled, n, edges, prune=prune)
+        agreed(compiled, n, edges)
 
 
 def test_compiled_kernel_runs_concurrently_on_threads(compiled):

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import multiprocessing
+import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,36 +31,32 @@ from wdrd.errors import (
     TooManyEdgesError,
 )
 from conftest import pure_variant
-from oracles import full_sweep_by_words, search_by_brute_force
+from oracles import (full_sweep_by_words, not_strong_by_words,
+                     search_by_brute_force)
 
 
-def fake_result(edges, prefixes, survivors, prune_degree):
-    """A balanced kernel result: every leaf of `prefixes` examined, each
-    but `survivors` rejected by an axiom, and N = 0 when unpruned."""
+def fake_result(edges, prefixes, survivors):
+    """A balanced kernel result: every leaf of `prefixes` examined, and
+    each but `survivors` rejected by an axiom."""
     stats = dict.fromkeys(kernel.STAT_KEYS, 0)
     stats["examined"] = sum(3 ** (len(edges) - len(p)) for p in prefixes)
     stats["axiom"] = stats["examined"] - len(survivors)
-    if not prune_degree:
-        stats[kernel.NOT_STRONG_KEY] = 0
     return {**stats, "survivors": survivors}
 
 
-def fake_sweep_with_digon_survivor(n, edges, prefixes=((),),
-                                   prune_degree=False):
+def fake_sweep_with_digon_survivor(n, edges, prefixes=((),)):
     """A balanced kernel result whose one survivor, the all-digon word,
     is symmetric and so not weakly distance-regular."""
-    return fake_result(edges, prefixes, [bytes([2] * len(edges))],
-                       prune_degree)
+    return fake_result(edges, prefixes, [bytes([2] * len(edges))])
 
 
-def fake_sweep_with_triangle_survivor(n, edges, prefixes=((),),
-                                      prune_degree=False):
+def fake_sweep_with_triangle_survivor(n, edges, prefixes=((),)):
     """A balanced K3 kernel call whose one survivor, if one of its
     prefixes holds it, is the directed triangle 0 -> 1 -> 2 -> 0."""
     word = bytes([0, 1, 0])
     survivors = [word] if any(word.startswith(bytes(p))
                               for p in prefixes) else []
-    return fake_result(edges, prefixes, survivors, prune_degree)
+    return fake_result(edges, prefixes, survivors)
 
 
 def c4():
@@ -208,9 +205,9 @@ class TestReversal:
         calls = []
         real = kernel.search_run
 
-        def recording(n, edges, prefixes, **kwargs):
+        def recording(n, edges, prefixes):
             calls.append((threading.get_ident(), [tuple(p) for p in prefixes]))
-            return real(n, edges, prefixes, **kwargs)
+            return real(n, edges, prefixes)
 
         monkeypatch.setattr(kernel, "search_run", recording)
         monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
@@ -325,8 +322,8 @@ class TestSoundness:
     def test_unbalanced_leaf_accounting_raises(self, monkeypatch):
         real = kernel.search_run
 
-        def unbalanced(n, edges, prefixes, **kwargs):
-            stats = real(n, edges, prefixes, **kwargs)
+        def unbalanced(n, edges, prefixes):
+            stats = real(n, edges, prefixes)
             stats["examined"] -= 1
             return stats
 
@@ -338,8 +335,8 @@ class TestSoundness:
     def test_a_cut_that_counts_one_leaf_too_few_raises(self, monkeypatch,
                                                        prune):
         """A copy of the pure kernel whose cut() adds one leaf less than
-        it skips.  The unpruned counters are derived from N, so only the
-        check of the kernel's own counters can see it."""
+        it skips.  The unpruned counters are derived from the graph, so
+        only the check of the kernel's own counters can see it."""
         line = '        stats["skipped_degree"] += leaves\n'
         variant = pure_variant((line, line[:-1] + " - 1\n"))
         monkeypatch.setattr(kernel, "search_run", variant.search_run)
@@ -348,17 +345,22 @@ class TestSoundness:
 
     def test_more_not_strong_completions_than_leaves_raise(self,
                                                            monkeypatch):
-        real = kernel.search_run
-
-        def inflated(n, edges, prefixes, **kwargs):
-            out = real(n, edges, prefixes, **kwargs)
-            out[kernel.NOT_STRONG_KEY] = 1 + sum(
-                3 ** (len(edges) - len(p)) for p in prefixes)
-            return out
-
-        monkeypatch.setattr(kernel, "search_run", inflated)
+        monkeypatch.setattr(search, "_not_strong_words",
+                            lambda n, edges: 3 ** len(edges) + 1)
         with pytest.raises(AccountingError, match="below zero"):
             search_commutative_wdrd(complete_graph(3))
+
+    def test_an_odd_not_strong_count_under_reversal_raises(self,
+                                                          monkeypatch):
+        """K3 is connected and has 12 words that are not strongly
+        connected, which reversal pairs; a 13th cannot be paired.  Without
+        reversal the count is only one higher."""
+        real = search._not_strong_words
+        monkeypatch.setattr(search, "_not_strong_words",
+                            lambda n, edges: real(n, edges) + 1)
+        search_commutative_wdrd(complete_graph(3))
+        with pytest.raises(AccountingError, match="odd"):
+            search_commutative_wdrd(complete_graph(3), use_reversal=True)
 
     def test_canon_cap_checked_before_the_sweep(self, monkeypatch):
         def sweep(*args, **kwargs):
@@ -415,8 +417,8 @@ class TestSoundness:
         if bad_first:
             words.reverse()
 
-        def sweep(n, edges, prefixes=((),), prune_degree=False):
-            return fake_result(edges, prefixes, words, prune_degree)
+        def sweep(n, edges, prefixes=((),)):
+            return fake_result(edges, prefixes, words)
 
         monkeypatch.setattr(kernel, "search_run", sweep)
         with pytest.raises(ReverificationError):
@@ -515,6 +517,44 @@ def test_unpruned_counters_are_the_word_by_word_counts(name, reversal, jobs):
     assert rep.prune_stats["skipped_reversal"] == skipped
 
 
+def random_edges(seed, n):
+    """A seeded graph on n vertices with at most 9 edges."""
+    rnd = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    return sorted(rnd.sample(pairs, rnd.randint(0, min(9, len(pairs)))))
+
+
+# (n, edges) of the graphs whose not strongly connected words are counted
+# word by word: the one-vertex graph, edgeless and disconnected graphs,
+# and seeded random graphs, some of them disconnected too
+NOT_STRONG_CASES = [(1, []), (4, []), (5, [(0, 1), (2, 3), (3, 4)]),
+                    *((n, random_edges(seed, n)) for n in range(2, 7)
+                      for seed in range(5))]
+
+
+@pytest.mark.parametrize("n,edges", NOT_STRONG_CASES)
+def test_not_strong_words_are_the_word_by_word_count(n, edges):
+    assert search._not_strong_words(n, edges) == \
+        not_strong_by_words(n, edges)
+
+
+# name -> (graph, its not strongly connected leaves without and with
+# reversal); all 27 words of the disconnected graph are not strongly
+# connected, and its all-digon word counts as symmetric
+PAIRED = {"disconnected": (graph_of(5, [(0, 1), (2, 3), (3, 4)]), 26, 13),
+          "K4": (complete_graph(4), 186, 93)}
+
+
+@pytest.mark.parametrize("name", PAIRED)
+@pytest.mark.parametrize("reversal", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reversal_pairs_the_not_strong_words(name, reversal, jobs):
+    graph, plain, paired = PAIRED[name]
+    rep = search_commutative_wdrd(graph, jobs=jobs, use_reversal=reversal)
+    assert rep.prune_stats["not_strongly_connected"] == \
+        (paired if reversal else plain)
+
+
 def graph_where(n, adjacent):
     """The graph on vertices 0..n-1 with an edge {u, v} where
     `adjacent(u, v)`, as a symmetric digraph."""
@@ -546,10 +586,13 @@ COMPANIONS = {
                  0, 0),
     "Q4": (graph_where(16, lambda u, v: hamming(u, v) == 1), 0, 0),
 }
-# companions swept unpruned as well -> whether only the compiled kernel
-# does that in Tier-1 time (the pure one needs seconds to minutes)
-UNPRUNED_COMPANIONS = {"Q3": False, "Petersen": True, "folded 4-cube": True,
-                       "H(2,3)": True}
+# companions swept unpruned as well
+UNPRUNED_COMPANIONS = ("Q3", "Petersen", "folded 4-cube", "H(2,3)")
+# name -> N of graphs too large for the word-by-word count; the 16-cycle
+# takes the recurrence longest, about 0.4 s
+NOT_STRONG_TOTALS = {"J(4,2)": 77_970, "K7": 201_327_588, "Q3": 268_082,
+                     "folded 4-cube": 8_182_466, "H(2,3)": 84_094_152,
+                     "Petersen": 8_379_498, "C16": 42_915_650}
 
 
 @pytest.mark.parametrize("name", COMPANIONS)
@@ -562,13 +605,19 @@ def test_companion_graphs_degree_pruned(name):
 
 
 @pytest.mark.parametrize("name", UNPRUNED_COMPANIONS)
-def test_companion_graphs_unpruned_agree_with_degree_pruned(request, name):
-    if UNPRUNED_COMPANIONS[name]:
-        request.getfixturevalue("compiled")  # skips without a C compiler
-        assert kernel.BACKEND == "compiled"
+def test_companion_graphs_unpruned_agree_with_degree_pruned(name):
     graph = COMPANIONS[name][0]
     full = search_commutative_wdrd(graph, max_edges=kernel.MAX_EDGES)
     pruned = search_commutative_wdrd(graph, prune="degree",
                                      max_edges=kernel.MAX_EDGES)
     assert full.core() == pruned.core()
     assert full.examined == full.total_candidates
+
+
+@pytest.mark.parametrize("name", NOT_STRONG_TOTALS)
+def test_not_strong_words_of_larger_graphs(name):
+    graphs = {"J(4,2)": johnson(4, 2), "K7": complete_graph(7),
+              "C16": cayley_cyclic(16, {1, 15}),
+              **{k: g for k, (g, *_) in COMPANIONS.items()}}
+    d, edges = search._orientable(graphs[name], kernel.MAX_EDGES)
+    assert search._not_strong_words(d.n, edges) == NOT_STRONG_TOTALS[name]
