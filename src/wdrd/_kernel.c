@@ -3,7 +3,11 @@
    Same contract and identical output as `_kernel_py.search_run`; see that
    module for the contract and for the soundness of the degree prune.  One
    call runs a list of disjoint prefixes in order on one Ctx and sums
-   their counters, one degree-pruned depth-first search per prefix.  It
+   their counters, one degree-pruned depth-first search per prefix.  A
+   leaf budget above 0 stops the call between prefixes: it starts no
+   further prefix once the examined counter has reached the budget, and
+   returns how many prefixes it finished, from the first; 0 sets no
+   limit.  It
    carries the largest digon degree dmax and the largest out-only or
    in-only degree fmax of any vertex so far; cut() skips a child past the
    bound dmax + 2 fmax > k, the common degree (-1 on an irregular graph,
@@ -17,7 +21,8 @@
    docstring.
    `wdrd.kernel` compiles this file with the system C compiler, loads it
    with ctypes and validates every argument before calling
-   `wdrd_search_run`; the C code trusts that no prefix extends another.
+   `wdrd_search_run`; the C code trusts that no prefix extends another
+   and that the budget is not negative.
 
    Leaf pipeline, the steps of `_kernel_py` in the same order: symmetric
    leaves, the all-digon ones, which check_leaf() spots by fmax = 0;
@@ -58,8 +63,11 @@
    all of its state in its own calloc'd Ctx, or Canon and automorphism
    list, and writes only there and to the caller's stats array, emit
    callback or permutation, so calls on different arguments may run at
-   once; `wdrd.search` runs its shares of one search concurrently, one
-   call per thread, and the calling thread runs the first. */
+   once.  The budget only decides where a call stops, so it leaves this
+   unchanged.  `wdrd.search` runs the branches of one search with a
+   budget on the calling thread first, then any it left unfinished as
+   shares, concurrently, one call per thread, the calling thread running
+   the first share. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -342,14 +350,16 @@ static void dfs(Ctx *c, int depth, int dmax, int fmax)
 /* Enumerate and check every completion of each of the nprefixes prefixes
    over the edges (eu[i], ev[i]) = (edges[2i], edges[2i+1]), in order.
    Prefix i is the next lengths[i] bytes of prefixes, which holds them
-   back to back.  Adds the counters into stats[0..NSTATS - 1].  Returns 0,
-   or -1 when out of memory. */
+   back to back.  Adds the counters into stats[0..NSTATS - 1].  With a
+   budget above 0, starts no further prefix once stats[EXAMINED] has
+   reached it.  Returns the number of prefixes finished, or -1 when out
+   of memory. */
 int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
                     const int *lengths, const unsigned char *prefixes,
-                    i64 *stats, emit_fn emit)
+                    i64 budget, i64 *stats, emit_fn emit)
 {
     Ctx *c = calloc(1, sizeof(Ctx));
-    int deg[MAXN] = {0}, regular = 1;
+    int deg[MAXN] = {0}, regular = 1, done = 0;
     if (!c)
         return -1;
     c->n = n;
@@ -369,13 +379,14 @@ int wdrd_search_run(int n, int ne, const int *edges, int nprefixes,
     for (int v = 1; v < n; v++)
         regular &= deg[v] == deg[0];
     c->k = regular ? deg[0] : -1;
-    for (int i = 0; i < nprefixes; prefixes += lengths[i++]) {
-        c->np = lengths[i];
+    for (; done < nprefixes && !(budget && stats[EXAMINED] >= budget);
+         prefixes += lengths[done++]) {
+        c->np = lengths[done];
         c->prefix = prefixes;
         dfs(c, 0, 0, 0);
     }
     free(c);
-    return 0;
+    return done;
 }
 
 /* One digraph through the leaf checks that follow the symmetry test, for

@@ -16,14 +16,20 @@ codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the counter
 keys STAT_KEYS, the leaf stages LEAF_STAGES, and `check_arguments` and
 `check_masks`, the argument checks of the entry points (`check_masks`
 serves both `leaf_stage` and `canonical_permutation`).  `search_run(n,
-edges, prefixes=((),))` runs a list of disjoint prefixes in order, one
-degree-pruned depth-first search per prefix, which tries only
+edges, prefixes=((),), budget=0)` runs a list of disjoint prefixes in
+order, one degree-pruned depth-first search per prefix, which tries only
 `prefix[depth]` at the depths below len(prefix).  Each prefix p stands for
-its 3^(|E| - len(p)) completions.  The call returns the search's counters
-of STAT_KEYS summed over its prefixes, which account for every leaf of
-every prefix (examined + skipped_degree = the sum of 3^(|E| - len(p))),
-and the surviving words in prefix order, each prefix's in visiting order.
-One call over a list equals the sum of one call per prefix.  The kernel
+its 3^(|E| - len(p)) completions.  A leaf budget above 0 stops the call
+between prefixes: it starts no further prefix once it has examined at
+least `budget` leaves, so it always finishes the first; 0 sets no limit.
+The call returns the search's counters of STAT_KEYS summed over the
+prefixes it finished, which account for every leaf of each of them
+(examined + skipped_degree = the sum of 3^(|E| - len(p))), the surviving
+words in prefix order, each prefix's in visiting order, and `finished`,
+how many prefixes it finished, from the first.  One call over a list
+equals the sum of one call per finished prefix.  The budget only decides
+where a call stops, so thread safety and the counts of a finished prefix
+are the same with it as without.  The kernel
 knows no symmetry and counts only the leaves it visits: `wdrd.search`
 applies arc reversal by choosing the prefixes, and derives the counters of
 an unpruned sweep from the graph alone: `search._not_strong_words` counts
@@ -32,8 +38,9 @@ source-component recurrence that the `wdrd.search` docstring states.
 `check_arguments` rejects what neither kernel supports: more than
 MAX_EDGES edges (TooManyEdgesError) or MAX_N vertices (TooLargeError), and
 with ValueError no vertex, an endpoint out of range, a graph that is not
-simple, no prefix, a bad prefix, or two prefixes of which one extends the
-other, which would count the leaves they share twice.  `check_masks`
+simple, no prefix, a bad prefix, two prefixes of which one extends the
+other, which would count the leaves they share twice, or a budget that is
+not an int in 0..2^63 - 1.  `check_masks`
 rejects with ValueError a leaf that `leaf_stage` cannot take: no vertex or
 more than MAX_N, other than one out-mask and one in-mask per vertex, or a
 mask naming a vertex out of range.  The search's own leaves skip that
@@ -104,6 +111,7 @@ MAX_EDGES = 39
 
 # Edge states, in search order.
 FWD, BWD, DIG = 0, 1, 2
+_STATES = frozenset((FWD, BWD, DIG))
 # Counter keys of every search_run result, in the order of the C counters.
 STAT_KEYS = ("examined", "skipped_degree", "symmetric",
              "not_strongly_connected", "axiom")
@@ -113,12 +121,17 @@ LEAF_STAGES = (None, "not_strongly_connected", "layers", "classes", "arcs",
                "tensor")
 
 
-def check_arguments(n, edges, prefixes):
+def check_arguments(n, edges, prefixes, budget=0):
     """Raise unless `search_run` supports the arguments: at most MAX_EDGES
     edges (TooManyEdgesError) on 1..MAX_N vertices (TooLargeError above),
-    a simple graph (no loop, no edge given twice in either order) and a
+    a simple graph (no loop, no edge given twice in either order), a
     non-empty list of prefixes, each a sequence of at most one state 0, 1
-    or 2 per edge, none of which extends another; ValueError otherwise."""
+    or 2 per edge, none of which extends another, and a leaf budget that
+    fits the C kernel's signed 64-bit counter; ValueError otherwise."""
+    if (not isinstance(budget, int) or isinstance(budget, bool)
+            or not 0 <= budget < 2 ** 63):
+        raise ValueError(f"budget must be an int in 0..2^63 - 1, "
+                         f"got {budget!r}")
     ne = len(edges)
     if ne > MAX_EDGES:
         raise TooManyEdgesError(f"kernel limit: at most {MAX_EDGES} edges")
@@ -141,12 +154,13 @@ def check_arguments(n, edges, prefixes):
     for prefix in prefixes:
         try:
             prefix = tuple(prefix)
+            states_ok = _STATES.issuperset(prefix)
         except TypeError:
             raise ValueError(f"prefix {prefix!r} is not a sequence of "
                              "states") from None
         if len(prefix) > ne:
             raise ValueError(f"prefix of {len(prefix)} states for {ne} edges")
-        if any(s not in (FWD, BWD, DIG) for s in prefix):
+        if not states_ok:
             raise ValueError("prefix states must be 0, 1 or 2")
         ordered.append(prefix)
     # in lexicographic order, a prefix extended by any other is extended by
@@ -243,19 +257,22 @@ def _leaf_stage(n, out_m, in_m):
     return None
 
 
-def search_run(n, edges, prefixes=((),)):
+def search_run(n, edges, prefixes=((),), budget=0):
     """Enumerate and check all completions of each of `prefixes` over
     `edges`, the prefixes in order.
 
     edges: sequence of (u, v) with u < v, in processing order.
     prefixes: disjoint prefixes, each the states fixed for
     edges[:len(prefix)].
+    budget: start no further prefix once this many leaves are examined;
+    0 runs them all.
     Returns the counters of the degree-pruned search, summed over the
-    prefixes, with survivor edge-state words (bytes).
+    prefixes it finished, with survivor edge-state words (bytes) and the
+    number of finished prefixes, `finished`.
     """
     edges = list(edges)
     prefixes = list(prefixes)
-    check_arguments(n, edges, prefixes)
+    check_arguments(n, edges, prefixes, budget)
     ne = len(edges)
     stats = dict.fromkeys(STAT_KEYS, 0)
     survivors: list[bytes] = []
@@ -336,10 +353,14 @@ def search_run(n, edges, prefixes=((),)):
                 dfs(depth + 1, dm, fm)
             orient(depth, s, -1)
 
+    finished = 0
     for prefix in prefixes:
+        if budget and stats["examined"] >= budget:
+            break
         np_ = len(prefix)
         dfs(0, 0, 0)
-    return {**stats, "survivors": survivors}
+        finished += 1
+    return {**stats, "survivors": survivors, "finished": finished}
 
 
 def canonical_permutation(n, out_m, in_m):

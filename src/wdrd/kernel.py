@@ -79,11 +79,11 @@ class _Compiled:
     def __init__(self, lib):
         self.lib = lib
 
-    def search_run(self, n, edges, prefixes=((),)):
+    def search_run(self, n, edges, prefixes=((),), budget=0):
         """Compiled twin of `_kernel_py.search_run`."""
         edges = [(int(u), int(v)) for u, v in edges]
         prefixes = list(prefixes)
-        check_arguments(n, edges, prefixes)
+        check_arguments(n, edges, prefixes, budget)
         prefixes = [bytes(p) for p in prefixes]
         ne = len(edges)
 
@@ -96,10 +96,13 @@ class _Compiled:
         stats = (ctypes.c_longlong * len(STAT_KEYS))()
         callback = _EMIT(emit)
         lengths = (ctypes.c_int * len(prefixes))(*map(len, prefixes))
-        if self.lib.wdrd_search_run(n, ne, flat, len(prefixes), lengths,
-                                    b"".join(prefixes), stats, callback):
+        finished = self.lib.wdrd_search_run(n, ne, flat, len(prefixes),
+                                            lengths, b"".join(prefixes),
+                                            budget, stats, callback)
+        if finished < 0:
             raise MemoryError("kernel scratch allocation failed")
-        return {**dict(zip(STAT_KEYS, stats)), "survivors": survivors}
+        return {**dict(zip(STAT_KEYS, stats)), "survivors": survivors,
+                "finished": finished}
 
     def leaf_stage(self, n, out_m, in_m):
         """Compiled twin of `_kernel_py.leaf_stage`."""
@@ -132,7 +135,8 @@ def _load() -> _Compiled | None:
     fn = lib.wdrd_search_run
     fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int),
                    ctypes.c_int, ctypes.POINTER(ctypes.c_int),
-                   ctypes.c_char_p, ctypes.POINTER(ctypes.c_longlong), _EMIT]
+                   ctypes.c_char_p, ctypes.c_longlong,
+                   ctypes.POINTER(ctypes.c_longlong), _EMIT]
     fn.restype = ctypes.c_int
     lib.wdrd_leaf_stage.argtypes = [ctypes.c_int, _MASKS, _MASKS]
     lib.wdrd_leaf_stage.restype = ctypes.c_int

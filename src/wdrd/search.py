@@ -61,12 +61,20 @@ subsets of every connected S, at most 3^|V| terms in all.
 
 The search runs as a list of branches, each a fixed prefix of edge states,
 all planned by `_branches`: the one branch () for a single worker, or the
-3^k prefixes of length k under `jobs > 1`.  Each worker gets one share of
-the branches, every `workers`-th in search order, and hands it to the
-kernel in one call, whose prefixes share one context.  The calling
-thread runs the first share; the others run on threads over the compiled
-kernel, whose ctypes call releases the GIL and keeps all state per call,
-and on processes over the pure kernel, which holds the GIL.
+3^k prefixes of length k under `jobs > 1`.  A single worker runs the plan
+in one kernel call.  Under `jobs > 1` the calling thread first runs the
+whole plan in one kernel call with a leaf budget of FANOUT_LEAVES, which
+stops between branches once it has examined that many leaves; a sweep
+that small ends there and starts no pool, because the pool would cost
+more than it saves.  Only the branches that call left unfinished are
+dealt out, one share per worker, every `workers`-th in search order, and
+each share goes to the kernel in one call, whose prefixes share one
+context.  The calling thread runs the first share; the others run on
+threads over the compiled kernel, whose ctypes call releases the GIL and
+keeps all state per call, and on processes over the pure kernel, which
+holds the GIL.  Every branch runs exactly once, and the counters and
+survivors of all calls are merged and checked together, so the report
+does not depend on where the budget stopped.
 `use_reversal` halves the sweep through the same planner, which drops the
 prefixes that reversal maps onto kept ones; the kernel itself knows no
 symmetry.  The state codes, kernel limits and counter keys this module
@@ -100,6 +108,17 @@ from .kernel import BWD, DIG, FWD
 PRUNE_MODES = ("none", "degree")
 # Branches per worker under jobs > 1, at least; see `_split_length`.
 SPLIT_PER_WORKER = 27
+# Leaves that the calling thread examines under jobs > 1 before it deals
+# the unfinished branches to workers; 0 deals them all at once.  On a
+# 2-vCPU x86-64 host a thread pool over the compiled kernel costs about
+# 1.4 ms and a leaf about 0.6 us, so a pool of two pays from about 4,700
+# leaves; a process pool over the pure kernel costs about 10 ms and a leaf
+# about 60 us, so it pays from about 300.  Between the two, this value
+# starts no pool for J(4,2) (87 leaves) or K6 (731) on either kernel.  A
+# large sweep on the compiled kernel starts its pool about 1 ms late, or
+# later when the branch that crosses the budget is large: 12 ms on K8
+# --prune degree, which takes about 1 s at --jobs 2.
+FANOUT_LEAVES = 2048
 
 
 @dataclass(frozen=True)
@@ -203,13 +222,16 @@ def _share(args):
 def _split_length(workers: int, ne: int) -> int:
     """The prefix length k of the branches for `workers` workers over `ne`
     edges: 0 for one worker, else the least k <= ne with 3^k at least
-    SPLIT_PER_WORKER branches per worker.  The shares are fixed before the
-    run, so they need enough branches each to even out the branches'
-    unequal sizes.  Two workers get k = 4.  On J(5,2) --prune degree the
-    larger of the two shares then takes about 5% more CPU time than half
-    the sum, against 16-27% at k = 3 and 29-37% at k = 5, where a share's
-    branches are those with an even (or odd) count of Backward states and
-    that count decides much of a branch's cost (2-vCPU x86-64 host)."""
+    SPLIT_PER_WORKER branches per worker.  The calling thread runs the
+    branches in order up to its leaf budget (FANOUT_LEAVES), so a short
+    sweep is one call whatever k is; the rest are dealt into shares fixed
+    before they run, which need enough branches each to even out the
+    branches' unequal sizes.  Two workers get k = 4.  On J(5,2) --prune
+    degree the larger of the two shares then takes about 5% more CPU time
+    than half the sum, against 16-27% at k = 3 and 29-37% at k = 5, where
+    a share's branches are those with an even (or odd) count of Backward
+    states and that count decides much of a branch's cost (2-vCPU x86-64
+    host)."""
     k = 0
     while workers > 1 and 3 ** k < SPLIT_PER_WORKER * workers and k < ne:
         k += 1
@@ -296,7 +318,8 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     kernel pass, noncommutative ones apart) plus rejection statistics:
     with `prune="degree"` those of the degree-pruned search, with
     `prune="none"` those of every kept leaf; `jobs > 1` splits the
-    edge-state space by fixed prefixes into one share per worker, one
+    edge-state space by fixed prefixes, runs them on the calling thread
+    up to a leaf budget and deals the rest into one share per worker, one
     kernel call each, run on threads over the compiled kernel and on
     processes over the pure one, with a deterministic merge;
     `use_reversal` sweeps one word of every reversal pair and adds the
@@ -320,11 +343,21 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
     workers = min(jobs, _usable_cpus())
     prefixes, skipped_reversal = _branches(ne, _split_length(workers, ne),
                                            use_reversal)
+    results = []
+    if workers > 1 and FANOUT_LEAVES:
+        first = kernel.search_run(d.n, edges, prefixes, FANOUT_LEAVES)
+        done = first["finished"]
+        if not 0 <= done <= len(prefixes):
+            raise AccountingError(
+                f"the budgeted kernel call reports {done} finished branches "
+                f"of {len(prefixes)}")
+        results.append(first)
+        prefixes = prefixes[done:]
     shares = [prefixes[w::workers]
               for w in range(min(workers, len(prefixes)))]
     work = [(d.n, edges, share) for share in shares]
-    if len(work) == 1:
-        results = [_share(work[0])]
+    if len(work) <= 1:
+        results += map(_share, work)
     else:
         executor = (ThreadPoolExecutor if kernel.BACKEND == "compiled"
                     else ProcessPoolExecutor)
@@ -332,7 +365,7 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
             # map submits the other shares at once; this thread runs the
             # first meanwhile
             rest = pool.map(_share, work[1:])
-            results = [_share(work[0]), *rest]
+            results += [_share(work[0]), *rest]
 
     stats = dict.fromkeys(kernel.STAT_KEYS, 0)
     words: list[bytes] = []
@@ -342,7 +375,7 @@ def search_commutative_wdrd(g, *, graph_id: str | None = None,
                  + len(r["survivors"]))
         if min(counts) < 0 or split != r["examined"]:
             raise AccountingError(
-                f"share {w} of {len(results)}: counters {counts} and "
+                f"kernel call {w} of {len(results)}: counters {counts} and "
                 f"{len(r['survivors'])} survivors do not split its examined "
                 "leaves")
         for k in kernel.STAT_KEYS:

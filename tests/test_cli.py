@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from wdrd import Digraph, kernel
+from wdrd import Digraph, kernel, search
 from wdrd.cli import run
 from wdrd.digraph import DGF_MAX_N, format_dgf
 from test_analysis import refuse_lists
 from test_scheme import wide_digraph
-from test_search import fake_sweep_with_digon_survivor
+from test_search import (MID_PLAN_LEAVES, fake_sweep_with_digon_survivor,
+                         record_finished)
 
 
 def invoke(capsys, *argv):
@@ -268,6 +269,14 @@ class TestSearch:
         monkeypatch.setattr(kernel, "search_run", unbalanced)
         code, out, err = invoke(capsys, "search", "--graph", "complete", "3")
         assert code == 2 and out == "" and "do not split" in err
+
+    def test_a_finished_count_past_the_plan_exits_two(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(search, "FANOUT_LEAVES", MID_PLAN_LEAVES)
+        record_finished(monkeypatch, lie=100)
+        code, out, err = invoke(capsys, "search", "--graph", "johnson", "4",
+                                "2", "--jobs", "2")
+        assert code == 2 and out == "" and "finished branches" in err
 
     def test_canon_cap_exits_two_before_the_sweep(self, capsys, monkeypatch):
         def sweep(*args, **kwargs):

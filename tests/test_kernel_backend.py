@@ -189,7 +189,8 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
 
 
 # Runs the parity cases, two branches of unpruned sweeps, the whole K6
-# sweep, multi-prefix calls, the largest leaves, the canonical search on
+# sweep, multi-prefix calls, a call that its leaf budget stops within its
+# prefixes, the largest leaves, the canonical search on
 # digraphs large and symmetric enough to grow its automorphism list, and
 # the threaded runs through a kernel library built elsewhere, given as
 # argv[1], and compares it with the pure kernel.
@@ -215,6 +216,8 @@ agreed(compiled, 6, K6)
 for n, edges, prefixes in [(6, K6, _branches(15, 2, True)[0]),
                            (6, J42, _branches(12, 4, False)[0][1::2])]:
     agreed(compiled, n, edges, prefixes)
+plan = _branches(12, 4, False)[0]
+assert 0 < agreed(compiled, 6, J42, plan, 20)["finished"] < len(plan)
 for name, (n, out_m, in_m) in LEAVES.items():
     want = _kernel_py.leaf_stage(n, out_m, in_m)
     assert compiled.leaf_stage(n, out_m, in_m) == want, name

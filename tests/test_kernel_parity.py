@@ -43,11 +43,11 @@ THREADED = [(6, search._underlying_edges(johnson(4, 2).graph), prefix)
             for prefix in itertools.product((0, 1, 2), repeat=2)]
 
 
-def agreed(compiled, n, edges, prefixes=((),)):
+def agreed(compiled, n, edges, prefixes=((),), budget=0):
     """The result of the pure kernel, which `compiled` must equal."""
-    want = _kernel_py.search_run(n, edges, prefixes)
-    got = compiled.search_run(n, edges, prefixes)
-    assert got == want, (n, edges, prefixes)
+    want = _kernel_py.search_run(n, edges, prefixes, budget)
+    got = compiled.search_run(n, edges, prefixes, budget)
+    assert got == want, (n, edges, prefixes, budget)
     return want
 
 
@@ -147,6 +147,43 @@ def test_one_call_over_prefixes_sums_the_single_prefix_calls(backend, name,
         assert got["survivors"] == [w for r in singles
                                     for w in r["survivors"]]
         assert got == _kernel_py.search_run(n, edges, prefixes)
+
+
+# Leaf budgets: none, one leaf, one that stops within the plans of J(4,2),
+# and one above the 3^12 leaves of any MULTI graph.
+BUDGETS = [0, 1, 20, 3 ** 12 + 1]
+
+
+@pytest.mark.parametrize("name", MULTI)
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_a_budgeted_call_is_the_call_over_its_finished_prefixes(
+        backend, name, budget):
+    """Both kernels finish the same prefixes, and those are the fewest
+    from the first whose examined leaves reach the budget; the call then
+    counts and emits what a budget-free call over them does."""
+    n, edges = MULTI[name]
+    stops = 0
+    for prefixes in prefix_lists(len(edges)):
+        got = backend.search_run(n, edges, prefixes, budget)
+        assert got == _kernel_py.search_run(n, edges, prefixes, budget)
+        done = got["finished"]
+        assert got == _kernel_py.search_run(n, edges, prefixes[:done])
+        if done < len(prefixes):
+            stops += 1
+            assert budget and got["examined"] >= budget
+        if done > 1:
+            before = _kernel_py.search_run(n, edges, prefixes[:done - 1])
+            assert not budget or before["examined"] < budget
+    if name == "J(4,2)" and budget in (1, 20):
+        assert stops > 0
+
+
+@pytest.mark.parametrize("budget", [-1, 0.5, "20", None, True, 2 ** 63])
+def test_a_bad_budget_is_rejected(backend, budget):
+    with pytest.raises(ValueError, match="budget"):
+        kernel.check_arguments(2, [(0, 1)], [()], budget)
+    with pytest.raises(ValueError, match="budget"):
+        backend.search_run(2, [(0, 1)], [()], budget)
 
 
 def test_random_graphs_agree(compiled):

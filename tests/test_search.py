@@ -205,9 +205,9 @@ class TestReversal:
         calls = []
         real = kernel.search_run
 
-        def recording(n, edges, prefixes):
+        def recording(n, edges, prefixes, *budget):
             calls.append((threading.get_ident(), [tuple(p) for p in prefixes]))
-            return real(n, edges, prefixes)
+            return real(n, edges, prefixes, *budget)
 
         monkeypatch.setattr(kernel, "search_run", recording)
         monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
@@ -226,8 +226,10 @@ class TestReversal:
 
     @pytest.mark.parametrize("reversal", [False, True])
     def test_one_kernel_call_per_share(self, monkeypatch, reversal):
-        """Under jobs=2 each of two calls gets every other branch of the
-        plan, and the calling thread runs the first."""
+        """With no leaf budget on the calling thread, under jobs=2 each of
+        two calls gets every other branch of the plan, and the calling
+        thread runs the first."""
+        monkeypatch.setattr(search, "FANOUT_LEAVES", 0)
         calls = self.record_calls(monkeypatch)
         g = johnson(4, 2)
         search_commutative_wdrd(g, jobs=2, use_reversal=reversal)
@@ -236,6 +238,27 @@ class TestReversal:
         calls.sort(key=lambda call: call[1] != plan[0::2])
         assert [prefixes for _, prefixes in calls] == [plan[0::2], plan[1::2]]
         assert calls[0][0] == threading.get_ident() != calls[1][0]
+
+    @pytest.mark.parametrize("graph", [johnson(4, 2), c4()],
+                             ids=["J(4,2)", "C4"])
+    @pytest.mark.parametrize("reversal", [False, True])
+    def test_a_small_sweep_starts_no_pool(self, monkeypatch, graph,
+                                          reversal):
+        """Under jobs=2 the whole plan of a sweep of fewer leaves than
+        FANOUT_LEAVES is one kernel call on the calling thread."""
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was started")
+
+        calls = self.record_calls(monkeypatch)
+        monkeypatch.setattr(search, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", NoPool)
+        rep = search_commutative_wdrd(graph, jobs=2, use_reversal=reversal)
+        ne = rep.edge_count
+        plan, _ = search._branches(ne, search._split_length(2, ne), reversal)
+        assert calls == [(threading.get_ident(), plan)]
+        assert rep.core() == search_commutative_wdrd(graph).core()
 
 
 class TestDeterminismAndParallel:
@@ -260,8 +283,10 @@ class TestDeterminismAndParallel:
             search_commutative_wdrd(c4(), jobs=0)
 
     def test_pool_bounded_by_usable_cpus(self, monkeypatch):
-        """Three usable CPUs make three shares: the calling thread runs one
-        and a pool of two workers the other two."""
+        """With no leaf budget on the calling thread, three usable CPUs
+        make three shares: the calling thread runs one and a pool of two
+        workers the other two."""
+        monkeypatch.setattr(search, "FANOUT_LEAVES", 0)
         pools = []
 
         class SerialPool:
@@ -294,6 +319,27 @@ class TestDeterminismAndParallel:
         assert rep.jobs == 10**6
         assert rep.core() == search_commutative_wdrd(c4()).core()
 
+    @pytest.mark.parametrize("prune", ["none", "degree"])
+    @pytest.mark.parametrize("reversal", [False, True])
+    def test_jobs_identical_when_the_budget_stops_mid_plan(
+            self, monkeypatch, prune, reversal):
+        """The calling thread's budgeted call finishes some of the J(4,2)
+        branches and the pool runs the rest; the JSON is that of --jobs 1
+        apart from `jobs`."""
+        monkeypatch.setattr(search, "FANOUT_LEAVES", MID_PLAN_LEAVES)
+        finished = record_finished(monkeypatch)
+        g = johnson(4, 2)
+        solo = report_to_dict(search_commutative_wdrd(
+            g, graph_id="J(4,2)", prune=prune, use_reversal=reversal))
+        multi = report_to_dict(search_commutative_wdrd(
+            g, graph_id="J(4,2)", prune=prune, jobs=2,
+            use_reversal=reversal))
+        (done, planned), = finished
+        assert 0 < done < planned
+        assert solo.pop("jobs") == 1 and multi.pop("jobs") == 2
+        assert json.dumps(multi, sort_keys=True) == \
+            json.dumps(solo, sort_keys=True)
+
     def test_compiled_kernel_branches_start_no_process(self, compiled,
                                                       monkeypatch):
         class NoProcesses:
@@ -316,6 +362,32 @@ class TestDeterminismAndParallel:
         assert [c.canonical for c in base.iso_classes] == \
             [c.canonical for c in rev.iso_classes]
         assert rev.examined < base.examined
+
+
+# A leaf budget that stops the budgeted call within the J(4,2) plan, with
+# and without reversal: its 81 branches examine 87 leaves in all.
+MID_PLAN_LEAVES = 20
+
+
+def record_finished(monkeypatch, lie=0):
+    """Under two usable CPUs, a list that collects (finished, planned) of
+    every budgeted kernel call, whose finished count is reported `lie`
+    higher than it is."""
+    finished = []
+    real = kernel.search_run
+
+    def recording(n, edges, prefixes, budget=0):
+        r = real(n, edges, prefixes, budget)
+        if budget:
+            finished.append((r["finished"], len(prefixes)))
+            r["finished"] += lie
+        return r
+
+    monkeypatch.setattr(kernel, "search_run", recording)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(search.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    return finished
 
 
 class TestSoundness:
@@ -342,6 +414,23 @@ class TestSoundness:
         monkeypatch.setattr(kernel, "search_run", variant.search_run)
         with pytest.raises(AccountingError, match="expected 3\\^6"):
             search_commutative_wdrd(complete_graph(4), prune=prune)
+
+    @pytest.mark.parametrize("lie,error", [
+        (-1, "expected 3\\^12"), (1, "expected 3\\^12"),
+        (-100, "finished branches"), (100, "finished branches")],
+        ids=["one branch twice", "one branch dropped", "below zero",
+             "past the plan"])
+    def test_a_wrong_finished_count_raises(self, monkeypatch, lie, error):
+        """A budgeted call that reports one branch too few has the pool
+        run it again, and one too many has no call run it: the leaf
+        accounting catches both.  A count outside the plan is refused
+        before any pool starts."""
+        monkeypatch.setattr(search, "FANOUT_LEAVES", MID_PLAN_LEAVES)
+        finished = record_finished(monkeypatch, lie)
+        with pytest.raises(AccountingError, match=error):
+            search_commutative_wdrd(johnson(4, 2), jobs=2)
+        (done, planned), = finished
+        assert 0 < done < planned
 
     def test_more_not_strong_completions_than_leaves_raise(self,
                                                            monkeypatch):
