@@ -1,8 +1,13 @@
-/* Compiled orientation-search kernel and canonical search.
+/* Compiled orientation-search kernel, canonical search and scheme checks.
 
-   Same contract and identical output as `_kernel_py.search_run`; see that
-   module for the contract and for the soundness of the degree prune.  One
-   call runs a list of disjoint prefixes in order on one Ctx and sums
+   The five entry points of `_kernel_py`, with the same contract and
+   identical output: wdrd_search_run() and wdrd_leaf_stage() for
+   `search_run` and `leaf_stage`, wdrd_canonical_permutation(),
+   wdrd_axiom_iv() for `axiom_iv_witness`, which takes at most n classes
+   (`wdrd.scheme` runs a partition with more classes than vertices, never
+   a scheme, on the pure one), and wdrd_product_witness().  See that
+   module for the contract and for the soundness of the degree prune.  A
+   search call runs a list of disjoint prefixes in order on one Ctx and sums
    their counters, one degree-pruned depth-first search per prefix.  A
    leaf budget above 0 stops the call between prefixes: it starts no
    further prefix once the examined counter has reached the budget, and
@@ -59,11 +64,18 @@
    fit in a signed 64-bit counter).  The search's cost still grows
    exponentially on a large colour block; `wdrd.canon` caps it.
 
+   Scheme checks, wdrd_axiom_iv() and wdrd_product_witness(): axiom (iv)
+   by counting each pair's keys against its class's representative in an
+   nc^2 table, and the composition identity and the commutation test as
+   int64 sums over the tensor's nonzero entries, one row at a time.  Every
+   sum is at most nc t^2 < 2^53, t the largest entry, which `wdrd.kernel`
+   checks, so none overflows.
+
    Thread safety: the file has no mutable static data.  Each call keeps
-   all of its state in its own calloc'd Ctx, or Canon and automorphism
-   list, and writes only there and to the caller's stats array, emit
-   callback or permutation, so calls on different arguments may run at
-   once.  The budget only decides where a call stops, so it leaves this
+   all of its state in its own calloc'd Ctx, Canon and automorphism list,
+   or scheme-check scratch, and writes only there and to the caller's
+   stats array, emit callback, permutation or witness, so calls on
+   different arguments may run at once.  The budget only decides where a call stops, so it leaves this
    unchanged.  `wdrd.search` runs the branches of one search with a
    budget on the calling thread first, then any it left unfinished as
    shares, concurrently, one call per thread, the calling thread running
@@ -658,4 +670,257 @@ int wdrd_canonical_permutation(int n, const u64 *out_m, const u64 *in_m,
     free(c->autos);
     free(c);
     return failed ? -1 : 0;
+}
+
+/* ---- Scheme checks ------------------------------------------------------
+
+   The two tensor checks of `wdrd.scheme`, with the results of
+   `_kernel_py.axiom_iv_witness` and `_kernel_py.product_witness`, whose
+   module docstring states the contract.  Each call keeps its state in
+   its own scratch: O(n^2) for the axiom pass, O(nc^2 + nnz) for the
+   products, nnz the number of nonzero tensor entries, and no n^3
+   buffer. */
+
+/* Axiom (iv) on the n x n labels class_of of nc <= n classes, reps[l]
+   the cell x n + y of the representative pair (x, y) of class l.  Per
+   class l, the n keys class(x,z) nc + class(z,y) of the representative
+   are counted in an nc^2 table, so key i nc + j holds p^l_ij.  Each
+   member pair's keys are then subtracted.  As both pairs have n keys,
+   the table sums to zero: it is zero everywhere, and the pair has the
+   same counts, exactly when no entry is positive.  A positive entry is
+   at a key of the representative, a negative one at a key of the pair,
+   so the smallest key whose entry is not zero, the smallest (i, j) whose
+   count differs, is the smaller of the smallest such key of each.  The
+   pair's keys are added back before the next pair, and the negative
+   entries are found as they are.
+   Returns the smallest (i nc + j) nc + l over all pairs, -1 when every
+   count is constant, or -2 when out of memory. */
+i64 wdrd_axiom_iv(int n, int nc, const int *class_of, const i64 *reps)
+{
+    size_t cells = (size_t)n * n, nkeys = (size_t)nc * nc, begin = 0;
+    int *cot = malloc(sizeof(int) * cells);            /* transposed */
+    int *table = calloc(nkeys, sizeof(int));
+    size_t *order = malloc(sizeof(size_t) * cells);    /* cells by class */
+    size_t *end = calloc((size_t)nc + 1, sizeof(size_t));
+    size_t *keys = malloc(sizeof(size_t) * 2 * n), *rkeys = keys + n;
+    i64 worst = -1;
+    if (!cot || !table || !order || !end || !keys) {
+        worst = -2;
+        goto done;
+    }
+    /* a stable counting sort: class l ends up at order[end[l - 1]] to
+       order[end[l] - 1], in row-major order */
+    for (size_t a = 0; a < cells; a++) {
+        cot[a % n * n + a / n] = class_of[a];
+        end[class_of[a] + 1]++;
+    }
+    for (int l = 0; l < nc; l++)
+        end[l + 1] += end[l];
+    for (size_t a = 0; a < cells; a++)
+        order[end[class_of[a]]++] = a;
+    for (int l = 0; l < nc; l++) {
+        size_t best = nkeys, r = (size_t)reps[l];
+        const int *rx = class_of + r / n * n, *ry = cot + r % n * n;
+        for (int z = 0; z < n; z++) {
+            rkeys[z] = (size_t)rx[z] * nc + ry[z];
+            table[rkeys[z]]++;
+        }
+        for (size_t m = begin; m < end[l]; m++) {
+            const int *px = class_of + order[m] / n * n;
+            const int *py = cot + order[m] % n * n;
+            size_t low = nkeys;
+            for (int z = 0; z < n; z++) {
+                keys[z] = (size_t)px[z] * nc + py[z];
+                table[keys[z]]--;
+            }
+            for (int z = 0; z < n; z++)
+                if (table[rkeys[z]] > 0 && rkeys[z] < low)
+                    low = rkeys[z];
+            /* each key's first increment reads its entry as it was */
+            for (int z = 0; z < n; z++) {
+                if (table[keys[z]] < 0 && keys[z] < low)
+                    low = keys[z];
+                table[keys[z]]++;
+            }
+            if (low < best)
+                best = low;
+        }
+        for (int z = 0; z < n; z++)
+            table[rkeys[z]]--;
+        if (best < nkeys && (worst < 0 || (i64)(best * nc + l) < worst))
+            worst = (i64)(best * nc + l);
+        begin = end[l];
+    }
+done:
+    free(cot);
+    free(table);
+    free(order);
+    free(end);
+    free(keys);
+    return worst;
+}
+
+/* A nonzero tensor entry p[a][b][c] = v, b given by the list it is in. */
+typedef struct {
+    int a, c;
+    i64 v;
+} Entry;
+
+/* The nonzero entries of an nc x nc x nc tensor p, p[a][b][c] at
+   (a nc + b) nc + c: listed by row, row a nc + b in c order from
+   rows[row[a nc + b]], and by middle index, mid b from mids[mid[b]].
+   acc holds the nc^2 sums of one row of a check, zero between rows;
+   touched lists the places it holds, each once, as marked in held. */
+typedef struct {
+    size_t nc, *row, *mid;            /* nc^2 + 1 and nc + 1 offsets */
+    Entry *rows, *mids;
+    i64 *acc;
+    size_t *touched, ntouched;
+    unsigned char *held;
+} Tensor;
+
+static void free_tensor(Tensor *t)
+{
+    free(t->row);
+    free(t->mid);
+    free(t->rows);
+    free(t->mids);
+    free(t->acc);
+    free(t->touched);
+    free(t->held);
+}
+
+/* Fill t from p; returns -1 when out of memory, else 0. */
+static int load_tensor(Tensor *t, size_t nc, const i64 *p)
+{
+    size_t rows = nc * nc, nnz = 0, e = 0;
+    for (size_t a = 0; a < rows * nc; a++)
+        nnz += p[a] != 0;
+    t->nc = nc;
+    t->row = calloc(rows + 1, sizeof(size_t));
+    t->mid = calloc(nc + 1, sizeof(size_t));
+    t->rows = malloc(sizeof(Entry) * (nnz + 1));
+    t->mids = malloc(sizeof(Entry) * (nnz + 1));
+    t->acc = calloc(rows, sizeof(i64));
+    t->touched = malloc(sizeof(size_t) * rows);
+    t->held = calloc(rows, 1);
+    if (!t->row || !t->mid || !t->rows || !t->mids || !t->acc || !t->touched
+            || !t->held)
+        return -1;
+    for (size_t a = 0; a < rows * nc; a++) {
+        if (p[a])
+            t->rows[e++] = (Entry){(int)(a / rows), (int)(a % nc), p[a]};
+        t->row[a / nc + 1] = e;
+    }
+    e = 0;
+    for (size_t b = 0; b < nc; b++) {
+        for (size_t a = 0; a < nc; a++)
+            for (size_t c = 0; c < nc; c++)
+                if (p[(a * nc + b) * nc + c])
+                    t->mids[e++] = (Entry){(int)a, (int)c,
+                                           p[(a * nc + b) * nc + c]};
+        t->mid[b + 1] = e;
+    }
+    return 0;
+}
+
+static inline void accumulate(Tensor *t, size_t at, i64 v)
+{
+    if (!t->held[at]) {
+        t->held[at] = 1;
+        t->touched[t->ntouched++] = at;
+    }
+    t->acc[at] += v;
+}
+
+/* The smallest place where acc is not zero, or -1; zeroes acc. */
+static i64 first_nonzero(Tensor *t)
+{
+    i64 first = -1;
+    for (size_t e = 0; e < t->ntouched; e++) {
+        size_t at = t->touched[e];
+        if (t->acc[at] && (first < 0 || (i64)at < first))
+            first = (i64)at;
+        t->acc[at] = 0;
+        t->held[at] = 0;
+    }
+    t->ntouched = 0;
+    return first;
+}
+
+/* acc[m][j] = sum_r p^r_il p^j_mr - sum_t p^t_mi p^j_tl: the first sum
+   joins row (i, l) with the middle lists, the second the middle list of
+   i with the rows (t, l). */
+static void exchange_row(Tensor *t, size_t i, size_t l)
+{
+    size_t nc = t->nc, il = i * nc + l;
+    for (size_t e = t->row[il]; e < t->row[il + 1]; e++) {
+        const Entry *r = t->rows + e;
+        for (size_t f = t->mid[r->c]; f < t->mid[r->c + 1]; f++)
+            accumulate(t, t->mids[f].a * nc + t->mids[f].c,
+                       r->v * t->mids[f].v);
+    }
+    for (size_t f = t->mid[i]; f < t->mid[i + 1]; f++) {
+        const Entry *m = t->mids + f;
+        size_t q = m->c * nc + l;
+        for (size_t e = t->row[q]; e < t->row[q + 1]; e++)
+            accumulate(t, m->a * nc + t->rows[e].c, -m->v * t->rows[e].v);
+    }
+}
+
+/* acc[i][j] = (B_a B_b - B_b B_a)[i][j], with B_c[i][j] = p^j_ci:
+   sum_t p^t_ai p^j_bt - sum_t p^t_bi p^j_at, joining the rows (a, i)
+   with the rows (b, t), and then the other way round. */
+static void commute_row(Tensor *t, size_t a, size_t b)
+{
+    size_t nc = t->nc;
+    for (int s = 0; s < 2; s++) {
+        size_t x = s ? b : a, y = s ? a : b;
+        i64 sign = s ? -1 : 1;
+        for (size_t i = 0; i < nc; i++)
+            for (size_t e = t->row[x * nc + i]; e < t->row[x * nc + i + 1];
+                 e++) {
+                const Entry *r = t->rows + e;
+                size_t q = y * nc + r->c;
+                for (size_t f = t->row[q]; f < t->row[q + 1]; f++)
+                    accumulate(t, i * nc + t->rows[f].c,
+                               sign * r->v * t->rows[f].v);
+            }
+    }
+}
+
+/* Write into where the smallest (i, l, m, j) at which sum_r p^r_il p^j_mr
+   and sum_t p^t_mi p^j_tl differ or, with commute, the smallest
+   (a, b, i, j), a < b, at which B_a B_b and B_b B_a differ.  p holds
+   p^l_ij at (i nc + j) nc + l; its largest entry t has nc t^2 < 2^53, so
+   every sum is exact.  One row, (i, l) or (a, b), at a time, over the
+   nonzero entries only: the cost is the number of products with both
+   factors nonzero, about nc^3 on a thin scheme rather than the nc^5 of
+   the dense products.  Returns 1 when there is such a place, 0 when
+   there is none, or -1 when out of memory. */
+int wdrd_product_witness(int nc, const i64 *p, int commute, int *where)
+{
+    Tensor t;
+    int found = 0;
+    memset(&t, 0, sizeof t);
+    if (load_tensor(&t, nc, p))
+        found = -1;
+    for (size_t u = 0; !found && u < (size_t)nc; u++)
+        for (size_t v = commute ? u + 1 : 0; !found && v < (size_t)nc; v++) {
+            i64 at;
+            if (commute)
+                commute_row(&t, u, v);
+            else
+                exchange_row(&t, u, v);
+            at = first_nonzero(&t);
+            if (at >= 0) {
+                where[0] = (int)u;
+                where[1] = (int)v;
+                where[2] = (int)(at / nc);
+                where[3] = (int)(at % nc);
+                found = 1;
+            }
+        }
+    free_tensor(&t);
+    return found;
 }

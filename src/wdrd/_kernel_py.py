@@ -2,10 +2,11 @@
 
 Reference implementation of the hot loop: depth-first enumeration of edge
 states (Forward / Backward / Digon) over a fixed underlying graph, with a
-full candidate check at every leaf, and of the canonical search of
-`wdrd.canon`.  `_kernel.c` implements the same contract in C.  This
-module is the pure backend of `wdrd.kernel`: its `search_run`,
-`leaf_stage` and `canonical_permutation` are the three entry points every
+full candidate check at every leaf, of the canonical search of
+`wdrd.canon`, and of the two tensor checks of `wdrd.scheme`.  `_kernel.c`
+implements the same contract in C.  This module is the pure backend of
+`wdrd.kernel`: its `search_run`, `leaf_stage`, `canonical_permutation`,
+`axiom_iv_witness` and `product_witness` are the five entry points every
 backend has, and `wdrd.kernel` selects it when the C kernel is
 unavailable.
 
@@ -13,9 +14,10 @@ Contract: this module is the one definition of what `wdrd.search` and
 both kernels share; `wdrd.kernel` re-exports it and `_kernel.c` mirrors it
 (tests/test_kernel_backend.py checks the C side).  It holds the edge-state
 codes FWD, BWD and DIG, the size limits MAX_N and MAX_EDGES, the counter
-keys STAT_KEYS, the leaf stages LEAF_STAGES, and `check_arguments` and
-`check_masks`, the argument checks of the entry points (`check_masks`
-serves both `leaf_stage` and `canonical_permutation`).  `search_run(n,
+keys STAT_KEYS, the leaf stages LEAF_STAGES, and `check_arguments`,
+`check_masks`, `check_partition` and `check_tensor`, the argument checks
+of the entry points (`check_masks` serves both `leaf_stage` and
+`canonical_permutation`).  `search_run(n,
 edges, prefixes=((),), budget=0)` runs a list of disjoint prefixes in
 order, one degree-pruned depth-first search per prefix, which tries only
 `prefix[depth]` at the depths below len(prefix).  Each prefix p stands for
@@ -97,9 +99,37 @@ d = k (mod 2).  The top one, k - 2 fmax, has the parity of k, so some
 target stays exactly when dmax + 2 fmax <= k.  One function, `cut`,
 decides a child past the bound before the search visits it and adds its
 3^(|E| - max(d, len(prefix))) leaves, d its depth, to `skipped_degree`.
+
+Scheme checks.  `axiom_iv_witness(class_of, reps)` runs axiom (iv) of
+`wdrd.scheme.verify_association_scheme` on an n x n label matrix:
+`reps[l]` is a cell x n + y of class l, its representative pair (x, y).
+It returns the smallest (i, j, l) such that p^l_ij = #{z : (x,z) in i,
+(z,y) in j} is not the same on every pair (x, y) of class l, which no
+choice of representatives changes, or None when every intersection
+number is constant.  `product_witness(p, commute=False)` takes an
+intersection tensor p[i][j][l] = p^l_ij.  It returns the smallest
+(i, l, m, j) where sum_r p^r_il p^j_mr differs from sum_t p^t_mi p^j_tl,
+the composition identity of `wdrd.scheme.check_intersection_identities`.
+With `commute` it returns the smallest (a, b, i, j), a < b, where
+(B_a B_b)[i][j] differs from (B_b B_a)[i][j], with B_c[i][j] = p^j_ci.
+Either returns None when there is no such place.  Here they run in numpy:
+the sorted keys of each pair against its representative's (the multiset
+argument of `wdrd.scheme`), and float64 products over one slice at a
+time, which BLAS runs.  `_kernel.c` counts the keys in a table instead
+and sums products over the tensor's nonzeros, with the same results.
+`check_partition` rejects with ValueError a label matrix that is not
+square or holds a label outside 0..len(reps) - 1, and representatives
+that are not cells of their classes.  `check_tensor` rejects with
+ValueError a tensor that is not nc x nc x nc integers, nc >= 1, with
+entries in 0..t where nc t^2 < 2^53: then every sum of products is an
+exact int64, and an exact float64 here.  The compiled axiom pass takes at
+most n classes; a partition with more classes than vertices is never a
+scheme, and `wdrd.scheme` runs it here.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .digraph import _bfs, _mask_bits
 from .errors import CanonicalizationError, TooLargeError, TooManyEdgesError
@@ -119,6 +149,9 @@ STAT_KEYS = ("examined", "skipped_degree", "symmetric",
 # stages; None when nothing does (see `leaf_stage`).
 LEAF_STAGES = (None, "not_strongly_connected", "layers", "classes", "arcs",
                "tensor")
+# Entries of the (x, y, z) key array sorted per chunk of rows x in
+# `axiom_iv_witness`; bounds its buffers to a few MB.
+_SORT_ENTRIES = 1 << 20
 
 
 def check_arguments(n, edges, prefixes, budget=0):
@@ -502,3 +535,98 @@ def _join_orbits(parent, gens, fixed, n: int):
             if a != b:
                 parent[b] = a
     return parent
+
+
+def check_partition(class_of, reps):
+    """Raise ValueError unless `axiom_iv_witness` supports the arguments: an
+    n x n integer label matrix, n >= 1, with labels in 0..nc - 1, and nc =
+    len(reps) cells of it, `reps[l]` a cell (x n + y) of class l."""
+    co = np.asarray(class_of)
+    reps = np.asarray(reps)
+    if (co.ndim != 2 or co.shape[0] != co.shape[1] or not co.size
+            or co.dtype.kind not in "iu"):
+        raise ValueError("need an n x n integer label matrix, n >= 1")
+    nc = len(reps)
+    if co.min() < 0 or co.max() >= nc:
+        raise ValueError(f"labels must lie in 0..{nc - 1}")
+    if (reps.ndim != 1 or reps.dtype.kind not in "iu"
+            or reps.min() < 0 or reps.max() >= co.size
+            or (co.ravel()[reps] != np.arange(nc)).any()):
+        raise ValueError("reps[l] must be a cell of class l")
+
+
+def check_tensor(p):
+    """Raise ValueError unless `product_witness` supports p: an nc x nc x
+    nc integer array, nc >= 1, with entries in 0..t where nc t^2 < 2^53."""
+    p = np.asarray(p)
+    if (p.ndim != 3 or not p.size or len(set(p.shape)) != 1
+            or p.dtype.kind not in "iu"):
+        raise ValueError("need an nc x nc x nc integer tensor, nc >= 1")
+    if p.min() < 0 or len(p) * int(p.max()) ** 2 >= 2 ** 53:
+        raise ValueError("tensor entries must lie in 0..t with nc t^2 < 2^53")
+
+
+def axiom_iv_witness(class_of, reps):
+    """The smallest (i, j, l) such that p^l_ij is not constant on class l
+    of the label matrix `class_of`, whose representative pairs are the
+    cells `reps`; None when every intersection number is constant.
+
+    Each pair's sorted keys class(x,z) nc + class(z,y) are compared with
+    those of its class's representative; at the first position where two
+    sorted vectors differ the smaller key is the smallest (i, j) whose
+    count differs on that pair."""
+    check_partition(class_of, reps)
+    co = np.asarray(class_of, dtype=np.int64)
+    n = len(co)
+    first = np.asarray(reps, dtype=np.int64)
+    nc = len(first)
+    # int32 keys sort about twice as fast as int64 ones.
+    ck = co.astype(np.int32 if nc * nc < 2 ** 31 else np.int64)
+    rep = np.sort(ck[first // n] * nc + ck.T[first % n], axis=1)
+    rows = max(1, _SORT_ENTRIES // (n * n))
+    worst = None
+    for x0 in range(0, n, rows):
+        keys = ck[x0:x0 + rows, None, :] * nc + ck.T[None, :, :]
+        keys.sort(axis=2)
+        want = rep[ck[x0:x0 + rows]]
+        diff = keys != want
+        if diff.any():
+            t = diff.argmax(axis=2)[..., None]
+            bad = np.take_along_axis(diff, t, 2)[..., 0]
+            key = np.minimum(np.take_along_axis(keys, t, 2),
+                             np.take_along_axis(want, t, 2))[..., 0]
+            cand = int((key[bad].astype(np.int64) * nc
+                        + co[x0:x0 + rows][bad]).min())
+            worst = cand if worst is None else min(worst, cand)
+    if worst is None:
+        return None
+    ij, l = divmod(worst, nc)
+    return (*divmod(ij, nc), l)
+
+
+def product_witness(p, commute=False):
+    """The smallest (i, l, m, j) where sum_r p^r_il p^j_mr differs from
+    sum_t p^t_mi p^j_tl, or with `commute` the smallest (a, b, i, j), a < b,
+    where B_a B_b and B_b B_a differ; None when there is none.  Products
+    in float64, one slice at a time: exact by `check_tensor`."""
+    check_tensor(p)
+    nc = len(p)
+    pf = np.asarray(p).astype(np.float64)
+    by_second = np.ascontiguousarray(pf.transpose(1, 0, 2)).reshape(nc, nc * nc)
+    if commute:
+        for a in range(nc - 1):
+            ab = (pf[a] @ by_second[:, (a + 1) * nc:]).reshape(nc, -1, nc)  # [i, b, j]
+            ba = (pf[a + 1:].reshape(-1, nc) @ pf[a]).reshape(-1, nc, nc)  # [b, i, j]
+            neq = ab.transpose(1, 0, 2) != ba
+            if neq.any():
+                b, i, j = (int(v) for v in np.argwhere(neq)[0])
+                return a, a + 1 + b, i, j
+        return None
+    by_first = pf.reshape(nc, nc * nc)  # [t, (l, j)]
+    for i in range(nc):
+        lhs = (pf[i] @ by_second).reshape(nc, nc, nc)  # [l, m, j]
+        rhs = (pf[:, i] @ by_first).reshape(nc, nc, nc).transpose(1, 0, 2)
+        neq = lhs != rhs
+        if neq.any():
+            return (i, *(int(v) for v in np.argwhere(neq)[0]))
+    return None

@@ -89,6 +89,11 @@ class DiameterTooSmallError(WdrdError, ValueError):
     """Operation requires a graph of diameter at least two."""
 
 
+class BadPartitionError(WdrdError, ValueError):
+    """A relation partition's label matrix is not n x n, or holds a label
+    that names none of its classes."""
+
+
 class TensorRangeError(WdrdError, ValueError):
     """An intersection-tensor entry lies outside 0..n, or the tensor is too
     large for exact float64 products."""

@@ -11,16 +11,21 @@ cached it falls back to the pure kernel when there is no compiler, when
 the compile fails or when the cache directory is read-only; nothing else
 picks the kernel.
 
-A backend is an object with the kernel's three entry points, `search_run`,
-`leaf_stage` and `canonical_permutation` (see `_kernel_py`), each of which
-checks its arguments first.  The pure backend is the `_kernel_py` module
-itself, the compiled one a `_Compiled` over the loaded library.
+A backend is an object with the kernel's five entry points, `search_run`,
+`leaf_stage`, `canonical_permutation`, `axiom_iv_witness` and
+`product_witness` (see `_kernel_py`), each of which checks its arguments
+first; the compiled `axiom_iv_witness` also rejects a partition with more
+classes than vertices, which `wdrd.scheme` runs on the pure one.  The
+pure backend is the `_kernel_py` module itself, the compiled one a
+`_Compiled` over the loaded library.
 `backends()` maps the name of every available backend to it, for tests
 and benchmarks that compare them.
-`BACKEND` names the selected backend, `search_run` is its search and
-`canonical_permutation` its canonical search, which `wdrd.canon` calls.
-The contract both kernels keep (state codes, size limits, counter keys, leaf
-stages, `check_arguments`, `check_masks`) lives in `_kernel_py` and is
+`BACKEND` names the selected backend, `search_run` is its search,
+`canonical_permutation` its canonical search, which `wdrd.canon` calls,
+and `axiom_iv_witness` and `product_witness` its tensor checks, which
+`wdrd.scheme` calls.  The contract both kernels keep (state codes, size
+limits, counter keys, leaf stages, `check_arguments`, `check_masks`,
+`check_partition`, `check_tensor`) lives in `_kernel_py` and is
 re-exported here.
 """
 
@@ -34,9 +39,12 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import _kernel_py
 from ._kernel_py import (BWD, DIG, FWD, LEAF_STAGES, MAX_EDGES,  # noqa: F401
-                         MAX_N, STAT_KEYS, check_arguments, check_masks)
+                         MAX_N, STAT_KEYS, check_arguments, check_masks,
+                         check_partition, check_tensor)
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
@@ -121,6 +129,36 @@ class _Compiled:
             raise MemoryError("canonical search allocation failed")
         return tuple(perm)
 
+    def axiom_iv_witness(self, class_of, reps):
+        """Compiled twin of `_kernel_py.axiom_iv_witness`, for at most n
+        classes."""
+        check_partition(class_of, reps)
+        co = np.ascontiguousarray(class_of, dtype=np.int32)
+        reps = np.ascontiguousarray(reps, dtype=np.int64)
+        n, nc = len(co), len(reps)
+        if nc > n:
+            raise ValueError(f"{nc} classes on {n} vertices: the compiled "
+                             "pass takes at most n")
+        found = self.lib.wdrd_axiom_iv(n, nc, co.ctypes.data,
+                                       reps.ctypes.data)
+        if found == -2:
+            raise MemoryError("axiom (iv) scratch allocation failed")
+        if found < 0:
+            return None
+        ij, l = divmod(found, nc)
+        return (*divmod(ij, nc), l)
+
+    def product_witness(self, p, commute=False):
+        """Compiled twin of `_kernel_py.product_witness`."""
+        check_tensor(p)
+        p = np.ascontiguousarray(p, dtype=np.int64)
+        where = (ctypes.c_int * 4)()
+        found = self.lib.wdrd_product_witness(len(p), p.ctypes.data,
+                                              bool(commute), where)
+        if found < 0:
+            raise MemoryError("tensor product scratch allocation failed")
+        return tuple(where) if found else None
+
 
 def _load() -> _Compiled | None:
     """The compiled backend over the library at `_library_path()`, built on
@@ -143,6 +181,15 @@ def _load() -> _Compiled | None:
     fn = lib.wdrd_canonical_permutation
     fn.argtypes = [ctypes.c_int, _MASKS, _MASKS, ctypes.POINTER(ctypes.c_int)]
     fn.restype = ctypes.c_int
+    fn = lib.wdrd_axiom_iv
+    # the arrays' addresses, of int32 and int64 entries
+    fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_void_p,
+                   ctypes.c_void_p]
+    fn.restype = ctypes.c_int64
+    fn = lib.wdrd_product_witness
+    fn.argtypes = [ctypes.c_int, ctypes.c_void_p, ctypes.c_int,
+                   ctypes.POINTER(ctypes.c_int)]
+    fn.restype = ctypes.c_int
     return _Compiled(lib)
 
 
@@ -160,3 +207,5 @@ def backends() -> dict:
 BACKEND = "pure" if _compiled() is None else "compiled"
 search_run = backends()[BACKEND].search_run
 canonical_permutation = backends()[BACKEND].canonical_permutation
+axiom_iv_witness = backends()[BACKEND].axiom_iv_witness
+product_witness = backends()[BACKEND].product_witness

@@ -10,19 +10,27 @@ a structured AxiomViolation with a witness instead of raising.
 Axiom (iv) is checked as a multiset equality.  With nc classes, give the
 pair (x, y) the n keys class(x,z)*nc + class(z,y), one per vertex z; key
 i*nc + j occurs exactly p_{i,j}(x,y) times.  So every intersection number
-is constant on every class exactly when each pair's sorted key vector
-equals that of its class's representative pair, and at the first position
-where two sorted vectors differ the smaller key is the smallest (i, j)
-whose count differs.  One sort of n^3 keys replaces nc^2 indicator
-products and an nc^3 scan, and gives the same first witness.
+is constant on every class exactly when each pair's key counts equal
+those of its class's representative pair, the class's first cell in
+row-major order.  The kernel backend runs this test as
+`axiom_iv_witness`: the compiled one counts each pair's keys against its
+representative's in an nc^2 table, the pure one compares sorted keys.
+Both return the smallest (i, j, l) whose count differs, the first witness
+of a scan over (i, j, l), and this module builds the witness's pairs and,
+on success, the tensor from the representatives' keys.  A partition with
+more classes than vertices is never a scheme, since the valencies are at
+least 1 and sum to n; its test runs on the pure backend, because the
+compiled pass takes at most n classes.
 
-The composition identity and the commutation test multiply intersection
-matrices in float64, which BLAS runs.  This is exact: every tensor entry is
-an integer in 0..n and every sum has nc terms, so each partial sum is an
+The composition identity and the commutation test run as the backend's
+`product_witness`: the compiled one sums int64 products over the tensor's
+nonzero entries, one row at a time, the pure one multiplies slices in
+float64, which BLAS runs.  Both are exact: every tensor entry is an
+integer in 0..n and every sum has nc terms, so each partial sum is an
 integer of at most nc*n^2 < 2^53.  A valid scheme has at most n classes,
 so the bound holds up to n = 208,063; AssociationScheme enforces the entry
 range and the bound and raises TensorRangeError otherwise.  The axiom (iv)
-witness product of two 0/1 class matrices runs in float64 BLAS too; its
+witness product of two 0/1 class matrices runs in float64 BLAS; its
 partial sums are at most n.
 """
 
@@ -33,8 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernel_py, kernel
 from .digraph import Digraph
 from .errors import (
+    BadPartitionError,
     NotConnectedError,
     NotStronglyConnectedError,
     NotSymmetricError,
@@ -44,16 +54,14 @@ from .errors import (
 
 Label = tuple[int, int]
 
-# Entries of the (x, y, z) key array sorted per chunk of rows x in the
-# axiom (iv) check; bounds its buffers to a few MB.
-_SORT_ENTRIES = 1 << 20
-
 
 class RelationPartition:
     """A partition of ordered vertex pairs into labelled relation classes.
 
     Classes are ordered with the diagonal label first, then lexicographically;
-    this makes every derived table byte-reproducible.
+    this makes every derived table byte-reproducible.  `class_of` must be
+    an n x n integer matrix of labels in 0..len(classes) - 1
+    (BadPartitionError otherwise).
     """
 
     __slots__ = ("n", "classes", "class_of")
@@ -61,6 +69,17 @@ class RelationPartition:
     def __init__(self, n: int, classes: Sequence[Label], class_of: np.ndarray):
         self.n = n
         self.classes = tuple(classes)
+        class_of = np.asarray(class_of)
+        if class_of.shape != (n, n) or not np.issubdtype(class_of.dtype,
+                                                         np.integer):
+            raise BadPartitionError(
+                f"need an {n} x {n} integer label matrix, got shape "
+                f"{class_of.shape} of {class_of.dtype}")
+        if class_of.size and (class_of.min() < 0
+                              or class_of.max() >= len(self.classes)):
+            raise BadPartitionError(
+                f"labels must lie in 0..{len(self.classes) - 1}, got "
+                f"{class_of.min()}..{class_of.max()}")
         class_of = np.ascontiguousarray(class_of, dtype=np.int32)
         class_of.setflags(write=False)
         self.class_of = class_of
@@ -174,10 +193,6 @@ class AssociationScheme:
         return int(self.p[self.class_index(i), self.class_index(j),
                           self.class_index(l)])
 
-    def replace_tensor(self, p: np.ndarray) -> "AssociationScheme":
-        """Copy with a substituted tensor (fault injection in tests)."""
-        return AssociationScheme(self.partition, self.dual, self.k.copy(), p)
-
     def __repr__(self):
         return (f"AssociationScheme(n={self.n}, classes={list(self.classes)}, "
                 f"k={self.k.tolist()})")
@@ -233,33 +248,14 @@ def verify_association_scheme(part: RelationPartition):
             {"class": list(part.classes[i]), "pair": w})
     dual = tuple(int(v) for v in pairs % nc)
 
-    # (iv) constancy of every intersection number, as a multiset equality
-    # (module docstring): each pair's sorted keys against those of its
-    # class's representative, the class's first cell in row-major order,
-    # which `first` holds now that each class has one transposed class.
-    # int32 keys sort about twice as fast as int64 ones.
-    ck = co.astype(np.int32 if nc * nc < 2 ** 31 else np.int64)
-    rep = np.sort(ck[first // n] * nc + ck.T[first % n], axis=1)
-    rows = max(1, _SORT_ENTRIES // (n * n))
-    worst = None
-    for x0 in range(0, n, rows):
-        keys = ck[x0:x0 + rows, None, :] * nc + ck.T[None, :, :]
-        keys.sort(axis=2)
-        want = rep[ck[x0:x0 + rows]]
-        diff = keys != want
-        if diff.any():
-            # at the first differing position the smaller key is the
-            # smallest (i, j) whose count differs on that pair
-            t = diff.argmax(axis=2)[..., None]
-            bad = np.take_along_axis(diff, t, 2)[..., 0]
-            key = np.minimum(np.take_along_axis(keys, t, 2),
-                             np.take_along_axis(want, t, 2))[..., 0]
-            cand = int((key[bad].astype(np.int64) * nc
-                        + co[x0:x0 + rows][bad]).min())
-            worst = cand if worst is None else min(worst, cand)
-    if worst is not None:
-        ij, l = divmod(worst, nc)
-        i, j = divmod(ij, nc)
+    # (iv) constancy of every intersection number (module docstring),
+    # against the representatives, each class's first cell in row-major
+    # order, which `first` holds now that each class has one transposed
+    # class.
+    found = (_kernel_py if nc > n else kernel).axiom_iv_witness(
+        part.class_of, first)
+    if found is not None:
+        i, j, l = found
         # exact in float64: see the module docstring
         m = ((co == i).astype(np.float64) @ (co == j).astype(np.float64)).ravel()
         cells = np.flatnonzero(flat == l)
@@ -273,6 +269,7 @@ def verify_association_scheme(part: RelationPartition):
              "pair_a": [a // n, a % n], "count_a": int(m[a]),
              "pair_b": [b // n, b % n], "count_b": int(m[b])})
     # p[i, j, l] counts key i*nc + j among the keys of class l's representative
+    rep = co[first // n] * nc + co.T[first % n]
     offsets = np.arange(nc, dtype=np.int64)[:, None] * (nc * nc)
     p = np.bincount((rep + offsets).ravel(), minlength=nc ** 3)
     p = np.ascontiguousarray(p.reshape(nc, nc, nc).transpose(1, 2, 0))
@@ -335,26 +332,16 @@ def check_intersection_identities(s: AssociationScheme) -> IdentityReport:
     passed["valency_transposition"] = ok1 and ok2
     cex["valency_transposition"] = w1 if not ok1 else (w2 if not ok2 else None)
 
-    passed["composition_exchange"], cex["composition_exchange"] = \
-        _composition_exchange(p, s.classes)
+    found = kernel.product_witness(p)
+    passed["composition_exchange"] = found is None
+    cex["composition_exchange"] = None
+    if found is not None:
+        i, l, m, j = found
+        cex["composition_exchange"] = {
+            **{nm: list(s.classes[c]) for nm, c in zip("ilmj", found)},
+            "lhs": int(p[i, l] @ p[m, :, j]), "rhs": int(p[m, i] @ p[:, l, j])}
 
     return IdentityReport(passed=passed, counterexamples=cex)
-
-
-def _composition_exchange(p, classes):
-    """First (i, l, m, j) where sum_r p_{i,l}^r p_{m,r}^j differs from
-    sum_t p_{m,i}^t p_{t,l}^j, one slice of fixed i at a time."""
-    nc = len(classes)
-    pf = p.astype(np.float64)  # exact: see the module docstring
-    by_first = pf.reshape(nc, nc * nc)  # [t, (l, j)]
-    by_second = np.ascontiguousarray(pf.transpose(1, 0, 2)).reshape(nc, nc * nc)
-    for i in range(nc):
-        lhs = (pf[i] @ by_second).reshape(nc, nc, nc)  # [l, m, j]
-        rhs = (pf[:, i] @ by_first).reshape(nc, nc, nc).transpose(1, 0, 2)
-        ok, wit = _first_mismatch(lhs, rhs, classes, ("l", "m", "j"))
-        if not ok:
-            return False, {"i": list(classes[i]), **wit}
-    return True, None
 
 
 def _first_mismatch(lhs, rhs, classes, names):
@@ -389,15 +376,7 @@ def matrices_commute(s: AssociationScheme) -> bool:
 
     Equivalent to commutativity of the scheme.
     """
-    nc = len(s.classes)
-    pf = s.p.astype(np.float64)  # exact: see the module docstring
-    by_second = np.ascontiguousarray(pf.transpose(1, 0, 2)).reshape(nc, nc * nc)
-    for a in range(nc - 1):
-        ab = (pf[a] @ by_second[:, (a + 1) * nc:]).reshape(nc, -1, nc)  # [i, b, j]
-        ba = (pf[a + 1:].reshape(-1, nc) @ pf[a]).reshape(-1, nc, nc)  # [b, i, j]
-        if not np.array_equal(ab.transpose(1, 0, 2), ba):
-            return False
-    return True
+    return kernel.product_witness(s.p, commute=True) is None
 
 
 def scheme_table(s: AssociationScheme) -> dict:

@@ -379,6 +379,14 @@ def _first_mismatch(lhs, rhs, classes, names):
     return False, wit
 
 
+def replace_tensor(s, p):
+    """A copy of the scheme `s` with the tensor `p` in place of its own,
+    for fault injection; AssociationScheme checks the entry range."""
+    from wdrd.scheme import AssociationScheme
+
+    return AssociationScheme(s.partition, s.dual, s.k.copy(), p)
+
+
 def commute_by_pairs(s) -> bool:
     """B_a B_b == B_b B_a for every pair of intersection matrices, by int64
     products."""

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import build_kernel
@@ -174,6 +175,60 @@ def test_bad_canonical_permutation_arguments_are_rejected_before_the_c_call(
         raised(_kernel_py.canonical_permutation, args)
 
 
+LABELS = np.array([[0, 1], [2, 0]])
+BAD_PARTITIONS = {
+    "not square": (np.zeros((2, 3), dtype=int), [0, 1]),
+    "not a matrix": (np.zeros(4, dtype=int), [0]),
+    "no cell": (np.zeros((0, 0), dtype=int), [0]),
+    "float labels": (LABELS.astype(float), [0, 1, 2]),
+    "label past the classes": (LABELS, [0, 1]),
+    "negative label": (-LABELS, [0, 1, 2]),
+    "representative of another class": (LABELS, [0, 2, 1]),
+    "representative outside the cells": (LABELS, [0, 1, 4]),
+    "negative representative": (LABELS, [0, 1, -2]),
+    "no class": (LABELS, []),
+}
+BAD_TENSORS = {
+    "not cubic": np.zeros((2, 2, 3), dtype=int),
+    "a matrix": np.zeros((2, 2), dtype=int),
+    "empty": np.zeros((0, 0, 0), dtype=int),
+    "float entries": np.zeros((2, 2, 2)),
+    "negative entry": np.full((2, 2, 2), -1),
+    "entry too large": np.full((2, 2, 2), 2 ** 26),
+}
+
+
+@pytest.mark.parametrize("args", BAD_PARTITIONS.values(), ids=BAD_PARTITIONS)
+def test_bad_axiom_iv_arguments_are_rejected_before_the_c_call(args):
+    assert raised(NO_LIBRARY.axiom_iv_witness, args) is \
+        raised(_kernel_py.axiom_iv_witness, args)
+
+
+@pytest.mark.parametrize("p", BAD_TENSORS.values(), ids=BAD_TENSORS)
+def test_bad_tensors_are_rejected_before_the_c_call(p):
+    for commute in (False, True):
+        assert raised(NO_LIBRARY.product_witness, (p, commute)) is \
+            raised(_kernel_py.product_witness, (p, commute))
+
+
+def test_more_classes_than_vertices_are_rejected_before_the_c_call():
+    """The pure pass takes them; `wdrd.scheme` sends them there."""
+    args = LABELS, [0, 1, 2]
+    with pytest.raises(ValueError, match="at most n"):
+        NO_LIBRARY.axiom_iv_witness(*args)
+    # the diagonal pairs' keys are {0 * 3 + 0, 1 * 3 + 2} and {0, 2 * 3 + 1}
+    assert _kernel_py.axiom_iv_witness(*args) == (1, 2, 0)
+
+
+def test_largest_admissible_entries_are_accepted():
+    """nc t^2 just below 2^53 on two classes: the products stay exact."""
+    t = 2 ** 26 - 1
+    p = np.full((2, 2, 2), t)
+    for backend in kernel.backends().values():
+        assert backend.product_witness(p) is None
+        assert backend.product_witness(p, commute=True) is None
+
+
 @pytest.mark.parametrize("args", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
 def test_pure_kernel_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
@@ -191,15 +246,17 @@ def test_size_limits_raise_typed_errors_on_both_kernels(case, error):
 # Runs the parity cases, two branches of unpruned sweeps, the whole K6
 # sweep, multi-prefix calls, a call that its leaf budget stops within its
 # prefixes, the largest leaves, the canonical search on
-# digraphs large and symmetric enough to grow its automorphism list, and
-# the threaded runs through a kernel library built elsewhere, given as
-# argv[1], and compares it with the pure kernel.
+# digraphs large and symmetric enough to grow its automorphism list, the
+# threaded runs and both tensor checks of `wdrd.scheme` through a kernel
+# library built elsewhere, given as argv[1], and compares it with the pure
+# kernel.
 PARITY_SCRIPT = """
 import sys
 from pathlib import Path
 from test_canon import LARGE_CASES, check_threaded_forms
 from test_kernel_leaves import FULL, J42, K6, LEAVES
 from test_kernel_parity import BRANCHES, CASES, agreed, check_threaded_runs
+from test_scheme import check_scheme_parity
 from wdrd import _kernel_py, kernel
 from wdrd.search import _branches
 
@@ -229,6 +286,7 @@ for cases in LARGE_CASES.values():
 check_threaded_runs(compiled.search_run)
 kernel.canonical_permutation = compiled.canonical_permutation
 check_threaded_forms()
+check_scheme_parity(compiled)
 """
 
 

@@ -20,15 +20,22 @@ from wdrd import (
     matrices_commute,
     verify_association_scheme,
 )
-from wdrd import scheme
+from wdrd import _kernel_py, kernel
 from wdrd.digraph import Digraph
-from wdrd.errors import NotStronglyConnectedError, TensorRangeError, UnknownClassError
+from wdrd.errors import (
+    BadPartitionError,
+    NotStronglyConnectedError,
+    TensorRangeError,
+    UnknownClassError,
+    WdrdError,
+)
 from wdrd.scheme import RelationPartition
 from oracles import (
     BIG,
     commute_by_pairs,
     floyd_warshall,
     identities_by_einsum,
+    replace_tensor,
     tensor_by_loops,
     verify_by_scan,
 )
@@ -181,7 +188,7 @@ class TestIdentities:
         s = scheme_of(cayley_cyclic(6, {1, 4}))
         p = s.p.copy()
         p[1, 2, 3] += 1
-        rep = check_intersection_identities(s.replace_tensor(p))
+        rep = check_intersection_identities(replace_tensor(s, p))
         assert not rep.passed["valency_sum"]
         assert rep.counterexamples["valency_sum"] is not None
 
@@ -216,7 +223,7 @@ class TestIntersectionMatrices:
         s = scheme_of(cayley_cyclic(6, {1, 4}))
         p = s.p.copy()
         p[1, 2, 3] += 1  # break p_{i,j}^l = p_{j,i}^l
-        sbad = s.replace_tensor(p)
+        sbad = replace_tensor(s, p)
         assert not is_commutative(sbad)
         assert not matrices_commute(sbad)
 
@@ -342,9 +349,52 @@ def perturbed_tensors(rng, s, count):
         p = s.p.copy()
         idx = tuple(rng.randrange(size) for size in p.shape)
         p[idx] = rng.randint(0, s.n)
-        yield s.replace_tensor(p)
+        yield replace_tensor(s, p)
 
 
+@pytest.fixture
+def scheme_backend(backend, monkeypatch):
+    """`wdrd.scheme` running its tensor checks on each backend."""
+    monkeypatch.setattr(kernel, "axiom_iv_witness", backend.axiom_iv_witness)
+    monkeypatch.setattr(kernel, "product_witness", backend.product_witness)
+    return backend
+
+
+def more_classes_than_vertices() -> RelationPartition:
+    """Seven transpose-closed classes on three points: axioms (i)-(iii)
+    hold, and (iv) cannot, as the valencies of a scheme sum to n."""
+    co = np.array([[0, 1, 3], [2, 0, 5], [4, 6, 0]])
+    return RelationPartition(3, [(c, c) for c in range(7)], co)
+
+
+def check_relabelled_perturbed_cayley():
+    """The attached partitions of about 250 relabelled, perturbed cyclic
+    Cayley digraphs and one on 64 points give the scan oracle's outcome."""
+    rng = random.Random(11)
+    outcomes = set()
+    sizes = set()
+    for m in [rng.randint(3, 20) for _ in range(250)] + [64]:
+        d = perturbed_cayley(rng, m)
+        if not d.is_strongly_connected():
+            continue
+        part = attached_partition(d)
+        want = verify_by_scan(part)
+        assert_same_outcome(verify_association_scheme(part), want)
+        outcomes.add(getattr(want, "axiom", 0))
+        sizes.add(m)
+    assert {0, 4} <= outcomes and 64 in sizes
+
+
+def test_sort_chunks_of_one_row(monkeypatch):
+    """The pure axiom (iv) pass with one row x per sort chunk, so the
+    first witness has to be found across chunks."""
+    monkeypatch.setattr(_kernel_py, "_SORT_ENTRIES", 1)
+    monkeypatch.setattr(kernel, "axiom_iv_witness",
+                        _kernel_py.axiom_iv_witness)
+    check_relabelled_perturbed_cayley()
+
+
+@pytest.mark.usefixtures("scheme_backend")
 class TestAgainstScanOracles:
     def test_random_partitions(self):
         rng = random.Random(7)
@@ -356,25 +406,15 @@ class TestAgainstScanOracles:
             outcomes.add(getattr(want, "axiom", 0))
         assert outcomes == {0, 1, 3, 4}
 
-    @pytest.mark.parametrize("sort_entries", [None, 1])
-    def test_relabelled_perturbed_cayley(self, sort_entries, monkeypatch):
-        """Also with one row x per sort chunk, so the first witness has to
-        be found across chunks."""
-        if sort_entries is not None:
-            monkeypatch.setattr(scheme, "_SORT_ENTRIES", sort_entries)
-        rng = random.Random(11)
-        outcomes = set()
-        sizes = set()
-        for m in [rng.randint(3, 20) for _ in range(250)] + [64]:
-            d = perturbed_cayley(rng, m)
-            if not d.is_strongly_connected():
-                continue
-            part = attached_partition(d)
-            want = verify_by_scan(part)
-            assert_same_outcome(verify_association_scheme(part), want)
-            outcomes.add(getattr(want, "axiom", 0))
-            sizes.add(m)
-        assert {0, 4} <= outcomes and 64 in sizes
+    def test_relabelled_perturbed_cayley(self):
+        check_relabelled_perturbed_cayley()
+
+    def test_more_classes_than_vertices(self):
+        """Such a partition runs on the pure pass on either backend."""
+        part = more_classes_than_vertices()
+        want = verify_by_scan(part)
+        assert want.axiom == 4
+        assert_same_outcome(verify_association_scheme(part), want)
 
     def test_noncommutative_thin_scheme(self):
         part = thin_scheme_s3()
@@ -411,7 +451,72 @@ class TestAgainstScanOracles:
             p = s.p.copy()
             p[1, 2, 3] = value
             with pytest.raises(TensorRangeError):
-                s.replace_tensor(p)
+                replace_tensor(s, p)
         p = s.p.copy()
         p[1, 2, 3] = s.n
-        assert s.replace_tensor(p).p[1, 2, 3] == s.n
+        assert replace_tensor(s, p).p[1, 2, 3] == s.n
+
+
+BAD_LABELS = {
+    "label past the classes": np.array([[0, 2], [1, 0]]),
+    "negative label": np.array([[0, -1], [1, 0]]),
+    "not square": np.zeros((2, 3), dtype=int),
+    "not a matrix": np.zeros(4, dtype=int),
+    "float labels": np.zeros((2, 2)),
+}
+
+
+@pytest.mark.parametrize("co", BAD_LABELS.values(), ids=BAD_LABELS)
+def test_bad_label_matrix_is_rejected(co):
+    """Rejected when the partition is made, before any check indexes by
+    the labels."""
+    with pytest.raises(BadPartitionError) as error:
+        RelationPartition(2, [(0, 0), (1, 1)], co)
+    assert isinstance(error.value, WdrdError)
+    assert isinstance(error.value, ValueError)
+
+
+def scheme_entry_cases(seed):
+    """Arguments for both tensor entry points: (class_of, reps) of random
+    partitions and perturbed Cayley digraphs with at most n classes, none
+    empty, each class represented by its first cell and by its last, and
+    tensors of valid schemes, perturbed or not."""
+    rng = random.Random(seed)
+    parts = [random_partition(rng) for _ in range(120)]
+    parts += [attached_partition(d) for d in
+              (perturbed_cayley(rng, m) for m in (5, 9, 12, 16, 24, 64))
+              if d.is_strongly_connected()]
+    partitions = []
+    for part in parts:
+        labels, first = np.unique(part.class_of, return_index=True)
+        if len(labels) == len(part.classes) <= part.n:
+            _, last = np.unique(part.class_of.ravel()[::-1], return_index=True)
+            partitions += [(part.class_of, first),
+                           (part.class_of, part.class_of.size - 1 - last)]
+    schemes = [scheme_of(d) for d in (cayley_cyclic(7, {1, 2, 4}),
+                                      johnson(6, 3).graph,
+                                      cayley_cyclic(12, {1}))]
+    schemes.append(verify_association_scheme(thin_scheme_s3()))
+    tensors = [t.p for s in schemes for t in (s, *perturbed_tensors(rng, s, 15))]
+    return partitions, tensors
+
+
+def check_scheme_parity(backend, seed=3):
+    """`backend`'s tensor entry points return what the pure reference
+    returns on `scheme_entry_cases(seed)`; the outcomes are mixed."""
+    partitions, tensors = scheme_entry_cases(seed)
+    seen = set()
+    for args in partitions:
+        got = backend.axiom_iv_witness(*args)
+        assert got == _kernel_py.axiom_iv_witness(*args)
+        seen.add(("axiom", got is None))
+    for p in tensors:
+        for commute in (False, True):
+            got = backend.product_witness(p, commute)
+            assert got == _kernel_py.product_witness(p, commute)
+            seen.add((commute, got is None))
+    assert len(seen) == 6
+
+
+def test_entry_points_match_the_pure_reference(backend):
+    check_scheme_parity(backend)
